@@ -86,7 +86,43 @@ class TestWeights:
 # --------------------------------------------------------------------------
 
 
+PINNED_PROVENANCE = [
+    (["weights", "--symbol", "power:1", "--kappa", "0.1", "--n", "3"], "f72f46f76270"),
+    (["convolve", "--symbol", "power:0.5", "--g", "mono:3", "--kappa", "0.1",
+      "--t-final", "1"], "f9214399f70e"),
+    (["converge", "--symbol", "delay:1.0", "--g", "poly5exp", "--t-final", "3.0",
+      "--kappa-list", "0.2,0.1,0.05"], "dfbfe4d33486"),
+    (["bound", "--symbol", "delay:1.0", "--g", "poly5exp", "--t-list", "1,2",
+      "--kappa-list", "0.1"], "a1bcd2c2fa33"),
+    (["longtime", "--symbol", "delay:1.0", "--g", "poly5exp", "--kappa", "0.1",
+      "--t-final", "16", "--t-min", "1"], "48b198533871"),
+    (["verify", "--suite", "hyperbolic", "--samples", "2000", "--seed", "5"], "4667b39a183d"),
+    (["constants", "--mu", "0.5"], "075477b0365a"),
+]
+
+
 class TestDeterminismAndConfig:
+    @pytest.mark.parametrize(
+        "argv, digest", PINNED_PROVENANCE, ids=[argv[0] for argv, _ in PINNED_PROVENANCE]
+    )
+    def test_provenance_hash_is_pinned(self, tmp_path, argv, digest):
+        """The hash covers every declared option, unset ones included; it must
+        not move when the option plumbing changes."""
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert read_lines(out)[0] == f"# trcq-kit 0.1.0 config={digest}"
+
+    def test_provenance_hash_pinned_with_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "# c\nsymbol = delay:1.0\ng=poly5exp\nkappa=0.5\nt-final = 1.0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o.csv"
+        code = main(["convolve", "--config", str(cfg), "--kappa", "0.25", "--out", str(out)])
+        assert code == EXIT_OK
+        assert read_lines(out)[0] == "# trcq-kit 0.1.0 config=e38d3c96f44e"
+
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["weights", "--symbol", "power:1", "--kappa", "0.1", "--n", "8"]
