@@ -31,7 +31,7 @@ from .convolution import (
     sample,
 )
 from .functions import exact_solution, monomial, parse_g, poly_exp, zero
-from .kernels import active_backend, causal_convolve
+from .kernels import causal_convolve
 from .quadrature import adaptive_simpson, integrate_segmented, integrate_semi_infinite
 from .report import VerificationReport, combine_reports, pointwise_report
 from .symbols import (
@@ -118,7 +118,6 @@ __all__ = [
     "convolve_fft",
     "error_vs_exact",
     "causal_convolve",
-    "active_backend",
     # quadrature
     "adaptive_simpson",
     "integrate_segmented",

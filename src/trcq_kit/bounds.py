@@ -30,6 +30,7 @@ meaningful for ``mu <= 0`` only).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -154,6 +155,8 @@ def derive_params(mu: float, with_constants: bool = True) -> TheoremParams:
     mu = float(mu)
     if mu < 0.0 or not np.isfinite(mu):
         raise ValueError("mu must be a non-negative real")
+    if with_constants and mu > MAX_MU:
+        raise ValueError(f"the constant chain is computable for mu <= {MAX_MU} only, got {mu:g}")
     m = math.ceil(mu)
     mu_prime = mu - m  # in (-1, 0]
     alpha = math.floor(mu_prime) + 5
@@ -176,47 +179,37 @@ def derive_params(mu: float, with_constants: bool = True) -> TheoremParams:
 # envelope functions (mu <= 0)
 # --------------------------------------------------------------------------
 
-_C0_CACHE: "list[float]" = []
-
-
-def _c0() -> float:
-    if not _C0_CACHE:
-        _C0_CACHE.append(solve_c0(1e-13))
-    return _C0_CACHE[0]
-
-
-def theta1(sigma: float, mu: float, cf: CFModel) -> float:
-    """Stability envelope ``(min(sigma,1)/2)**mu * cf(min(sigma,1)/2)``."""
-    if sigma <= 0.0:
+def theta1(sigma, mu: float, cf: CFModel):
+    """Stability envelope ``(min(sigma,1)/2)**mu * cf(min(sigma,1)/2)``, elementwise."""
+    if np.any(sigma <= 0.0):
         raise ValueError("theta1 requires sigma > 0")
     if mu > 0.0:
         raise ValueError("theta1 is defined for mu <= 0 only")
-    y = 0.5 * min(sigma, 1.0)
+    y = 0.5 * np.minimum(sigma, 1.0)
     return y**mu * cf(y)
 
 
-def theta2(sigma: float, mu: float, cf: CFModel) -> float:
-    """Derivative envelope ``2**(1-mu)/sigma * cf(sigma/2)``."""
-    if sigma <= 0.0:
+def theta2(sigma, mu: float, cf: CFModel):
+    """Derivative envelope ``2**(1-mu)/sigma * cf(sigma/2)``, elementwise."""
+    if np.any(sigma <= 0.0):
         raise ValueError("theta2 requires sigma > 0")
     if mu > 0.0:
         raise ValueError("theta2 is defined for mu <= 0 only")
     return 2.0 ** (1.0 - mu) / sigma * cf(0.5 * sigma)
 
 
-def theta3(sigma: float, mu: float) -> float:
-    """Approximation envelope ``D(sigma) * (1 - sigma**2 D(sigma))**mu``.
+def theta3(sigma, mu: float):
+    """Approximation envelope ``D(sigma) * (1 - sigma**2 D(sigma))**mu``, elementwise.
 
     Increasing on its domain ``(0, c0)``; for ``mu < 0`` it blows up at the
     right endpoint, where ``sigma**2 D(sigma) -> 1``.
     """
     if mu > 0.0:
         raise ValueError("theta3 is defined for mu <= 0 only")
-    if not (0.0 < sigma < _c0()):
-        raise ValueError(f"theta3 requires 0 < sigma < {_c0():.6f}")
-    d = float(D_eval(sigma))
-    rest = 1.0 - sigma * sigma * d
-    return d * rest**mu
+    if not np.all((0.0 < sigma) & (sigma < solve_c0())):
+        raise ValueError(f"theta3 requires 0 < sigma < {solve_c0():.6f}")
+    d = D_eval(sigma)
+    return d * (1.0 - sigma * sigma * d) ** mu
 
 
 # --------------------------------------------------------------------------
@@ -226,6 +219,13 @@ def theta3(sigma: float, mu: float) -> float:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 1024
 _ENDPOINT_INSET = 1e-2
+
+# The Cm1 scan divides by c**(2m+2) at c = _ENDPOINT_INSET.  That power
+# underflows to zero once (2m+2) log(c) drops below the log of the smallest
+# subnormal double, so the chain completes up to m = 79 and no further.
+MAX_MU = int(
+    math.log(sys.float_info.min * sys.float_info.epsilon) / (2.0 * math.log(_ENDPOINT_INSET))
+) - 1
 
 
 def _minimize_scan_golden(
@@ -297,7 +297,7 @@ def _cmu1_detail(mu_prime: float) -> tuple[float, float]:
     def obj(c: float) -> float:
         return e1 * theta3(c, mu_prime) + e2 * c ** (1.0 - alpha)
 
-    return _minimize_scan_golden(obj, _ENDPOINT_INSET, _c0() - _ENDPOINT_INSET)
+    return _minimize_scan_golden(obj, _ENDPOINT_INSET, solve_c0() - _ENDPOINT_INSET)
 
 
 def const_Cmu1(mu_prime: float) -> float:

@@ -9,8 +9,12 @@ Conventions shared by every subcommand:
 * every CSV starts with a ``# trcq-kit <version> config=<hash>`` provenance
   line whose hash digests the effective option set, so identical inputs give
   byte-identical outputs;
+* every option is declared once, in ``_COMMANDS``: the parser, the config
+  keys, the defaults, the required-option check and the help text all come
+  from that table;
 * exit codes: 0 success, 1 assertion failure (violations, ratio > 1),
-  2 usage/parse error, 3 degenerate data.
+  2 usage/parse error, 3 degenerate data, 4 internal error (an unexpected
+  exception, reported with its traceback; never passed off as a failed check).
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import hashlib
 import io
 import math
 import sys
+import traceback
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,6 +60,7 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
+EXIT_INTERNAL = 4
 
 MAX_STEPS = 1 << 22  # memory budget on the number of time steps
 
@@ -103,48 +110,27 @@ def _conv_float_list(text: str) -> "list[float]":
     return [_conv_float(p) for p in parts]
 
 
-_CONVERTERS = {
-    "symbol": str,
-    "g": str,
-    "engine": str,
-    "suite": str,
-    "out": str,
-    "kappa": _conv_float,
-    "t_final": _conv_float,
-    "t_min": _conv_float,
-    "sigma": _conv_float,
-    "alpha": _conv_float,
-    "c": _conv_float,
-    "mu": _conv_float,
-    "n": _conv_int,
-    "fft_size": _conv_int,
-    "samples": _conv_int,
-    "m": _conv_int,
-    "seed": _conv_int,
-    "kappa_list": _conv_float_list,
-    "t_list": _conv_float_list,
-}
+class Opt(NamedTuple):
+    """One option: ``--name`` flag and ``name`` config key, converted from text."""
 
-# per-command option names (beyond the global out/seed/config) and defaults
-_COMMAND_OPTIONS = {
-    "weights": ["symbol", "kappa", "n", "fft_size"],
-    "convolve": ["symbol", "g", "kappa", "t_final", "engine"],
-    "converge": ["symbol", "g", "t_final", "kappa_list"],
-    "bound": ["symbol", "g", "t_list", "kappa_list"],
-    "longtime": ["symbol", "g", "kappa", "t_final", "t_min"],
-    "verify": ["suite", "samples", "symbol", "g", "sigma", "alpha", "c", "kappa", "m"],
-    "constants": ["mu"],
-}
+    name: str
+    convert: Callable[[str], object]
+    help: str
+    default: object = None
+    required: bool = False
 
-_DEFAULTS = {
-    "weights": {},
-    "convolve": {"engine": "fft"},
-    "converge": {"t_final": 2.0, "kappa_list": [0.1, 0.05, 0.025, 0.0125, 0.00625]},
-    "bound": {"t_list": [1.0, 2.0, 4.0, 8.0, 16.0], "kappa_list": [0.1, 0.05]},
-    "longtime": {"kappa": 0.05, "t_final": 100.0, "t_min": 1.0},
-    "verify": {"samples": 100000, "sigma": 1.0, "alpha": 2.0, "c": 1.0, "m": 1},
-    "constants": {},
-}
+
+class Command(NamedTuple):
+    handler: Callable[["dict[str, object]"], int]
+    help: str
+    options: "tuple[Opt, ...]"
+
+
+# options every subcommand takes; ``--config`` itself is parser-only
+_COMMON = (
+    Opt("out", str, "output CSV path (default: stdout)"),
+    Opt("seed", _conv_int, "RNG seed", default=0),
+)
 
 
 def _load_config(path: str) -> "dict[str, str]":
@@ -167,25 +153,28 @@ def _load_config(path: str) -> "dict[str, str]":
 
 
 def _effective_options(ns: argparse.Namespace) -> "dict[str, object]":
-    """Merge CLI flags, config entries, and defaults (in that precedence)."""
+    """Merge CLI flags, config entries, and defaults (in that precedence).
+
+    The result holds every declared option of the command, unset ones as
+    ``None``: the provenance hash covers all of them.
+    """
     command = ns.command
-    dests = _COMMAND_OPTIONS[command] + ["out", "seed"]
+    options = _COMMANDS[command].options + _COMMON
     config = _load_config(ns.config) if ns.config else {}
-    unknown = sorted(set(config) - set(dests))
+    unknown = sorted(set(config) - {opt.name for opt in options})
     if unknown:
         raise CliError(f"config keys not recognized by '{command}': {', '.join(unknown)}")
 
-    defaults = dict(_DEFAULTS[command])
-    defaults.setdefault("seed", 0)
     eff: "dict[str, object]" = {}
-    for dest in dests:
-        cli_value = getattr(ns, dest)
-        if cli_value is not None:
-            eff[dest] = _CONVERTERS[dest](cli_value)
-        elif dest in config:
-            eff[dest] = _CONVERTERS[dest](config[dest])
-        else:
-            eff[dest] = defaults.get(dest)
+    for opt in options:
+        text = getattr(ns, opt.name)
+        if text is None:
+            text = config.get(opt.name)
+        eff[opt.name] = opt.default if text is None else opt.convert(text)
+    missing = [opt.name for opt in options if opt.required and eff[opt.name] is None]
+    if missing:
+        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
+        raise CliError(f"missing required option(s): {flags} (flag or config entry)")
     return eff
 
 
@@ -227,13 +216,6 @@ def _write_output(out: "str | None", lines: "list[str]", echo: "tuple[str, ...]"
 # --------------------------------------------------------------------------
 # shared pieces
 # --------------------------------------------------------------------------
-
-
-def _require(eff: "dict[str, object]", *names: str) -> None:
-    missing = [n for n in names if eff.get(n) is None]
-    if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise CliError(f"missing required option(s): {flags} (flag or config entry)")
 
 
 def _parse_symbol(spec: str):
@@ -295,7 +277,6 @@ def _exact_or_die(symbol_spec: str, g_spec: str):
 
 
 def cmd_weights(eff: "dict[str, object]") -> int:
-    _require(eff, "symbol", "kappa", "n")
     F = _parse_symbol(eff["symbol"])
     try:
         table = cq_weights_fft(F, eff["kappa"], eff["n"], fft_size=eff["fft_size"])
@@ -313,7 +294,6 @@ def cmd_weights(eff: "dict[str, object]") -> int:
 
 
 def cmd_convolve(eff: "dict[str, object]") -> int:
-    _require(eff, "symbol", "g", "kappa", "t_final")
     engine = eff["engine"]
     if engine not in ("fft", "naive"):
         raise CliError(f"unknown engine {engine!r}; choose fft or naive")
@@ -331,7 +311,6 @@ def cmd_convolve(eff: "dict[str, object]") -> int:
 
 
 def cmd_converge(eff: "dict[str, object]") -> int:
-    _require(eff, "symbol", "g", "t_final", "kappa_list")
     kappas = _check_kappa_list(eff["kappa_list"])
     exact = _exact_or_die(eff["symbol"], eff["g"])
     F = _parse_symbol(eff["symbol"])
@@ -357,7 +336,6 @@ def cmd_converge(eff: "dict[str, object]") -> int:
 
 
 def cmd_bound(eff: "dict[str, object]") -> int:
-    _require(eff, "symbol", "g", "t_list", "kappa_list")
     kappas = _check_kappa_list(eff["kappa_list"])
     t_list = sorted(set(float(t) for t in eff["t_list"]))
     if not t_list or t_list[0] <= 0.0:
@@ -415,7 +393,6 @@ def cmd_bound(eff: "dict[str, object]") -> int:
 
 
 def cmd_longtime(eff: "dict[str, object]") -> int:
-    _require(eff, "symbol", "g", "kappa", "t_final")
     kappa, t_final, t_min = eff["kappa"], eff["t_final"], eff["t_min"]
     if not (0.0 < kappa <= 1.0):
         raise CliError(f"kappa must lie in (0, 1], got {kappa:g}")
@@ -463,34 +440,35 @@ def cmd_longtime(eff: "dict[str, object]") -> int:
     return EXIT_OK
 
 
+def _given(value: object, fallback: object) -> object:
+    return fallback if value is None else value
+
+
+# suite name -> runner.  Each runner applies its suite's own fallbacks to
+# options left unset; they never enter the effective options, so the
+# provenance hash does not see them.  Runners look the check functions up by
+# name at call time.
+_SUITES: "dict[str, Callable[[dict[str, object]], object]]" = {
+    "hyperbolic": lambda o: check_hyperbolic(o["samples"], o["seed"]),
+    "lemma31": lambda o: check_lemma31(o["samples"], o["seed"]),
+    "prop32": lambda o: check_prop32(o["samples"], o["seed"]),
+    "lemma32": lambda o: check_lemma32(o["samples"], o["seed"]),
+    "lemma33": lambda o: check_lemma33(_parse_input(o["g"] or "poly5exp"), o["sigma"]),
+    "prop34a": lambda o: check_prop34a(
+        _parse_input(o["g"] or "poly6exp"), o["sigma"], o["m"], _given(o["kappa"], 0.1)
+    ),
+    "lemma42": lambda o: check_lemma42(o["sigma"], o["alpha"], o["c"], _given(o["kappa"], 0.5)),
+    "prop41": lambda o: check_prop41(
+        _parse_symbol(o["symbol"] or "delay:1.0"), o["samples"], o["seed"]
+    ),
+}
+
+
 def cmd_verify(eff: "dict[str, object]") -> int:
-    _require(eff, "suite")
     suite = eff["suite"]
-    samples, seed = int(eff["samples"]), int(eff["seed"])
-    if suite == "hyperbolic":
-        report = check_hyperbolic(samples, seed)
-    elif suite == "lemma31":
-        report = check_lemma31(samples, seed)
-    elif suite == "prop32":
-        report = check_prop32(samples, seed)
-    elif suite == "lemma32":
-        report = check_lemma32(samples, seed)
-    elif suite == "prop41":
-        F = _parse_symbol(eff["symbol"] or "delay:1.0")
-        report = check_prop41(F, samples, seed)
-    elif suite == "lemma42":
-        kappa = eff["kappa"] if eff["kappa"] is not None else 0.5
-        report = check_lemma42(eff["sigma"], eff["alpha"], eff["c"], kappa)
-    elif suite == "lemma33":
-        g = _parse_input(eff["g"] or "poly5exp")
-        report = check_lemma33(g, eff["sigma"])
-    elif suite == "prop34a":
-        g = _parse_input(eff["g"] or "poly6exp")
-        kappa = eff["kappa"] if eff["kappa"] is not None else 0.1
-        report = check_prop34a(g, eff["sigma"], int(eff["m"]), kappa)
-    else:
-        known = "hyperbolic, lemma31, prop32, lemma32, lemma33, prop34a, lemma42, prop41"
-        raise CliError(f"unknown suite {suite!r}; known suites: {known}")
+    if suite not in _SUITES:
+        raise CliError(f"unknown suite {suite!r}; known suites: {', '.join(_SUITES)}")
+    report = _SUITES[suite](eff)
 
     lines = [_provenance("verify", eff), CSV_HEADER, report.csv_row()]
     summary = (
@@ -502,7 +480,6 @@ def cmd_verify(eff: "dict[str, object]") -> int:
 
 
 def cmd_constants(eff: "dict[str, object]") -> int:
-    _require(eff, "mu")
     try:
         params = derive_params(float(eff["mu"]))
     except ValueError as exc:
@@ -513,14 +490,55 @@ def cmd_constants(eff: "dict[str, object]") -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "weights": cmd_weights,
-    "convolve": cmd_convolve,
-    "converge": cmd_converge,
-    "bound": cmd_bound,
-    "longtime": cmd_longtime,
-    "verify": cmd_verify,
-    "constants": cmd_constants,
+_COMMANDS: "dict[str, Command]" = {
+    "weights": Command(cmd_weights, "export a CQ weight table", (
+        Opt("symbol", str, "symbol spec, e.g. power:1 or delay:1.0", required=True),
+        Opt("kappa", _conv_float, "time step in (0, 1]", required=True),
+        Opt("n", _conv_int, "largest weight index N", required=True),
+        Opt("fft_size", _conv_int, "contour length (power of two)"),
+    )),
+    "convolve": Command(cmd_convolve, "run a discrete convolution", (
+        Opt("symbol", str, "symbol spec", required=True),
+        Opt("g", str, "input spec, e.g. poly5exp or mono:7", required=True),
+        Opt("kappa", _conv_float, "time step in (0, 1]", required=True),
+        Opt("t_final", _conv_float, "final time", required=True),
+        Opt("engine", str, "fft or naive", default="fft"),
+    )),
+    "converge": Command(cmd_converge, "convergence study (EOC)", (
+        Opt("symbol", str, "symbol spec (needs a closed-form reference)", required=True),
+        Opt("g", str, "input spec", required=True),
+        Opt("t_final", _conv_float, "error horizon", default=2.0),
+        Opt("kappa_list", _conv_float_list, "comma-separated decreasing steps",
+            default=(0.1, 0.05, 0.025, 0.0125, 0.00625)),
+    )),
+    "bound": Command(cmd_bound, "error vs a-priori bound", (
+        Opt("symbol", str, "mu >= 0 symbol spec with a closed-form reference", required=True),
+        Opt("g", str, "input spec", required=True),
+        Opt("t_list", _conv_float_list, "comma-separated times",
+            default=(1.0, 2.0, 4.0, 8.0, 16.0)),
+        Opt("kappa_list", _conv_float_list, "comma-separated steps", default=(0.1, 0.05)),
+    )),
+    "longtime": Command(cmd_longtime, "long-time error growth fits", (
+        Opt("symbol", str, "symbol spec with a closed-form reference", required=True),
+        Opt("g", str, "input spec", required=True),
+        Opt("kappa", _conv_float, "fixed step", default=0.05),
+        Opt("t_final", _conv_float, "largest time", default=100.0),
+        Opt("t_min", _conv_float, "smallest grid time", default=1.0),
+    )),
+    "verify": Command(cmd_verify, "run an inequality suite", (
+        Opt("suite", str, "one of " + ", ".join(_SUITES), required=True),
+        Opt("samples", _conv_int, "sample count", default=100000),
+        Opt("symbol", str, "symbol for prop41 (delay:1.0 when unset)"),
+        Opt("g", str, "input for lemma33 (poly5exp when unset) and prop34a (poly6exp)"),
+        Opt("sigma", _conv_float, "line abscissa", default=1.0),
+        Opt("alpha", _conv_float, "moment exponent for lemma42", default=2.0),
+        Opt("c", _conv_float, "radius parameter for lemma42", default=1.0),
+        Opt("kappa", _conv_float, "step for lemma42 (0.5 when unset) and prop34a (0.1)"),
+        Opt("m", _conv_int, "power for prop34a", default=1),
+    )),
+    "constants": Command(cmd_constants, "theorem parameter/constant row", (
+        Opt("mu", _conv_float, "symbol growth exponent (mu >= 0)", required=True),
+    )),
 }
 
 
@@ -529,70 +547,25 @@ _HANDLERS = {
 # --------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="output CSV path (default: stdout)")
-    common.add_argument("--seed", help="RNG seed (default 0)")
-    common.add_argument("--config", help="key=value config file; flags win")
+def _help(opt: Opt) -> str:
+    if opt.default is None:
+        return opt.help
+    values = opt.default if isinstance(opt.default, tuple) else (opt.default,)
+    shown = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in values)
+    return f"{opt.help} (default {shown})"
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trcq",
         description="Trapezoidal-rule convolution quadrature toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("weights", parents=[common], help="export a CQ weight table")
-    p.add_argument("--symbol", help="symbol spec, e.g. power:1 or delay:1.0")
-    p.add_argument("--kappa", help="time step in (0, 1]")
-    p.add_argument("--n", help="largest weight index N")
-    p.add_argument("--fft-size", dest="fft_size", help="contour length (power of two)")
-
-    p = sub.add_parser("convolve", parents=[common], help="run a discrete convolution")
-    p.add_argument("--symbol", help="symbol spec")
-    p.add_argument("--g", help="input spec, e.g. poly5exp or mono:7")
-    p.add_argument("--kappa", help="time step in (0, 1]")
-    p.add_argument("--t-final", dest="t_final", help="final time")
-    p.add_argument("--engine", help="fft (default) or naive")
-
-    p = sub.add_parser("converge", parents=[common], help="convergence study (EOC)")
-    p.add_argument("--symbol", help="symbol spec (needs a closed-form reference)")
-    p.add_argument("--g", help="input spec")
-    p.add_argument("--t-final", dest="t_final", help="error horizon (default 2)")
-    p.add_argument(
-        "--kappa-list",
-        dest="kappa_list",
-        help="comma-separated decreasing steps (default 0.1,...,0.00625)",
-    )
-
-    p = sub.add_parser("bound", parents=[common], help="error vs a-priori bound")
-    p.add_argument("--symbol", help="mu >= 0 symbol spec with a closed-form reference")
-    p.add_argument("--g", help="input spec")
-    p.add_argument("--t-list", dest="t_list", help="comma-separated times (default 1,2,4,8,16)")
-    p.add_argument(
-        "--kappa-list", dest="kappa_list", help="comma-separated steps (default 0.1,0.05)"
-    )
-
-    p = sub.add_parser("longtime", parents=[common], help="long-time error growth fits")
-    p.add_argument("--symbol", help="symbol spec with a closed-form reference")
-    p.add_argument("--g", help="input spec")
-    p.add_argument("--kappa", help="fixed step (default 0.05)")
-    p.add_argument("--t-final", dest="t_final", help="largest time (default 100)")
-    p.add_argument("--t-min", dest="t_min", help="smallest grid time (default 1)")
-
-    p = sub.add_parser("verify", parents=[common], help="run an inequality suite")
-    p.add_argument("--suite", help="suite name (see docs)")
-    p.add_argument("--samples", help="sample count (default 100000)")
-    p.add_argument("--symbol", help="symbol for prop41 (default delay:1.0)")
-    p.add_argument("--g", help="input for lemma33/prop34a")
-    p.add_argument("--sigma", help="line abscissa (default 1)")
-    p.add_argument("--alpha", help="moment exponent for lemma42 (default 2)")
-    p.add_argument("--c", help="radius parameter for lemma42 (default 1)")
-    p.add_argument("--kappa", help="step for lemma42/prop34a")
-    p.add_argument("--m", help="power for prop34a (default 1)")
-
-    p = sub.add_parser("constants", parents=[common], help="theorem parameter/constant row")
-    p.add_argument("--mu", help="symbol growth exponent (mu >= 0)")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in _COMMON + command.options:
+            p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name, help=_help(opt))
+        p.add_argument("--config", help="key=value config file; flags win")
     return parser
 
 
@@ -605,7 +578,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return EXIT_USAGE if code not in (0, None) else int(code or 0)
     try:
         eff = _effective_options(ns)
-        return _HANDLERS[ns.command](eff)
+        return _COMMANDS[ns.command].handler(eff)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -615,6 +588,10 @@ def main(argv: "list[str] | None" = None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except Exception as exc:  # a crash must never read as a failed check (exit 1)
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -64,8 +64,8 @@ class CausalSignal:
     """Samples of a vector-valued function at the grid nodes.
 
     ``samples`` has shape ``(steps+1, dim)``.  The value at t_0 = 0 is
-    stored even though admissible inputs vanish there; experiments warn
-    when it is nonzero rather than reject the signal.
+    stored even though admissible inputs vanish there; a nonzero value is
+    accepted as is.
     """
 
     grid: Grid

@@ -30,6 +30,14 @@ from .bounds import SmoothCausalFunction
 
 __all__ = ["poly_exp", "monomial", "zero", "parse_g", "exact_solution"]
 
+# the largest p whose p! (the transform numerator) is a finite double
+MAX_POWER = 170
+
+
+def _check_power(p: int) -> None:
+    if not 0 <= p <= MAX_POWER:
+        raise ValueError(f"p must lie in 0..{MAX_POWER} (p! must fit a double), got {p}")
+
 
 # --------------------------------------------------------------------------
 # input families
@@ -51,8 +59,7 @@ def poly_exp(p: int, max_order: int = 16) -> SmoothCausalFunction:
     coefficients stay far below 2**53 for the shipped orders, so float
     evaluation is exact.
     """
-    if p < 0:
-        raise ValueError("p must be non-negative")
+    _check_power(p)
     table: "list[list[int]]" = []
     cur = [0] * p + [1]
     table.append(cur)
@@ -78,8 +85,7 @@ def poly_exp(p: int, max_order: int = 16) -> SmoothCausalFunction:
 
 def monomial(p: int, max_order: int = 64) -> SmoothCausalFunction:
     """``g(t) = t**p``; derivatives are falling factorials, zero past order p."""
-    if p < 0:
-        raise ValueError("p must be non-negative")
+    _check_power(p)
 
     def derivative(t: float, k: int) -> np.ndarray:
         if k > p:

@@ -1,98 +1,18 @@
-"""Compensated inner loops of the O(N^2) convolution engine.
+"""Compensated inner loop of the O(N^2) convolution engine.
 
-Two interchangeable implementations of the causal sum
+The causal sum
 
     out[n] = sum_{m=0}^{n} w[n-m] @ g[m],        n = 0..M-1,
 
-both using Kahan-compensated accumulation so the naive engine can serve as
-the accuracy oracle for the FFT engine:
-
-* a ``numba``-jitted scalar loop (fast path), and
-* a pure-numpy diagonal sweep (always available).
-
-The backend is chosen per call from the ``TRCQ_BACKEND`` environment
-variable: ``auto`` (default; numba when importable), ``numba``, or
-``numpy``.
+runs as a numpy sweep over the lags with Kahan-compensated accumulation, so
+the naive engine can serve as the accuracy oracle for the FFT engine.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via TRCQ_BACKEND=numpy
-    numba = None
-    HAVE_NUMBA = False
-
-__all__ = ["HAVE_NUMBA", "active_backend", "causal_convolve"]
-
-_ENV_VAR = "TRCQ_BACKEND"
-
-
-def active_backend() -> str:
-    """Resolve the backend name, honoring ``TRCQ_BACKEND`` at call time."""
-    choice = os.environ.get(_ENV_VAR, "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("TRCQ_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise ValueError(f"unrecognized TRCQ_BACKEND value {choice!r}")
-
-
-# --------------------------------------------------------------------------
-# numba path
-# --------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _convolve_numba(w, g, out):  # pragma: no cover - compiled
-        M = g.shape[0]
-        rows = w.shape[1]
-        cols = w.shape[2]
-        for n in range(M):
-            for i in range(rows):
-                acc = 0.0 + 0.0j
-                comp = 0.0 + 0.0j
-                for m in range(n + 1):
-                    x = 0.0 + 0.0j
-                    for j in range(cols):
-                        x += w[n - m, i, j] * g[m, j]
-                    y = x - comp
-                    t = acc + y
-                    comp = (t - acc) - y
-                    acc = t
-                out[n, i] = acc
-
-
-# --------------------------------------------------------------------------
-# numpy path
-# --------------------------------------------------------------------------
-
-
-def _convolve_numpy(w: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
-    """Diagonal sweep: lag k contributes w[k] @ g[n-k] to every out[n>=k]."""
-    M = g.shape[0]
-    comp = np.zeros_like(out)
-    for k in range(M):
-        x = np.einsum("ij,mj->mi", w[k], g[: M - k]) - comp[k:]
-        t = out[k:] + x
-        comp[k:] = (t - out[k:]) - x
-        out[k:] = t
-
-
-# --------------------------------------------------------------------------
-# dispatch
-# --------------------------------------------------------------------------
+__all__ = ["causal_convolve"]
 
 
 def causal_convolve(w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -111,9 +31,13 @@ def causal_convolve(w: np.ndarray, g: np.ndarray) -> np.ndarray:
         raise ValueError("signal must contain at least one sample")
     if w.shape[0] < g.shape[0]:
         raise ValueError("need at least as many weights as signal samples")
-    out = np.zeros((g.shape[0], w.shape[1]), dtype=np.complex128)
-    if active_backend() == "numba":
-        _convolve_numba(w, g, out)
-    else:
-        _convolve_numpy(w, g, out)
+    M = g.shape[0]
+    out = np.zeros((M, w.shape[1]), dtype=np.complex128)
+    comp = np.zeros_like(out)
+    # lag k contributes w[k] @ g[n-k] to every out[n >= k]
+    for k in range(M):
+        x = np.einsum("ij,mj->mi", w[k], g[: M - k]) - comp[k:]
+        t = out[k:] + x
+        comp[k:] = (t - out[k:]) - x
+        out[k:] = t
     return out

@@ -5,10 +5,10 @@ Two building blocks:
 * :func:`adaptive_simpson` — classic adaptive Simpson with Richardson
   acceptance (the /15 estimate) on a finite interval.
 * :func:`integrate_semi_infinite` — for frequency-axis integrals
-  ``int_0^inf f``: the head ``[0, first_width]`` plus geometrically growing
-  segments, stopping once a caller-supplied *certified* tail bound is
-  negligible.  The tail bound is returned so inequality checks can add it
-  to the computed value and stay one-sided.
+  ``int_start^inf f``: the head ``[start, start + first_width]`` plus
+  segments up to a doubling cutoff, stopping once a caller-supplied
+  *certified* tail bound is negligible.  The tail bound is returned so
+  inequality checks can add it to the computed value and stay one-sided.
 
 Integrands here are real, non-negative norms; everything is scalar-valued.
 """
@@ -95,20 +95,22 @@ def integrate_segmented(
 def integrate_semi_infinite(
     f: Callable[[float], float],
     tail_bound: Callable[[float], float],
+    start: float = 0.0,
     rel_tol: float = 1e-9,
     abs_floor: float = 1e-14,
     first_width: float = 1.0,
     max_doublings: int = 200,
 ) -> tuple[float, float, float]:
-    """Approximate ``int_0^inf f`` with a certified remainder.
+    """Approximate ``int_start^inf f`` with a certified remainder.
 
     ``tail_bound(R)`` must bound ``int_R^inf f`` from above.  Returns
-    ``(head, tail, R)`` where ``head`` integrates ``[0, R]`` and ``tail =
-    tail_bound(R)``; the cutoff doubles until the tail is negligible against
-    the head (or ``max_doublings`` is exhausted, which raises).
+    ``(head, tail, R)`` where ``head`` integrates ``[start, R]`` and ``tail =
+    tail_bound(R)``.  The first cutoff is ``start + first_width``; after that
+    the cutoff doubles until the tail is negligible against the head (or
+    ``max_doublings`` is exhausted, which raises).
     """
-    total = adaptive_simpson(f, 0.0, first_width, rel_tol, abs_floor)
-    omega = first_width
+    omega = start + first_width
+    total = adaptive_simpson(f, start, omega, rel_tol, abs_floor)
     for _ in range(max_doublings):
         t = tail_bound(omega)
         if t <= max(abs_floor, rel_tol * (abs(total) + t)):

@@ -30,6 +30,7 @@ certifying the series tail would take an unreasonable number of terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -334,11 +335,13 @@ def _power_ratio(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
 def solve_c0(tol: float = 1e-13) -> float:
     """The unique c0 in (0, pi) with c0**2 * D(c0) = 1, by bisection.
 
     x**2 D(x) is strictly increasing, runs from 0 to +inf on (0, pi), and the
     bracket [0.1, pi - 0.1] straddles the root, so plain bisection is safe.
+    The root is computed once per ``tol`` and cached.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")

@@ -23,8 +23,16 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import SmoothCausalFunction, apply_Pm, const_Cm1, derivative_shift
-from .quadrature import adaptive_simpson, integrate_segmented
+from .bounds import (
+    SmoothCausalFunction,
+    apply_Pm,
+    const_Cm1,
+    derivative_shift,
+    theta1,
+    theta2,
+    theta3,
+)
+from .quadrature import adaptive_simpson, integrate_segmented, integrate_semi_infinite
 from .report import VerificationReport, combine_reports, pointwise_report
 from .symbols import Symbol, value_norm
 from .trmap import (
@@ -254,13 +262,9 @@ def check_prop41(
     mu, cf = F.mu, F.cf
     parts = []
 
-    def theta1_vec(sigma: np.ndarray) -> np.ndarray:
-        y = 0.5 * np.minimum(sigma, 1.0)
-        return y**mu * cf(y)
-
     # (a) stability of the substituted symbol, over samples x kappa_grid
     s = sample_cplus(samples, rng)
-    bound_a = theta1_vec(s.real)
+    bound_a = theta1(s.real, mu, cf)
     for k in kappa_grid:
         norms = value_norm(F(s_kappa(s, k)))
         parts.append(
@@ -287,7 +291,7 @@ def check_prop41(
         vals = F(ring) * np.exp(-1j * theta)[None, :, None, None]
         deriv = vals.mean(axis=1) / r[:, None, None]
         grad[lo : lo + chunk] = value_norm(deriv)
-    bound_b = 2.0 ** (1.0 - mu) / sb.real * cf(0.5 * sb.real) * np.abs(sb) ** mu
+    bound_b = theta2(sb.real, mu, cf) * np.abs(sb) ** mu
     parts.append(
         pointwise_report(
             "prop41:b",
@@ -305,12 +309,8 @@ def check_prop41(
         sc = sample_cplus(samples, rng, max_modulus=min(1e3, c0 * _INSET / k))
         diff = value_norm(F(s_kappa(sc, k)) - F(sc))
         mod = np.abs(k * sc)
-        d = D_eval(mod)
-        theta3 = d * (1.0 - mod * mod * d) ** mu
-        theta2 = 2.0 ** (1.0 - mu) / (0.5 * np.minimum(sc.real, 1.0)) * cf(
-            0.25 * np.minimum(sc.real, 1.0)
-        )
-        bound_c = k * k * theta2 * theta3 * np.abs(sc) ** (mu + 3.0)
+        theta2_c = theta2(0.5 * np.minimum(sc.real, 1.0), mu, cf)
+        bound_c = k * k * theta2_c * theta3(mod, mu) * np.abs(sc) ** (mu + 3.0)
         parts.append(
             pointwise_report(
                 f"prop41:c[kappa={k:g}]",
@@ -327,26 +327,6 @@ def check_prop41(
 # --------------------------------------------------------------------------
 # quadrature-based suites
 # --------------------------------------------------------------------------
-
-
-def _grow_frequency_integral(
-    f: Callable[[float], float],
-    tail_bound: Callable[[float], float],
-    start: float,
-    first_width: float,
-    rel_tol: float = 1e-9,
-) -> tuple[float, float, float]:
-    """Integrate ``f`` from ``start``, doubling the cutoff until the certified
-    tail is negligible; returns (head, tail, cutoff)."""
-    omega = start + first_width
-    total = adaptive_simpson(f, start, omega, rel_tol=rel_tol)
-    for _ in range(200):
-        t = tail_bound(omega)
-        if t <= max(1e-14, rel_tol * (abs(total) + t)):
-            return total, t, omega
-        total += adaptive_simpson(f, omega, 2.0 * omega, rel_tol=rel_tol)
-        omega *= 2.0
-    raise RuntimeError(f"frequency integral did not localize (cutoff {omega:.3e})")
 
 
 def check_lemma42(sigma: float, alpha: float, c: float, kappa: float) -> VerificationReport:
@@ -373,13 +353,13 @@ def check_lemma42(sigma: float, alpha: float, c: float, kappa: float) -> Verific
 
     radius = c / kappa
     omega0 = math.sqrt(max(radius * radius - sigma * sigma, 0.0))
-    head_a, tail_a, cut_a = _grow_frequency_integral(
-        f, tail, omega0, max(radius, 1.0)
+    head_a, tail_a, cut_a = integrate_semi_infinite(
+        f, tail, start=omega0, first_width=max(radius, 1.0)
     )
     lhs_a = 2.0 * (head_a + tail_a)
     rhs_a = 2.0 * alpha / (alpha - 1.0) * (kappa / c) ** (alpha - 1.0)
 
-    head_b, tail_b, cut_b = _grow_frequency_integral(f, tail, 0.0, max(sigma, 1.0))
+    head_b, tail_b, cut_b = integrate_semi_infinite(f, tail, first_width=max(sigma, 1.0))
     lhs_b = 2.0 * (head_b + tail_b)
     rhs_b = 2.0 / sigma**alpha + 2.0 / (alpha - 1.0)
 
@@ -518,7 +498,7 @@ def check_lemma33(g: SmoothCausalFunction, sigma: float) -> VerificationReport:
         def tail(R: float) -> float:
             return 2.0 * c_decay * R ** (1.0 - p_decay) / (p_decay - 1.0)
 
-        head, tail_val, cutoff = _grow_frequency_integral(f, tail, 0.0, max(sigma, 1.0))
+        head, tail_val, cutoff = integrate_semi_infinite(f, tail, first_width=max(sigma, 1.0))
         lhs = head + tail_val
     else:
         lhs, tail_val, cutoff = _numeric_transform_mass(g, sigma, rhs)
@@ -581,8 +561,8 @@ def check_prop34a(
             + R ** (m + 1.0 - p) / (p - 1.0 - m)
         )
 
-    head, tail_val, cutoff = _grow_frequency_integral(
-        f_both, tail, 0.0, max(sigma, 1.0 / kappa)
+    head, tail_val, cutoff = integrate_semi_infinite(
+        f_both, tail, first_width=max(sigma, 1.0 / kappa)
     )
     lhs = head + tail_val
 

@@ -45,7 +45,7 @@ from trcq_kit.weights import compare_weight_tables, cq_weights_closed, cq_weight
 
 
 class TestWeightGeneration:
-    def test_fft_route_matches_closed_forms(self, warm_backend):
+    def test_fft_route_matches_closed_forms(self):
         """All three elementary symbols at kappa=0.1, N=64, contour 512: <=1e-8, <1s."""
         pairs = [
             ("derivative", "power:1"),
@@ -68,7 +68,7 @@ class TestWeightGeneration:
 
 
 class TestDiscreteExactness:
-    def test_integration_reproduces_linear(self, warm_backend):
+    def test_integration_reproduces_linear(self):
         """F = 1/s applied to g(t) = t gives t_n^2/2 to 1e-12 relative, <1s."""
         start = time.perf_counter()
         grid = Grid(kappa=0.1, steps=64)
@@ -79,7 +79,7 @@ class TestDiscreteExactness:
         assert float(rel.max()) <= 1e-12
         assert time.perf_counter() - start < 1.0
 
-    def test_differentiation_reproduces_quadratic(self, warm_backend):
+    def test_differentiation_reproduces_quadratic(self):
         """F = s applied to g(t) = t^2 gives 2 t_n to 1e-12 relative, <1s."""
         start = time.perf_counter()
         grid = Grid(kappa=0.1, steps=64)
@@ -168,7 +168,7 @@ class TestIntegralEstimates:
 
 
 class TestConvergenceOrders:
-    def test_second_order_for_delay_and_fractional_power(self, tmp_path, warm_backend):
+    def test_second_order_for_delay_and_fractional_power(self, tmp_path):
         """EOC in [1.8, 2.2] on the halving ladder for both studies, <60s."""
         start = time.perf_counter()
 
@@ -211,7 +211,7 @@ def _read_eocs(path) -> "list[float]":
 
 
 class TestBoundValidity:
-    def test_observed_error_below_bound(self, tmp_path, warm_backend):
+    def test_observed_error_below_bound(self, tmp_path):
         """ratio <= 1 at t in {1,2,4,8,16} x kappa in {0.1,0.05}, <120s."""
         start = time.perf_counter()
         out = tmp_path / "bound.csv"
@@ -238,7 +238,7 @@ class TestBoundValidity:
 
 
 class TestLongTimeBehavior:
-    def test_error_does_not_grow(self, tmp_path, warm_backend):
+    def test_error_does_not_grow(self, tmp_path):
         """Exponential rate r <= 0.01 and log-log slope p <= 4 out to t = 100, <120s."""
         start = time.perf_counter()
         out = tmp_path / "longtime.csv"
@@ -286,7 +286,7 @@ class TestParameterTable:
 
 
 class TestEnginesAtScale:
-    def test_engines_agree_across_zoo(self, warm_backend):
+    def test_engines_agree_across_zoo(self):
         """Naive and FFT engines agree to 1e-12 relative at N = 4096."""
         kappa = 0.01
         steps = 4096
@@ -306,7 +306,7 @@ class TestEnginesAtScale:
             diff = float(np.max(np.abs(a.samples - b.samples))) / scale
             assert diff <= 1e-12, f"{name}: engines differ by {diff:.3e}"
 
-    def test_fft_engine_handles_a_million_steps(self, warm_backend):
+    def test_fft_engine_handles_a_million_steps(self):
         """convolve_fft at N = 2^20 finishes in under 10 seconds."""
         N = 1 << 20
         kappa = 1e-4

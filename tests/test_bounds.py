@@ -13,6 +13,7 @@ import pytest
 
 from trcq_kit.bounds import (
     CONSTANTS_CSV_HEADER,
+    MAX_MU,
     SmoothCausalFunction,
     TheoremParams,
     apply_Pm,
@@ -179,6 +180,14 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             derive_params(float("nan"))
 
+    def test_mu_beyond_the_constant_chain_rejected(self):
+        """MAX_MU is the largest mu whose constant chain completes."""
+        assert all(math.isfinite(v) for v in derive_params(MAX_MU).constants.values())
+        for mu in (MAX_MU + 0.5, 100.0, 1e6):
+            with pytest.raises(ValueError, match="constant chain"):
+                derive_params(mu)
+        assert derive_params(100.0, with_constants=False).m == 100
+
     def test_bad_constants_rejected(self):
         with pytest.raises(ValueError, match="finite and non-negative"):
             TheoremParams(
@@ -218,8 +227,23 @@ class TestThetas:
         ref = D_AT_ONE / (1.0 - D_AT_ONE)
         assert theta3(1.0, -1.0) == pytest.approx(ref, rel=1e-12)
 
+    def test_arrays_match_scalars_elementwise(self):
+        cf = CFModel(2.0, 0.5)
+        sigma = np.array([1e-3, 0.05, 0.3, 1.0, 1.2])
+        for mu in (0.0, -0.5, -1.0):
+            for theta, args in ((theta1, (mu, cf)), (theta2, (mu, cf)), (theta3, (mu,))):
+                got = theta(sigma, *args)
+                assert got.shape == sigma.shape
+                assert got.tolist() == [theta(float(x), *args) for x in sigma]
+
     def test_domain_errors(self):
         cf = CFModel(1.0, 0.0)
+        with pytest.raises(ValueError):
+            theta1(np.array([0.5, 0.0]), 0.0, cf)  # one bad element suffices
+        with pytest.raises(ValueError):
+            theta2(np.array([1.0, -1.0]), 0.0, cf)
+        with pytest.raises(ValueError):
+            theta3(np.array([1.0, 3.0]), 0.0)
         with pytest.raises(ValueError):
             theta1(0.0, 0.0, cf)
         with pytest.raises(ValueError):

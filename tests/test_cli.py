@@ -1,7 +1,7 @@
 """End-to-end tests of the command-line harness, run in-process.
 
 Covers the output schemas, the exit-code contract (0 success, 1 assertion
-failure, 2 usage error, 3 degenerate data), config-file merging with
+failure, 2 usage error, 3 degenerate data, 4 internal error), config-file merging with
 flags-win precedence, and byte-identical determinism of repeated runs.
 """
 
@@ -11,7 +11,8 @@ import re
 import pytest
 
 from trcq_kit.bounds import derive_params, params_csv_row
-from trcq_kit.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, main
+from trcq_kit import cli
+from trcq_kit.cli import EXIT_DEGENERATE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
 PROVENANCE_RE = re.compile(r"^# trcq-kit \S+ config=[0-9a-f]{12}$")
 
@@ -186,7 +187,7 @@ class TestDeterminismAndConfig:
 
 
 class TestConvolve:
-    def test_engines_agree(self, tmp_path, warm_backend):
+    def test_engines_agree(self, tmp_path):
         """fft and naive engines give the same samples to 1e-12."""
         common = ["convolve", "--symbol", "decay:1.0", "--g", "poly5exp",
                   "--kappa", "0.1", "--t-final", "1.0"]
@@ -230,7 +231,7 @@ class TestConvolve:
 
 
 class TestConverge:
-    def test_second_order_for_delay(self, tmp_path, warm_backend):
+    def test_second_order_for_delay(self, tmp_path):
         out = tmp_path / "eoc.csv"
         code = main(["converge", "--symbol", "delay:1.0", "--g", "poly5exp",
                      "--t-final", "2.0", "--kappa-list", "0.1,0.05",
@@ -243,7 +244,7 @@ class TestConverge:
         eoc = float(rows[1][2])
         assert 1.8 <= eoc <= 2.2
 
-    def test_exact_flag_at_roundoff(self, tmp_path, warm_backend):
+    def test_exact_flag_at_roundoff(self, tmp_path):
         """Trapezoid integration of t is exact, so errors sit at roundoff."""
         out = tmp_path / "eoc.csv"
         code = main(["converge", "--symbol", "power:-1", "--g", "mono:1",
@@ -277,7 +278,7 @@ class TestConverge:
 
 
 class TestBound:
-    def test_bound_holds_small_case(self, tmp_path, warm_backend):
+    def test_bound_holds_small_case(self, tmp_path):
         out = tmp_path / "bound.csv"
         code = main(["bound", "--symbol", "delay:1.0", "--g", "poly5exp",
                      "--t-list", "1,2", "--kappa-list", "0.1",
@@ -306,7 +307,7 @@ class TestBound:
 
 
 class TestLongtime:
-    def test_fits_reported(self, tmp_path, warm_backend):
+    def test_fits_reported(self, tmp_path):
         out = tmp_path / "lt.csv"
         code = main(["longtime", "--symbol", "delay:1.0", "--g", "poly5exp",
                      "--kappa", "0.1", "--t-final", "16", "--t-min", "1",
@@ -322,7 +323,7 @@ class TestLongtime:
         rows = [r.split(",") for r in data_rows(lines)]
         assert [float(r[0]) for r in rows] == [1.0, 2.0, 4.0, 8.0, 16.0]
 
-    def test_single_time_is_degenerate(self, tmp_path, warm_backend):
+    def test_single_time_is_degenerate(self, tmp_path):
         out = tmp_path / "lt.csv"
         code = main(["longtime", "--symbol", "delay:1.0", "--g", "poly5exp",
                      "--kappa", "0.1", "--t-final", "1.5", "--t-min", "1",
@@ -330,7 +331,7 @@ class TestLongtime:
         assert code == EXIT_DEGENERATE
         assert any("fit degenerate" in ln for ln in read_lines(out))
 
-    def test_zero_signal_is_degenerate(self, tmp_path, warm_backend):
+    def test_zero_signal_is_degenerate(self, tmp_path):
         out = tmp_path / "lt.csv"
         code = main(["longtime", "--symbol", "delay:1.0", "--g", "zero",
                      "--kappa", "0.25", "--t-final", "4", "--t-min", "1",
@@ -412,6 +413,31 @@ class TestParser:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--symbol", "power:0.5", "--g", "poly300exp"],
+            ["convolve", "--symbol", "power:0.5", "--g", "mono:400", "--kappa", "0.1",
+             "--t-final", "1"],
+            ["constants", "--mu", "1e6"],
+            ["constants", "--mu", "100"],
+        ],
+        ids=["poly300exp", "mono400", "mu1e6", "mu100"],
+    )
+    def test_out_of_range_input_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unexpected_exception_is_internal_not_a_violation(self, monkeypatch, capsys):
+        def broken(mu):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "derive_params", broken)
+        assert main(["constants", "--mu", "1"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert err.splitlines()[-1] == "error: internal error: ZeroDivisionError: float division by zero"
 
     def test_non_numeric_kappa(self, capsys):
         code = main(["weights", "--symbol", "power:1", "--kappa", "fast", "--n", "4"])

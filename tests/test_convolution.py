@@ -134,7 +134,7 @@ class TestExactness:
 
 
 class TestEngines:
-    def test_engines_agree_across_zoo(self, warm_backend):
+    def test_engines_agree_across_zoo(self):
         """FFT and compensated-loop engines agree to 1e-12 relative, N = 512."""
         kappa = 0.05
         steps = 512
@@ -154,7 +154,7 @@ class TestEngines:
             diff = float(np.max(np.abs(a.samples - b.samples)))
             assert diff <= 1e-12 * scale, f"{name}: engines differ by {diff/scale:.3e}"
 
-    def test_fft_engine_handles_matrix_weights(self, warm_backend):
+    def test_fft_engine_handles_matrix_weights(self):
         """A 2x2 resolvent symbol convolves a 2-vector input identically per engine."""
         zoo = builtin_zoo()
         F = zoo["resolvent:skew2"]
@@ -167,7 +167,7 @@ class TestEngines:
         b = convolve_fft(W, g)
         np.testing.assert_allclose(a.samples, b.samples, rtol=0, atol=1e-12)
 
-    def test_fft_engine_short_signal(self, warm_backend):
+    def test_fft_engine_short_signal(self):
         """The padded FFT route is correct down to a single step."""
         grid = Grid(kappa=0.5, steps=1)
         W = cq_weights_closed("integral", grid.kappa, grid.steps)

@@ -97,6 +97,13 @@ class TestParseG:
             with pytest.raises(ValueError, match="unknown input spec"):
                 parse_g(bad)
 
+    def test_power_beyond_factorial_range_rejected(self):
+        """p! must be a finite double: 170 is the largest admissible power."""
+        assert parse_g("poly170exp").laplace_decay[0] == float(math.factorial(170))
+        for bad in ("poly171exp", "mono:171", "poly300exp", "mono:400"):
+            with pytest.raises(ValueError, match="0..170"):
+                parse_g(bad)
+
     def test_zero_function(self):
         g = zero()
         assert float(g.deriv(3.0, 5)[0]) == 0.0

@@ -1,11 +1,11 @@
-"""Tests for the convolution inner loops and backend selection."""
+"""Tests for the compensated O(N^2) convolution loop."""
 
 import math
 
 import numpy as np
 import pytest
 
-from trcq_kit.kernels import HAVE_NUMBA, active_backend, causal_convolve
+from trcq_kit.kernels import causal_convolve
 
 
 def reference_convolve(w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -22,62 +22,24 @@ def reference_convolve(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-class TestBackendSelection:
-    """TRCQ_BACKEND is read per call: auto / numba / numpy."""
-
-    def test_auto_prefers_numba(self, monkeypatch):
-        monkeypatch.delenv("TRCQ_BACKEND", raising=False)
-        assert active_backend() == ("numba" if HAVE_NUMBA else "numpy")
-
-    def test_explicit_numpy(self, monkeypatch):
-        monkeypatch.setenv("TRCQ_BACKEND", "numpy")
-        assert active_backend() == "numpy"
-
-    def test_unknown_value(self, monkeypatch):
-        monkeypatch.setenv("TRCQ_BACKEND", "hexagonal")
-        with pytest.raises(ValueError):
-            active_backend()
-
-
 class TestBackendAgreement:
-    """Both implementations must produce the same numbers."""
+    """The compensated sweep against an fsum reference."""
 
-    def test_matches_reference(self, monkeypatch):
+    def test_matches_reference(self):
         rng = np.random.default_rng(51)
         w = rng.standard_normal((40, 2, 2)) + 1j * rng.standard_normal((40, 2, 2))
         g = rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2))
-        ref = reference_convolve(w, g)
-        for backend in ("numpy",) + (("numba",) if HAVE_NUMBA else ()):
-            monkeypatch.setenv("TRCQ_BACKEND", backend)
-            out = causal_convolve(w, g)
-            np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-13)
+        out = causal_convolve(w, g)
+        np.testing.assert_allclose(out, reference_convolve(w, g), rtol=1e-13, atol=1e-13)
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-    def test_backends_agree_closely(self, monkeypatch):
-        rng = np.random.default_rng(52)
-        for trial in range(5):
-            n = int(rng.integers(3, 200))
-            r, c = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            w = rng.standard_normal((n, r, c)) + 1j * rng.standard_normal((n, r, c))
-            g = rng.standard_normal((n, c)) + 1j * rng.standard_normal((n, c))
-            monkeypatch.setenv("TRCQ_BACKEND", "numpy")
-            a = causal_convolve(w, g)
-            monkeypatch.setenv("TRCQ_BACKEND", "numba")
-            b = causal_convolve(w, g)
-            scale = np.abs(a).max() + 1e-300
-            assert np.abs(a - b).max() / scale <= 1e-14
-
-    def test_compensation_beats_cancellation(self, monkeypatch):
+    def test_compensation_beats_cancellation(self):
         # alternating huge/tiny terms: a plain running sum loses ~4 digits
         n = 64
         w = np.zeros((n, 1, 1), dtype=complex)
         w[:, 0, 0] = [(1e12 if i % 2 == 0 else -1e12) + 1.0 for i in range(n)]
         g = np.ones((n, 1), dtype=complex)
-        ref = reference_convolve(w, g)
-        for backend in ("numpy",) + (("numba",) if HAVE_NUMBA else ()):
-            monkeypatch.setenv("TRCQ_BACKEND", backend)
-            out = causal_convolve(w, g)
-            np.testing.assert_allclose(out, ref, rtol=1e-15, atol=1e-9)
+        out = causal_convolve(w, g)
+        np.testing.assert_allclose(out, reference_convolve(w, g), rtol=1e-15, atol=1e-9)
 
 
 class TestValidation:

@@ -110,6 +110,16 @@ class TestIntegrateSemiInfinite:
         assert head + tail >= 1.0 - 1e-10
         assert head <= 1.0 + 1e-10
 
+    def test_start_offset(self):
+        """int_3^inf e^-t = e^-3; the first cutoff is start + first_width and
+        every later one doubles it."""
+        head, tail, cutoff = integrate_semi_infinite(
+            lambda t: math.exp(-t), lambda R: math.exp(-R), start=3.0, first_width=0.5
+        )
+        assert head <= math.exp(-3.0) <= head + tail
+        assert head + tail == pytest.approx(math.exp(-3.0), rel=1e-8)
+        assert math.log2(cutoff / 3.5).is_integer()
+
     def test_tail_is_one_sided(self):
         """head <= true value <= head + tail for a monotone-tail integrand."""
         head, tail, _ = integrate_semi_infinite(
