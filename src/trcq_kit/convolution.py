@@ -83,9 +83,22 @@ class CausalSignal:
 
 
 def sample(fn: Callable[[float], "complex | np.ndarray"], grid: Grid) -> CausalSignal:
-    """Evaluate ``fn`` at the grid nodes; scalar results become 1-vectors."""
+    """Evaluate ``fn`` at the grid nodes; scalar results become 1-vectors.
+
+    A non-finite sample raises ``ValueError`` naming the input and the first
+    node where it occurs.
+    """
     rows = [np.atleast_1d(np.asarray(fn(float(t)))) for t in grid.nodes]
-    return CausalSignal(grid=grid, samples=np.array(rows, dtype=complex))
+    samples = np.array(rows, dtype=complex)
+    bad = ~np.isfinite(samples).all(axis=1)
+    if bad.any():
+        n = int(np.argmax(bad))
+        name = getattr(fn, "name", repr(fn))
+        raise ValueError(
+            f"input {name} is not finite at t = {grid.nodes[n]:.17g} "
+            f"(node {n}): {samples[n].tolist()}"
+        )
+    return CausalSignal(grid=grid, samples=samples)
 
 
 # --------------------------------------------------------------------------

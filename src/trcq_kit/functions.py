@@ -91,7 +91,11 @@ def monomial(p: int, max_order: int = 64) -> SmoothCausalFunction:
         if k > p:
             return np.array([0.0])
         coeff = math.factorial(p) / math.factorial(p - k)
-        return np.array([coeff * t ** (p - k)])
+        try:
+            power = t ** (p - k)
+        except OverflowError:
+            raise ValueError(f"mono:{p} overflows a double at t = {t:.17g}") from None
+        return np.array([coeff * power])
 
     fact = float(math.factorial(p))
     return SmoothCausalFunction(

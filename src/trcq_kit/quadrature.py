@@ -15,6 +15,7 @@ Integrands here are real, non-negative norms; everything is scalar-valued.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 __all__ = ["adaptive_simpson", "integrate_segmented", "integrate_semi_infinite"]
@@ -38,26 +39,42 @@ def adaptive_simpson(
     value by less than ``15 * max(abs_floor, rel_tol * local)``; the
     Richardson-extrapolated value is returned.  ``abs_floor`` stops infinite
     refinement where the integrand vanishes identically.
+
+    A non-finite integrand value raises ``ValueError``; a panel still
+    unresolved after ``max_depth`` bisections raises ``RuntimeError``, so an
+    under-resolved integral is never returned as a converged one.
     """
     if not b > a:
         if b == a:
             return 0.0
         raise ValueError("need b >= a")
-    fa, fb = f(a), f(b)
+
+    def value(t: float) -> float:
+        y = f(t)
+        if not math.isfinite(y):
+            raise ValueError(f"integrand value {y} at {t:.17g} is not finite")
+        return y
+
+    fa, fb = value(a), value(b)
     mid = 0.5 * (a + b)
-    fm = f(mid)
+    fm = value(mid)
     whole = _simpson(fa, fm, fb, b - a)
 
     def recurse(a, b, fa, fm, fb, whole, depth):
         m = 0.5 * (a + b)
         lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
+        flm, frm = value(lm), value(rm)
         left = _simpson(fa, flm, fm, m - a)
         right = _simpson(fm, frm, fb, b - m)
         err = left + right - whole
         scale = abs(left) + abs(right)
-        if depth <= 0 or abs(err) <= 15.0 * max(abs_floor, rel_tol * scale):
+        if abs(err) <= 15.0 * max(abs_floor, rel_tol * scale):
             return left + right + err / 15.0
+        if depth <= 0:
+            raise RuntimeError(
+                f"adaptive_simpson: panel [{a:.17g}, {b:.17g}] unresolved after "
+                f"{max_depth} bisections (error estimate {err:.3e})"
+            )
         return recurse(a, m, fa, flm, fm, left, depth - 1) + recurse(
             m, b, fm, frm, fb, right, depth - 1
         )

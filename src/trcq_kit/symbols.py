@@ -190,8 +190,8 @@ def make_power(mu: float) -> Symbol:
 def make_delay(d: float) -> Symbol:
     """``F(s) = exp(-s d)``; in time, shifts the input by ``d``."""
     d = float(d)
-    if not d > 0.0:
-        raise ValueError("delay d must be positive")
+    if not (d > 0.0 and np.isfinite(d)):
+        raise ValueError(f"delay d must be finite and positive, got {d:g}")
 
     def scalar(s: np.ndarray) -> np.ndarray:
         return np.exp(-d * s)
@@ -203,8 +203,8 @@ def make_delay(d: float) -> Symbol:
 def make_decay(a: float) -> Symbol:
     """``F(s) = 1/(s+a)``; in time, convolution with ``exp(-a t)``."""
     a = float(a)
-    if not a > 0.0:
-        raise ValueError("decay rate a must be positive")
+    if not (a > 0.0 and np.isfinite(a)):
+        raise ValueError(f"decay rate a must be finite and positive, got {a:g}")
 
     def scalar(s: np.ndarray) -> np.ndarray:
         return 1.0 / (s + a)

@@ -23,8 +23,10 @@ substitution:
 * ``sample_cplus`` draws the standard right-half-plane sample cloud used by
   every randomized check in the package.
 
-D has radius of convergence pi; evaluation is refused within 1e-3 of pi, where
-certifying the series tail would take an unreasonable number of terms.
+The b_l alternate in sign, so D is the closed form -q(i sigma) =
+(2 tan(sigma/2) - sigma)/sigma**3; q, delta(exp(-z))**m - z**m and D share
+one 16-term series below |z| = 0.5 and closed forms above it.  D has radius
+of convergence pi and is evaluated on all of [0, pi).
 """
 
 from __future__ import annotations
@@ -55,28 +57,23 @@ _HALF_PI = 0.5 * np.pi
 # ----------------------------------------------------------------------------
 #
 # tanh(w) = sum_k T_k w**(2k-1) and q(z) = sum_l b_l z**(2l) with
-# b_l = T_{l+2} / 4**(l+1).  The raw b_l underflow around l ~ 310, while the
-# series for D must be summed to tens of thousands of terms close to sigma =
-# pi.  We therefore store the pi-rescaled magnitudes
+# b_l = T_{l+2} / 4**(l+1).  The raw b_l underflow around l ~ 310, so the
+# recurrence runs on the pi-rescaled magnitudes
 #
 #     alpha_scaled[l] = |b_l| * pi**(2l),
 #
-# which stay bounded (they decrease from 1/12 towards 8/pi**4 ~ 0.0821), and
-# evaluate D in the variable rho = (sigma/pi)**2.  The rescaled tanh
-# coefficients T_k * (pi/2)**(2k-1) obey the same division recurrence as T_k
-# with the factorial terms rescaled accordingly; those factorial terms decay
-# so fast that the recurrence is effectively band-limited.
+# which stay bounded (they decrease from 1/12 towards 8/pi**4 ~ 0.0821).  The
+# rescaled tanh coefficients T_k * (pi/2)**(2k-1) obey the same division
+# recurrence as T_k with the factorial terms rescaled accordingly; those
+# factorial terms decay so fast that the recurrence is effectively
+# band-limited.
 
 _BAND = 96  # (pi/2)**(2i)/(2i)! underflows past i ~ 90
-_TABLE_MAX = 1 << 16  # hard cap on series length (certifies sigma <= pi - 1e-3)
-
-_alpha_scaled = None  # |b_l| * pi**(2l)
-_b_sign = None  # sign of b_l
+_TABLE_MAX = 1 << 16  # cap on the number of coefficients one call may request
 
 
-def _build_scaled_tables(count: int) -> None:
-    """Populate the module-level coefficient cache with >= count entries."""
-    global _alpha_scaled, _b_sign
+def _build_scaled_tables(count: int) -> "tuple[np.ndarray, np.ndarray]":
+    """The first ``count`` rescaled magnitudes |b_l| pi**(2l) and signs of b_l."""
     half_pi_sq = _HALF_PI * _HALF_PI
 
     # cosh coefficients (pi/2)**(2i)/(2i)! for the banded division
@@ -97,30 +94,16 @@ def _build_scaled_tables(count: int) -> None:
 
     # alpha_scaled[l] = |b_l| pi**(2l) = 2 |T~_{l+2}| / pi**3
     tilde = tanh_scaled[2 : count + 2]
-    scaled = 2.0 * np.abs(tilde) / _PI**3
-    # The geometric tail certificate in D_eval relies on this envelope being
-    # non-increasing; it holds for the whole table, so we check it outright.
-    if np.any(np.diff(scaled) > 0.0):
-        raise RuntimeError("series coefficient envelope is not non-increasing")
-    _alpha_scaled = scaled
-    _b_sign = np.sign(tilde)
-
-
-def _scaled_alphas(count: int) -> np.ndarray:
-    if count > _TABLE_MAX:
-        raise ValueError(f"series length {count} exceeds the table cap {_TABLE_MAX}")
-    if _alpha_scaled is None or len(_alpha_scaled) < count:
-        _build_scaled_tables(max(256, count, 0 if _alpha_scaled is None else 2 * len(_alpha_scaled)))
-    return _alpha_scaled[:count]
+    return 2.0 * np.abs(tilde) / _PI**3, np.sign(tilde)
 
 
 @dataclass(frozen=True)
 class SeriesTable:
     """Signed Taylor coefficients b_l of q and their magnitudes alpha_l.
 
-    The raw coefficients underflow to zero past l ~ 310; consumers that need
-    long partial sums of D should call :func:`D_eval`, which works with an
-    internally rescaled representation instead.
+    The raw coefficients underflow to zero past l ~ 310.  Consumers that need
+    D itself should call :func:`D_eval`, which uses the closed form of the
+    series rather than a long partial sum.
     """
 
     coeffs_b: np.ndarray
@@ -137,11 +120,10 @@ class SeriesTable:
 
 def q_taylor_coeffs(L: int) -> SeriesTable:
     """First L Taylor coefficients of q(z) = (delta(exp(-z)) - z)/z**3."""
-    if L < 1:
-        raise ValueError("need at least one coefficient")
-    alpha = _scaled_alphas(L)
-    ell = np.arange(L)
-    b = _b_sign[:L] * alpha * _PI ** (-2.0 * ell)
+    if not 1 <= L <= _TABLE_MAX:
+        raise ValueError(f"need 1..{_TABLE_MAX} coefficients, got {L}")
+    alpha, sign = _build_scaled_tables(L)
+    b = sign * alpha * _PI ** (-2.0 * np.arange(L))
     return SeriesTable(coeffs_b=b, coeffs_alpha=np.abs(b), length=L, tail_bound_radius=_PI)
 
 
@@ -198,13 +180,15 @@ def s_kappa(s, kappa):
 _Q_CROSSOVER = 0.5
 # 16 terms leave a series tail below 1e-26 at |z| = 0.5, far under 1e-14.
 _Q_SERIES_TERMS = 16
+_Q_COEFFS = q_taylor_coeffs(_Q_SERIES_TERMS).coeffs_b
 
 
 def _q_series(z: np.ndarray) -> np.ndarray:
-    b = q_taylor_coeffs(_Q_SERIES_TERMS).coeffs_b
+    if z.size == 0:  # an empty branch of a scalar call; skip the sweep
+        return z
     z2 = z * z
-    acc = np.full_like(z, b[-1])
-    for coeff in b[-2::-1]:
+    acc = np.full_like(z, _Q_COEFFS[-1])
+    for coeff in _Q_COEFFS[-2::-1]:
         acc = acc * z2 + coeff
     return acc
 
@@ -263,57 +247,28 @@ def delta_power_diff(z, m: int):
 # Majorant series D and E_m
 # ----------------------------------------------------------------------------
 
-_D_REFUSAL = _PI - 1e-3
+def D_eval(sigma):
+    """D(sigma) = sum_l |b_l| sigma**(2l) for 0 <= sigma < pi, elementwise.
 
-
-def D_eval(sigma, tol: float = 1e-12):
-    """D(sigma) = sum_l |b_l| sigma**(2l) with a certified relative tail < tol.
-
-    Works elementwise on arrays.  The returned value includes the geometric
-    tail bound, so it never undershoots the full series.  The tail certificate
-    uses ratio rho = (sigma/pi)**2, valid because the rescaled coefficients
-    |b_l| pi**(2l) are non-increasing.  Refuses sigma within 1e-3 of pi (the
-    series diverges at pi and certifying the tail there is hopeless).
+    The b_l alternate in sign with b_0 < 0, so D(sigma) = -q(i sigma) =
+    (2 tan(sigma/2) - sigma)/sigma**3.  That closed form cancels near 0, so
+    up to sigma = 0.5 the q series is summed at z = i sigma, where z**2 =
+    -sigma**2 exactly; above, the closed form is used.  Both branches stay
+    within 1e-14 relative of the exact series.  D grows without bound as
+    sigma approaches the radius of convergence pi.
     """
     sig, was_scalar = _as1d(sigma, float)
-    if np.any(sig < 0.0):
-        raise ValueError("D is defined for sigma >= 0")
-    if np.any(sig > _D_REFUSAL):
-        raise ValueError(f"D_eval refuses sigma within 1e-3 of pi (> {_D_REFUSAL:.6f})")
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
-
-    rho = (sig / _PI) ** 2
+    if not np.all((sig >= 0.0) & (sig < _PI)):
+        raise ValueError("D is defined for 0 <= sigma < pi")
     out = np.empty_like(sig)
-
-    # terms needed so that alpha_0 * rho**L/(1-rho) <= tol * alpha_0;
-    # partial sums are >= alpha_0 = 1/12, so this certifies relative tol.
-    with np.errstate(divide="ignore"):
-        need = np.where(
-            rho > 0.0,
-            np.ceil(np.log(tol * (1.0 - rho)) / np.log(np.maximum(rho, 1e-300))),
-            1.0,
-        )
-    if np.any(need > _TABLE_MAX):
-        raise ValueError("cannot certify the requested tolerance this close to pi")
-    need = np.clip(need, 1, _TABLE_MAX).astype(int)
-
-    # group by power-of-two series length so each bucket is one Horner sweep
-    buckets = np.minimum(_TABLE_MAX, np.maximum(64, 1 << np.ceil(np.log2(need)).astype(int)))
-    for length in np.unique(buckets):
-        mask = buckets == length
-        alpha = _scaled_alphas(int(length))
-        x = rho[mask]
-        acc = np.full_like(x, alpha[-1])
-        for coeff in alpha[-2::-1]:
-            acc = acc * x + coeff
-        tail = alpha[-1] * x ** float(length) / np.maximum(1.0 - x, 1e-300)
-        out[mask] = acc + tail
-
+    small = sig <= _Q_CROSSOVER
+    out[small] = -_q_series(1j * sig[small]).real
+    big = sig[~small]
+    out[~small] = (2.0 * np.tan(0.5 * big) - big) / big**3
     return out[0] if was_scalar else out
 
 
-def E_m_eval(sigma, m: int, tol: float = 1e-12):
+def E_m_eval(sigma, m: int):
     """E_m(sigma) = max{D**j : j=1..m} * ((1+sigma**2)**m - 1)/sigma**2.
 
     At sigma = 0 the second factor is taken by its limit m.  Requires m >= 1
@@ -322,7 +277,7 @@ def E_m_eval(sigma, m: int, tol: float = 1e-12):
     if m < 1:
         raise ValueError("E_m is defined for m >= 1")
     sig, was_scalar = _as1d(sigma, float)
-    d = np.atleast_1d(D_eval(sig, tol=tol))
+    d = np.atleast_1d(D_eval(sig))
     out = np.maximum(d, d**m) * _power_ratio(sig * sig, m)
     return out[0] if was_scalar else out
 
@@ -341,13 +296,14 @@ def solve_c0(tol: float = 1e-13) -> float:
 
     x**2 D(x) is strictly increasing, runs from 0 to +inf on (0, pi), and the
     bracket [0.1, pi - 0.1] straddles the root, so plain bisection is safe.
-    The root is computed once per ``tol`` and cached.
+    ``tol`` bounds the residual |c0**2 D(c0) - 1| as computed by
+    :func:`D_eval`.  The root is computed once per ``tol`` and cached.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
     def residual(x: float) -> float:
-        return x * x * float(D_eval(x, tol=1e-14)) - 1.0
+        return x * x * float(D_eval(x)) - 1.0
 
     lo, hi = 0.1, _PI - 0.1
     if residual(lo) >= 0.0 or residual(hi) <= 0.0:

@@ -7,6 +7,7 @@ flags-win precedence, and byte-identical determinism of repeated runs.
 
 import math
 import re
+import time
 
 import pytest
 
@@ -428,6 +429,28 @@ class TestParser:
     def test_out_of_range_input_is_a_usage_error(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "prop34a", "--g", "poly170exp"],
+            ["convolve", "--symbol", "power:0", "--g", "poly170exp", "--kappa", "1",
+             "--t-final", "200"],
+            ["convolve", "--symbol", "power:0", "--g", "mono:170", "--kappa", "1",
+             "--t-final", "100"],
+            ["converge", "--symbol", "delay:inf", "--g", "poly5exp"],
+            ["converge", "--symbol", "decay:inf", "--g", "mono:2"],
+        ],
+        ids=["prop34a-poly170exp", "poly170exp", "mono170", "delay-inf", "decay-inf"],
+    )
+    def test_non_finite_input_is_a_usage_error(self, argv, capsys):
+        """Overflowing inputs and infinite symbol parameters never reach a CSV."""
+        start = time.monotonic()
+        assert main(argv) == EXIT_USAGE
+        assert time.monotonic() - start < 10.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("error: ")
 
     def test_unexpected_exception_is_internal_not_a_violation(self, monkeypatch, capsys):
         def broken(mu):

@@ -19,6 +19,7 @@ from trcq_kit.convolution import (
     sample,
     signal_to_csv,
 )
+from trcq_kit.functions import parse_g
 from trcq_kit.symbols import builtin_zoo
 from trcq_kit.weights import cq_weights_closed, cq_weights_fft
 
@@ -81,6 +82,14 @@ class TestCausalSignal:
         sig = sample(lambda t: np.array([t, 2.0 * t, -t]), grid)
         assert sig.dim == 3
         np.testing.assert_allclose(sig.samples[:, 1], 2.0 * grid.nodes, rtol=1e-15)
+
+    def test_sample_rejects_non_finite_values(self):
+        """The first non-finite node is named, with the input's name."""
+        grid = Grid(kappa=1.0, steps=200)
+        with pytest.raises(ValueError, match=r"input poly170exp is not finite at t = 66 "):
+            sample(parse_g("poly170exp"), grid)
+        with pytest.raises(ValueError, match=r"not finite at t = 0.5 "):
+            sample(lambda t: np.array([1.0, np.nan if t > 0.3 else 0.0]), Grid(kappa=0.25, steps=3))
 
 
 # --------------------------------------------------------------------------

@@ -79,6 +79,15 @@ class TestMonomial:
         assert float(g.deriv(1.5, 7)[0]) == pytest.approx(math.factorial(7), rel=1e-15)
         assert float(g.deriv(1.5, 8)[0]) == 0.0
 
+    def test_overflow_is_a_value_error(self):
+        """t**p past the double range is a usage error, not an OverflowError."""
+        g = monomial(170)
+        assert math.isfinite(float(g.deriv(60.0, 0)[0]))
+        with pytest.raises(ValueError, match="overflows"):
+            g.deriv(100.0, 0)
+        with pytest.raises(ValueError, match="overflows"):
+            g.deriv(1e200, 1)
+
     def test_laplace(self):
         g = monomial(3)
         val = complex(g.laplace(2.0 + 0j))

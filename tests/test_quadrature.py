@@ -51,6 +51,17 @@ class TestAdaptiveSimpson:
         """The absolute floor stops refinement on an identically-zero panel."""
         assert adaptive_simpson(lambda t: 0.0, 0.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_integrand_rejected(self, bad):
+        """inf - inf is NaN, which no acceptance test ever passes; refuse it."""
+        with pytest.raises(ValueError, match="not finite"):
+            adaptive_simpson(lambda t: bad if t > 0.6 else 1.0, 0.0, 1.0)
+
+    def test_depth_exhaustion_raises(self):
+        """An unresolved panel is an error, not a silently truncated value."""
+        with pytest.raises(RuntimeError, match="unresolved after 2 bisections"):
+            adaptive_simpson(lambda t: 1.0 / (t + 1e-6), 0.0, 1.0, max_depth=2)
+
     def test_kinked_integrand_g5(self):
         """|g^(5)| for g = t^5 e^-t has interior kinks; the panels resolve them."""
         g = poly_exp(5)

@@ -101,6 +101,13 @@ class TestZoo:
         with pytest.raises(ValueError):
             make_decay(-1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_delay_and_decay_need_finite_parameters(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_delay(bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_decay(bad)
+
     def test_builtin_zoo_contents(self):
         zoo = builtin_zoo()
         assert {"power:0", "power:1", "power:-1", "power:0.5", "delay:1.0",

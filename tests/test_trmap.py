@@ -4,9 +4,9 @@ Closed forms are used as independent oracles throughout:
 
     q(z)  = (delta(e^-z) - z)/z^3,   D(sigma) = (2 tan(sigma/2) - sigma)/sigma^3
 
-The closed form of D is exactly what the series implementation must avoid
-(catastrophic cancellation near 0), which makes it a fair cross-check away
-from 0.
+D_eval itself uses the closed form above sigma = 0.5 and the q series below
+it, so D is also checked against 40-digit mpmath on both sides of that
+crossover.
 """
 
 import numpy as np
@@ -63,7 +63,7 @@ class TestTaylorCoefficients:
 
 
 class TestDEval:
-    """Certified evaluation of the majorant series D."""
+    """Evaluation of the majorant series D on [0, pi)."""
 
     def test_frozen_value_at_one(self):
         assert abs(D_eval(1.0) - D_AT_ONE) <= 1e-15
@@ -80,14 +80,34 @@ class TestDEval:
         vals = D_eval(x)
         assert np.all(np.diff(vals) > 0.0)
 
-    def test_refuses_near_pi(self):
+    def test_domain(self):
+        for bad in (-0.5, np.pi, 4.0, np.nan):
+            with pytest.raises(ValueError):
+                D_eval(bad)
         with pytest.raises(ValueError):
-            D_eval(np.pi - 9e-4)
-        with pytest.raises(ValueError):
-            D_eval(4.0)
-        with pytest.raises(ValueError):
-            D_eval(-0.5)
+            D_eval(np.array([1.0, np.nan]))
+        near_pi = D_eval(np.pi - 9e-4)
+        assert np.isfinite(near_pi) and near_pi > 0.0
         assert abs(D_eval(0.0) - 1.0 / 12.0) <= 1e-15  # series value at 0
+
+    def test_matches_high_precision(self):
+        import mpmath
+
+        def ref(x):
+            if x == 0.0:
+                return mpmath.mpf(1) / 12
+            with mpmath.workdps(40):
+                xm = mpmath.mpf(x)
+                return (2 * mpmath.tan(xm / 2) - xm) / xm**3
+
+        x = np.concatenate([
+            np.linspace(0.0, np.pi - 1e-3, 301),
+            np.nextafter(0.5, [0.0, 1.0]),
+            0.5 + np.array([-1e-9, 1e-9, 1e-6, 1e-3]),
+            np.pi - np.array([0.5, 0.1, 1e-2, 2e-3, 1e-3]),
+        ])
+        refs = np.array([float(ref(float(v))) for v in x])
+        np.testing.assert_allclose(D_eval(x), refs, rtol=2e-14, atol=0)
 
 
 class TestEmEval:
