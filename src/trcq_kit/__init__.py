@@ -51,7 +51,6 @@ from .symbols import (
 from .trmap import (
     D_eval,
     E_m_eval,
-    SeriesTable,
     delta_char,
     delta_power_diff,
     q_ratio,
@@ -81,7 +80,6 @@ from .weights import (
 __all__ = [
     "__version__",
     # transform map and series machinery
-    "SeriesTable",
     "delta_char",
     "s_kappa",
     "q_taylor_coeffs",

@@ -6,8 +6,8 @@ the quadrature reads
     || error at time t ||  <=  kappa^2 * C(1/t) * (I1 + I2),
 
         C(x)  = C_F(min(x,1)/4) * C_mu / min(x**epsilon, 1),
-        I1    = int_0^t ||g^(m+alpha)||,
-        I2    = int_0^t ||P_m g^(m+4)||,
+        I1    = int_0^t |g^(m+alpha)|,
+        I2    = int_0^t |P_m g^(m+4)|,
 
 with integer parameters ``m = ceil(mu)``, ``alpha``, ``beta`` (the smoothness
 order required of g), ``epsilon`` (the polynomial-in-time exponent), and a
@@ -66,32 +66,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SmoothCausalFunction:
-    """A causal input with analytic derivative callbacks.
+    """A scalar causal input with analytic derivative callbacks.
 
-    ``derivative(t, k)`` returns the k-th derivative at ``t >= 0`` (the
-    wrapper :meth:`deriv` supplies the causal zero for ``t < 0``).  The
+    ``derivative(t, k)`` returns the k-th derivative at ``t >= 0`` as a float
+    (the wrapper :meth:`deriv` supplies the causal zero for ``t < 0``).  The
     optional ``laplace`` callback gives the closed-form transform; the
-    optional ``laplace_decay = (C, p)`` certifies ``||G(s)|| <= C/|s|**p``
+    optional ``laplace_decay = (C, p)`` certifies ``|G(s)| <= C/|s|**p``
     on the half-plane, which frequency integrals use as a tail bound.
     """
 
     name: str
     max_order: int
-    derivative: Callable[[float, int], np.ndarray] = field(repr=False)
-    dim: int = 1
+    derivative: Callable[[float, int], float] = field(repr=False)
     laplace: "Callable[[np.ndarray], np.ndarray] | None" = field(default=None, repr=False)
     laplace_decay: "tuple[float, float] | None" = None
 
-    def deriv(self, t: float, k: int = 0) -> np.ndarray:
+    def deriv(self, t: float, k: int = 0) -> float:
         if not (0 <= k <= self.max_order):
             raise ValueError(
                 f"{self.name} supports derivative orders 0..{self.max_order}, got {k}"
             )
         if t < 0.0:
-            return np.zeros(self.dim)
-        return np.atleast_1d(np.asarray(self.derivative(float(t), int(k))))
+            return 0.0
+        return self.derivative(float(t), int(k))
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t: float) -> float:
         return self.deriv(t, 0)
 
 
@@ -103,12 +102,11 @@ def derivative_shift(g: SmoothCausalFunction, k: int) -> SmoothCausalFunction:
         name=f"{g.name}^({k})",
         max_order=g.max_order - k,
         derivative=lambda t, j: g.derivative(t, k + j),
-        dim=g.dim,
     )
 
 
-def apply_Pm(g: SmoothCausalFunction, m: int, t: float) -> np.ndarray:
-    """Evaluate ``(P_m g)(t) = exp(-t) * d^m/dt^m [exp(t) g(t)]``.
+def apply_Pm(g: SmoothCausalFunction, m: int, t: float) -> float:
+    """Evaluate ``(P_m g)(t) = exp(-t) * d^m/dt^m [exp(t) g(t)]`` as a float.
 
     By the Leibniz rule this equals ``sum_l binom(m, l) g^(l)(t)``, which is
     how it is computed.
@@ -117,10 +115,7 @@ def apply_Pm(g: SmoothCausalFunction, m: int, t: float) -> np.ndarray:
         raise ValueError("m must be non-negative")
     if m > g.max_order:
         raise ValueError(f"{g.name} supports orders up to {g.max_order}, P_{m} needs {m}")
-    acc = np.zeros(g.dim, dtype=complex)
-    for ell in range(m + 1):
-        acc = acc + math.comb(m, ell) * g.deriv(t, ell)
-    return acc
+    return sum(math.comb(m, ell) * g.deriv(t, ell) for ell in range(m + 1))
 
 
 # --------------------------------------------------------------------------
@@ -361,12 +356,12 @@ def bound_rhs(
         )
 
     def i1_integrand(tau: float) -> float:
-        return float(np.linalg.norm(g.deriv(tau, m + alpha)))
+        return abs(g.deriv(tau, m + alpha))
 
     shifted = derivative_shift(g, m + 4)
 
     def i2_integrand(tau: float) -> float:
-        return float(np.linalg.norm(apply_Pm(shifted, m, tau)))
+        return abs(apply_Pm(shifted, m, tau))
 
     i1 = integrate_segmented(i1_integrand, 0.0, t, rel_tol=1e-9, abs_floor=1e-14)
     i2 = integrate_segmented(i2_integrand, 0.0, t, rel_tol=1e-9, abs_floor=1e-14)

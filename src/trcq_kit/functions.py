@@ -1,9 +1,11 @@
-"""Shipped causal test inputs with exact derivatives and transforms.
+"""Shipped scalar causal test inputs with exact derivatives and transforms.
 
 The error-bound experiments need input functions whose derivatives up to
 order ~10 are available *analytically* (the bound's right-hand side
 integrates high derivatives, and finite differences would pollute exactly
-the quantity under study).  Three families cover every experiment:
+the quantity under study), and whose Laplace transform is known in closed
+form with a decay certificate (the frequency-integral checks integrate it).
+Three scalar families cover every experiment; derivatives are floats:
 
 * ``poly_exp(p)`` -- ``t**p * exp(-t)``: derivatives stay in the ring
   ``polynomial * exp(-t)`` and are generated exactly by the recurrence
@@ -14,8 +16,9 @@ the quantity under study).  Three families cover every experiment:
 * ``zero()`` -- the zero input (degenerate edge cases).
 
 ``exact_solution`` returns the closed-form time action of a built-in symbol
-applied to one of these inputs, when one is known; convergence and bound
-experiments refuse to run without one.
+applied to one of these inputs, when one is known, as a 1-vector comparable
+with a signal row; convergence and bound experiments refuse to run without
+one.
 """
 
 from __future__ import annotations
@@ -70,8 +73,8 @@ def poly_exp(p: int, max_order: int = 16) -> SmoothCausalFunction:
         table.append(cur)
     coeff_table = [list(map(float, row)) for row in table]
 
-    def derivative(t: float, k: int) -> np.ndarray:
-        return np.array([_horner_ascending(coeff_table[k], t) * math.exp(-t)])
+    def derivative(t: float, k: int) -> float:
+        return _horner_ascending(coeff_table[k], t) * math.exp(-t)
 
     fact = float(math.factorial(p))
     return SmoothCausalFunction(
@@ -87,15 +90,15 @@ def monomial(p: int, max_order: int = 64) -> SmoothCausalFunction:
     """``g(t) = t**p``; derivatives are falling factorials, zero past order p."""
     _check_power(p)
 
-    def derivative(t: float, k: int) -> np.ndarray:
+    def derivative(t: float, k: int) -> float:
         if k > p:
-            return np.array([0.0])
+            return 0.0
         coeff = math.factorial(p) / math.factorial(p - k)
         try:
             power = t ** (p - k)
         except OverflowError:
             raise ValueError(f"mono:{p} overflows a double at t = {t:.17g}") from None
-        return np.array([coeff * power])
+        return coeff * power
 
     fact = float(math.factorial(p))
     return SmoothCausalFunction(
@@ -111,7 +114,7 @@ def zero() -> SmoothCausalFunction:
     return SmoothCausalFunction(
         name="zero",
         max_order=64,
-        derivative=lambda t, k: np.array([0.0]),
+        derivative=lambda t, k: 0.0,
         laplace=lambda s: np.zeros_like(np.asarray(s, dtype=complex)),
         laplace_decay=(0.0, 2.0),
     )
@@ -194,20 +197,13 @@ def _decay_monomial(a: float, p: int) -> Callable[[float], float]:
     return action
 
 
-def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], np.ndarray] | None":
-    """Closed-form value of (symbol applied to g) at time t, when known.
-
-    Supported pairs: any symbol on ``zero``; ``delay:d`` on anything;
-    ``power:mu`` on ``mono:p`` (Riemann-Liouville ``Gamma(p+1)/Gamma(p+1-mu)
-    t^(p-mu)``); ``power:{-1,0,1}`` on ``poly<p>exp``; ``decay:a`` on
-    ``mono:p``; ``decay:1`` on ``poly<p>exp``.  Returns ``None`` otherwise.
-    """
+def _exact_action(symbol_spec: str, g_spec: str) -> "Callable[[float], float] | None":
     kind, _, arg = symbol_spec.strip().partition(":")
     kind = kind.strip().lower()
     g = parse_g(g_spec)
 
     if g.name == "zero":
-        return lambda t: np.array([0.0])
+        return lambda t: 0.0
 
     if kind == "delay":
         d = float(arg)
@@ -223,7 +219,7 @@ def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], np.ndarr
             if p - mu <= -1.0:
                 return None
             coeff = math.gamma(p + 1) / math.gamma(p + 1 - mu)
-            return lambda t: np.array([coeff * t ** (p - mu) if t > 0.0 else 0.0])
+            return lambda t: coeff * t ** (p - mu) if t > 0.0 else 0.0
         if poly_match:
             p = int(poly_match.group(1))
             if mu == 0.0:
@@ -231,21 +227,42 @@ def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], np.ndarr
             if mu == 1.0:
                 return lambda t: g.deriv(t, 1)
             if mu == -1.0:
-                action = _poly_exp_integral(p)
-                return lambda t: np.array([action(t)])
-        return None
+                return _poly_exp_integral(p)
 
     if kind == "decay":
         a = float(arg)
         if mono_match:
-            action = _decay_monomial(a, int(mono_match.group(1)))
-            return lambda t: np.array([action(t)])
+            return _decay_monomial(a, int(mono_match.group(1)))
         if poly_match and a == 1.0:
             p = int(poly_match.group(1))
             # e^{-t} * t^p e^{-t} = e^{-t} int_0^t tau^p dtau
-            return lambda t: np.array(
-                [math.exp(-t) * t ** (p + 1) / (p + 1) if t > 0.0 else 0.0]
-            )
-        return None
+            return lambda t: math.exp(-t) * t ** (p + 1) / (p + 1) if t > 0.0 else 0.0
 
     return None
+
+
+def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], np.ndarray] | None":
+    """Closed-form value of (symbol applied to g) at time t, as a 1-vector
+    (it is compared with a signal row), when known.
+
+    Supported pairs: any symbol on ``zero``; ``delay:d`` on anything;
+    ``power:mu`` on ``mono:p`` (Riemann-Liouville ``Gamma(p+1)/Gamma(p+1-mu)
+    t^(p-mu)``); ``power:{-1,0,1}`` on ``poly<p>exp``; ``decay:a`` on
+    ``mono:p``; ``decay:1`` on ``poly<p>exp``.  Returns ``None`` otherwise.
+    A reference that overflows a double raises ``ValueError`` naming the pair.
+    """
+    reference = f"the closed-form reference for symbol {symbol_spec!r} on input {g_spec!r}"
+    try:
+        action = _exact_action(symbol_spec, g_spec)
+    except OverflowError:
+        raise ValueError(f"{reference} overflows a double") from None
+    if action is None:
+        return None
+
+    def exact(t: float) -> np.ndarray:
+        try:
+            return np.array([action(t)])
+        except OverflowError:
+            raise ValueError(f"{reference} overflows a double at t = {t:.17g}") from None
+
+    return exact

@@ -11,7 +11,8 @@ substitution:
 * ``delta_char`` / ``s_kappa`` evaluate the map itself,
 * ``q_ratio`` evaluates q(z) = (delta(exp(-z)) - z)/z**3, the relative
   consistency error of the rule, stably for small z,
-* ``q_taylor_coeffs`` returns the even Taylor coefficients b_l of q,
+* ``q_taylor_coeffs`` returns the even Taylor coefficients b_l of q, each
+  the double nearest its exact rational value (from integer tangent numbers),
 * ``D_eval`` and ``E_m_eval`` evaluate the majorant series
 
       D(sigma)   = sum_l |b_l| sigma**(2l),
@@ -31,13 +32,12 @@ of convergence pi and is evaluated on all of [0, pi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "SeriesTable",
     "delta_char",
     "s_kappa",
     "q_taylor_coeffs",
@@ -53,78 +53,32 @@ _PI = np.pi
 _HALF_PI = 0.5 * np.pi
 
 # ----------------------------------------------------------------------------
-# Taylor coefficient table
+# Taylor coefficients of q
 # ----------------------------------------------------------------------------
-#
-# tanh(w) = sum_k T_k w**(2k-1) and q(z) = sum_l b_l z**(2l) with
-# b_l = T_{l+2} / 4**(l+1).  The raw b_l underflow around l ~ 310, so the
-# recurrence runs on the pi-rescaled magnitudes
-#
-#     alpha_scaled[l] = |b_l| * pi**(2l),
-#
-# which stay bounded (they decrease from 1/12 towards 8/pi**4 ~ 0.0821).  The
-# rescaled tanh coefficients T_k * (pi/2)**(2k-1) obey the same division
-# recurrence as T_k with the factorial terms rescaled accordingly; those
-# factorial terms decay so fast that the recurrence is effectively
-# band-limited.
 
-_BAND = 96  # (pi/2)**(2i)/(2i)! underflows past i ~ 90
-_TABLE_MAX = 1 << 16  # cap on the number of coefficients one call may request
+# b_308 is the last coefficient that is a normal double; b_309 is subnormal.
+_MAX_TERMS = 309
 
 
-def _build_scaled_tables(count: int) -> "tuple[np.ndarray, np.ndarray]":
-    """The first ``count`` rescaled magnitudes |b_l| pi**(2l) and signs of b_l."""
-    half_pi_sq = _HALF_PI * _HALF_PI
+def q_taylor_coeffs(L: int) -> np.ndarray:
+    """First L Taylor coefficients b_l of q(z) = (delta(exp(-z)) - z)/z**3.
 
-    # cosh coefficients (pi/2)**(2i)/(2i)! for the banded division
-    cosh_c = np.zeros(_BAND + 1)
-    cosh_c[0] = 1.0
-    for i in range(1, _BAND + 1):
-        cosh_c[i] = cosh_c[i - 1] * half_pi_sq / ((2 * i) * (2 * i - 1))
-
-    # tanh_scaled[k-1] = T_k * (pi/2)**(2k-1), from tanh * cosh = sinh
-    n_tanh = count + 2
-    tanh_scaled = np.zeros(n_tanh + 1)
-    sinh_k = _HALF_PI  # (pi/2)**(2k-1)/(2k-1)!
-    for k in range(1, n_tanh + 1):
-        if k > 1:
-            sinh_k = sinh_k * half_pi_sq / ((2 * k - 1) * (2 * k - 2))
-        j0 = max(1, k - _BAND)
-        tanh_scaled[k] = sinh_k - np.dot(tanh_scaled[j0:k], cosh_c[k - j0:0:-1])
-
-    # alpha_scaled[l] = |b_l| pi**(2l) = 2 |T~_{l+2}| / pi**3
-    tilde = tanh_scaled[2 : count + 2]
-    return 2.0 * np.abs(tilde) / _PI**3, np.sign(tilde)
-
-
-@dataclass(frozen=True)
-class SeriesTable:
-    """Signed Taylor coefficients b_l of q and their magnitudes alpha_l.
-
-    The raw coefficients underflow to zero past l ~ 310.  Consumers that need
-    D itself should call :func:`D_eval`, which uses the closed form of the
-    series rather than a long partial sum.
+    delta(exp(-z)) = 2 tanh(z/2), so b_l = (-1)**(l+1) T_{l+2}/(4**(l+1) (2l+3)!)
+    with T_k = 1, 2, 16, 272, ... the tangent numbers, built exactly in
+    integers by Brent and Harvey's recurrence.  Python rounds each integer
+    quotient correctly, so every b_l is the double nearest its exact value.
     """
-
-    coeffs_b: np.ndarray
-    coeffs_alpha: np.ndarray
-    length: int
-    tail_bound_radius: float
-
-    def __post_init__(self):
-        if self.length != len(self.coeffs_b) or self.length != len(self.coeffs_alpha):
-            raise ValueError("length does not match coefficient arrays")
-        if not np.array_equal(self.coeffs_alpha, np.abs(self.coeffs_b)):
-            raise ValueError("coeffs_alpha must equal |coeffs_b|")
-
-
-def q_taylor_coeffs(L: int) -> SeriesTable:
-    """First L Taylor coefficients of q(z) = (delta(exp(-z)) - z)/z**3."""
-    if not 1 <= L <= _TABLE_MAX:
-        raise ValueError(f"need 1..{_TABLE_MAX} coefficients, got {L}")
-    alpha, sign = _build_scaled_tables(L)
-    b = sign * alpha * _PI ** (-2.0 * np.arange(L))
-    return SeriesTable(coeffs_b=b, coeffs_alpha=np.abs(b), length=L, tail_bound_radius=_PI)
+    if not 1 <= L <= _MAX_TERMS:
+        raise ValueError(f"need 1..{_MAX_TERMS} coefficients, got {L}")
+    T = [0, 1] + [0] * L  # T[k] = T_k for k = 1..L+1
+    for k in range(2, L + 2):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, L + 2):
+        for j in range(k, L + 2):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return np.array(
+        [(-1) ** (l + 1) * T[l + 2] / (4 ** (l + 1) * math.factorial(2 * l + 3)) for l in range(L)]
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -180,7 +134,7 @@ def s_kappa(s, kappa):
 _Q_CROSSOVER = 0.5
 # 16 terms leave a series tail below 1e-26 at |z| = 0.5, far under 1e-14.
 _Q_SERIES_TERMS = 16
-_Q_COEFFS = q_taylor_coeffs(_Q_SERIES_TERMS).coeffs_b
+_Q_COEFFS = q_taylor_coeffs(_Q_SERIES_TERMS)
 
 
 def _q_series(z: np.ndarray) -> np.ndarray:

@@ -99,7 +99,7 @@ class TestDiscreteExactness:
 class TestSeriesConstants:
     def test_leading_taylor_coefficients(self):
         """b_0 = -1/12, b_1 = 1/120, b_2 = -17/20160, each to 1e-14."""
-        b = q_taylor_coeffs(3).coeffs_b
+        b = q_taylor_coeffs(3)
         refs = [-1.0 / 12.0, 1.0 / 120.0, -17.0 / 20160.0]
         for got, ref in zip(b, refs):
             assert abs(float(got) - ref) <= 1e-14

@@ -90,7 +90,7 @@ class TestSmoothCausalFunction:
     def test_causal_extension(self):
         g = poly_exp(3)
         np.testing.assert_array_equal(g.deriv(-1.0, 2), np.zeros(1))
-        assert float(g(-0.1)[0]) == 0.0
+        assert float(g(-0.1)) == 0.0
 
     def test_order_validation(self):
         g = poly_exp(3, max_order=8)
@@ -119,10 +119,10 @@ class TestApplyPm:
         """P_1 h = h + h' pinned on the 5-shift of t^5 e^-t at t = 0.7."""
         h = derivative_shift(poly_exp(5), 5)
         val = apply_Pm(h, 1, 0.7)
-        assert complex(val[0]).real == pytest.approx(
+        assert complex(val).real == pytest.approx(
             -10.37888114189235456209, rel=5e-15
         )
-        assert complex(val[0]).imag == 0.0
+        assert complex(val).imag == 0.0
 
     def test_leibniz_identity_order_two(self):
         """P_2 g = g + 2 g' + g'' from the binomial expansion."""

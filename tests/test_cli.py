@@ -256,6 +256,17 @@ class TestConverge:
         assert all(float(r[1]) <= 1e-12 for r in rows)
         assert rows[1][2] == "exact"
 
+    def test_huge_errors_stay_finite(self, tmp_path):
+        """Errors near 1e221 are squared inside the norm; they must not read inf."""
+        out = tmp_path / "eoc.csv"
+        code = main(["converge", "--symbol", "power:0", "--g", "mono:170",
+                     "--t-final", "20", "--kappa-list", "0.5,0.25",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        rows = [r.split(",") for r in data_rows(read_lines(out))]
+        assert len(rows) == 2
+        assert all(math.isfinite(float(x)) for r in rows for x in r if x)
+
     def test_kappa_list_must_decrease(self, capsys):
         code = main(["converge", "--symbol", "delay:1.0", "--g", "poly5exp",
                      "--kappa-list", "0.05,0.1"])
@@ -423,8 +434,9 @@ class TestParser:
              "--t-final", "1"],
             ["constants", "--mu", "1e6"],
             ["constants", "--mu", "100"],
+            ["verify", "--suite", "lemma33", "--g", "mono:0"],
         ],
-        ids=["poly300exp", "mono400", "mu1e6", "mu100"],
+        ids=["poly300exp", "mono400", "mu1e6", "mu100", "lemma33-mono0"],
     )
     def test_out_of_range_input_is_a_usage_error(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
@@ -440,8 +452,13 @@ class TestParser:
              "--t-final", "100"],
             ["converge", "--symbol", "delay:inf", "--g", "poly5exp"],
             ["converge", "--symbol", "decay:inf", "--g", "mono:2"],
+            ["converge", "--symbol", "power:-1", "--g", "mono:170", "--t-final", "64",
+             "--kappa-list", "1,0.5"],
+            ["converge", "--symbol", "decay:1", "--g", "mono:170", "--t-final", "64",
+             "--kappa-list", "1,0.5"],
         ],
-        ids=["prop34a-poly170exp", "poly170exp", "mono170", "delay-inf", "decay-inf"],
+        ids=["prop34a-poly170exp", "poly170exp", "mono170", "delay-inf", "decay-inf",
+             "reference-gamma172", "reference-decay-mono170"],
     )
     def test_non_finite_input_is_a_usage_error(self, argv, capsys):
         """Overflowing inputs and infinite symbol parameters never reach a CSV."""

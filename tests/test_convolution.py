@@ -6,6 +6,7 @@ tables must reproduce the integration/differentiation identities exactly.
 """
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -227,6 +228,28 @@ class TestErrorAndExport:
         )
         errs = error_vs_exact(sig, lambda t: t)
         np.testing.assert_allclose(errs, [0.0, 0.5, 1.0], rtol=0, atol=1e-15)
+
+    def test_error_vs_exact_never_overflows(self):
+        """Ordinary rows match np.linalg.norm bit for bit; rows near 1e200,
+        whose squares overflow, still give finite norms."""
+        rng = np.random.default_rng(3)
+        grid = Grid(kappa=0.5, steps=199)
+        rows = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+        rows *= 10.0 ** rng.uniform(-3.0, 3.0, (200, 1))
+        sig = CausalSignal(grid=grid, samples=rows)
+        errs = error_vs_exact(sig, lambda t: np.zeros(2))
+        assert np.array_equal(errs, np.linalg.norm(rows, axis=1))
+
+        huge = CausalSignal(grid=grid, samples=1e200 * rows)
+        errs = error_vs_exact(huge, lambda t: np.zeros(2))
+        assert np.all(np.isfinite(errs))
+        np.testing.assert_allclose(errs, 1e200 * np.linalg.norm(rows, axis=1), rtol=1e-15)
+
+    def test_error_vs_exact_non_finite_names_the_node(self):
+        grid = Grid(kappa=0.5, steps=2)
+        sig = CausalSignal(grid=grid, samples=np.zeros((3, 1), dtype=complex))
+        with pytest.raises(ValueError, match="node 1"):
+            error_vs_exact(sig, lambda t: math.inf if t == 0.5 else 0.0)
 
     def test_error_vs_exact_dimension_mismatch(self):
         grid = Grid(kappa=0.5, steps=2)

@@ -31,14 +31,13 @@ class TestPolyExp:
         g = poly_exp(5)
         for k, ref in POLY5EXP_DERIVS_AT_0p7.items():
             val = g.deriv(0.7, k)
-            assert val.shape == (1,)
-            assert float(val[0]) == pytest.approx(ref, rel=5e-15)
+            assert float(val) == pytest.approx(ref, rel=5e-15)
 
     def test_p_zero_is_pure_exponential(self):
         """poly_exp(0) differentiates to (-1)^k e^-t exactly."""
         g = poly_exp(0)
         for k in range(8):
-            val = float(g.deriv(1.3, k)[0])
+            val = float(g.deriv(1.3, k))
             assert val == pytest.approx((-1.0) ** k * math.exp(-1.3), rel=1e-15)
 
     def test_causal_zero_for_negative_time(self):
@@ -75,14 +74,14 @@ class TestMonomial:
     def test_falling_factorial_derivatives(self):
         """d^3/dt^3 t^7 = 210 t^4; orders past p vanish."""
         g = monomial(7)
-        assert float(g.deriv(1.5, 3)[0]) == pytest.approx(210.0 * 1.5**4, rel=1e-15)
-        assert float(g.deriv(1.5, 7)[0]) == pytest.approx(math.factorial(7), rel=1e-15)
-        assert float(g.deriv(1.5, 8)[0]) == 0.0
+        assert float(g.deriv(1.5, 3)) == pytest.approx(210.0 * 1.5**4, rel=1e-15)
+        assert float(g.deriv(1.5, 7)) == pytest.approx(math.factorial(7), rel=1e-15)
+        assert float(g.deriv(1.5, 8)) == 0.0
 
     def test_overflow_is_a_value_error(self):
         """t**p past the double range is a usage error, not an OverflowError."""
         g = monomial(170)
-        assert math.isfinite(float(g.deriv(60.0, 0)[0]))
+        assert math.isfinite(float(g.deriv(60.0, 0)))
         with pytest.raises(ValueError, match="overflows"):
             g.deriv(100.0, 0)
         with pytest.raises(ValueError, match="overflows"):
@@ -115,7 +114,7 @@ class TestParseG:
 
     def test_zero_function(self):
         g = zero()
-        assert float(g.deriv(3.0, 5)[0]) == 0.0
+        assert float(g.deriv(3.0, 5)) == 0.0
         assert complex(g.laplace(np.array([1 + 1j]))[0]) == 0.0
 
 
@@ -185,7 +184,7 @@ class TestExactSolution:
         """Series branch of int_0^t tau^3 e^-tau cross-checked by quadrature."""
         u = exact_solution("power:-1", "poly3exp")
         g = poly_exp(3)
-        ref = adaptive_simpson(lambda tau: float(g.deriv(tau, 0)[0]), 0.0, 0.5, 1e-13)
+        ref = adaptive_simpson(lambda tau: float(g.deriv(tau, 0)), 0.0, 0.5, 1e-13)
         assert float(u(0.5)[0]) == pytest.approx(ref, rel=1e-11)
 
     def test_antiderivative_branches_agree(self):

@@ -9,6 +9,9 @@ it, so D is also checked against 40-digit mpmath on both sides of that
 crossover.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -38,13 +41,26 @@ class TestTaylorCoefficients:
     """The expansion (delta(e^-z) - z)/z^3 = sum b_l z^(2l)."""
 
     def test_leading_coefficients(self):
-        b = q_taylor_coeffs(3).coeffs_b
+        b = q_taylor_coeffs(3)
         assert abs(b[0] - (-1.0 / 12.0)) <= 1e-14
         assert abs(b[1] - 1.0 / 120.0) <= 1e-14
         assert abs(b[2] - (-17.0 / 20160.0)) <= 1e-14
 
+    def test_coefficients_are_correctly_rounded(self):
+        """b_l = 2^(2n) (2^(2n) - 1) B_2n / ((2n)! 4^(n-1)) with n = l + 2, from
+        exact Bernoulli numbers, each rounded once to the nearest double."""
+        bern = [Fraction(1)]
+        for n in range(1, 36):
+            bern.append(-sum(math.comb(n + 1, k) * bern[k] for k in range(n)) / (n + 1))
+        exact = []
+        for l in range(16):
+            n = l + 2
+            c = Fraction(4**n * (4**n - 1), math.factorial(2 * n)) * bern[2 * n]
+            exact.append(float(c / 4 ** (n - 1)))
+        assert np.array_equal(q_taylor_coeffs(16), np.array(exact))
+
     def test_signs_alternate(self):
-        b = q_taylor_coeffs(12).coeffs_b
+        b = q_taylor_coeffs(12)
         signs = np.sign(b)
         assert np.all(signs == (-1.0) ** (np.arange(12) + 1))
 
