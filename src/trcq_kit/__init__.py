@@ -16,7 +16,6 @@ from .bounds import (
     const_chain,
     const_Cm1,
     const_Cmu1,
-    derivative_shift,
     derive_params,
     theta1,
     theta2,
@@ -44,7 +43,6 @@ from .symbols import (
     make_power,
     make_resolvent,
     symbol_product,
-    tr_symbol,
     validate_growth,
     value_norm,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "make_decay",
     "make_resolvent",
     "symbol_product",
-    "tr_symbol",
     "validate_growth",
     "from_spec",
     "builtin_zoo",
@@ -122,7 +119,6 @@ __all__ = [
     "integrate_semi_infinite",
     # bound machinery
     "SmoothCausalFunction",
-    "derivative_shift",
     "apply_Pm",
     "TheoremParams",
     "derive_params",

@@ -37,13 +37,12 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import integrate_segmented
+from .quadrature import integrate_segmented, named_integral
 from .symbols import CFModel, Symbol
 from .trmap import D_eval, E_m_eval, solve_c0
 
 __all__ = [
     "SmoothCausalFunction",
-    "derivative_shift",
     "apply_Pm",
     "TheoremParams",
     "derive_params",
@@ -94,28 +93,17 @@ class SmoothCausalFunction:
         return self.deriv(t, 0)
 
 
-def derivative_shift(g: SmoothCausalFunction, k: int) -> SmoothCausalFunction:
-    """The function whose j-th derivative is ``g^(k+j)``."""
-    if not (0 <= k <= g.max_order):
-        raise ValueError(f"cannot shift {g.name} by {k} derivative orders")
-    return SmoothCausalFunction(
-        name=f"{g.name}^({k})",
-        max_order=g.max_order - k,
-        derivative=lambda t, j: g.derivative(t, k + j),
-    )
+def apply_Pm(g: SmoothCausalFunction, m: int, t: float, k: int = 0) -> float:
+    """Evaluate ``(P_m g^(k))(t)`` as a float, where ``P_m h = exp(-t) d^m/dt^m [exp(t) h]``.
 
-
-def apply_Pm(g: SmoothCausalFunction, m: int, t: float) -> float:
-    """Evaluate ``(P_m g)(t) = exp(-t) * d^m/dt^m [exp(t) g(t)]`` as a float.
-
-    By the Leibniz rule this equals ``sum_l binom(m, l) g^(l)(t)``, which is
-    how it is computed.
+    By the Leibniz rule this equals ``sum_l binom(m, l) g^(k+l)(t)``, which
+    is how it is computed, one ``g.deriv`` call per term.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    if m > g.max_order:
-        raise ValueError(f"{g.name} supports orders up to {g.max_order}, P_{m} needs {m}")
-    return sum(math.comb(m, ell) * g.deriv(t, ell) for ell in range(m + 1))
+    if k + m > g.max_order:
+        raise ValueError(f"{g.name} supports orders up to {g.max_order}, P_{m} needs {k + m}")
+    return sum(math.comb(m, ell) * g.deriv(t, k + ell) for ell in range(m + 1))
 
 
 # --------------------------------------------------------------------------
@@ -223,12 +211,11 @@ MAX_MU = int(
 ) - 1
 
 
-def _minimize_scan_golden(
-    obj: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, float]:
-    """Log-spaced coarse scan + golden-section polish; returns (argmin, min)."""
+def _minimize_scan_golden(obj: Callable, lo: float, hi: float) -> tuple[float, float]:
+    """Log-spaced coarse scan of the elementwise ``obj`` (one call on the whole
+    grid) + scalar golden-section polish; returns (argmin, min)."""
     xs = np.geomspace(lo, hi, _SCAN_POINTS)
-    vals = np.array([obj(float(x)) for x in xs])
+    vals = obj(xs)
     i = int(np.argmin(vals))
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, _SCAN_POINTS - 1)])
@@ -250,9 +237,12 @@ def _minimize_scan_golden(
     return best[1], best[0]
 
 
-def _cm1_objective(m: int) -> Callable[[float], float]:
-    def obj(c: float) -> float:
-        return max(float(E_m_eval(c, m)) + 1.0 / (c * c), 8.0**m / c ** (2 * m + 2))
+def _cm1_objective(m: int) -> Callable:
+    def obj(c):
+        # For large m, 8^m / c^(2m+2) near c = 1e-2 overflows to inf on the scan
+        # grid; inf is never the minimum, so numpy's warning is silenced.
+        with np.errstate(over="ignore"):
+            return np.maximum(E_m_eval(c, m) + 1.0 / (c * c), 8.0**m / c ** (2 * m + 2))
 
     return obj
 
@@ -289,7 +279,7 @@ def _cmu1_coefficients(mu_prime: float) -> tuple[int, float, float]:
 def _cmu1_detail(mu_prime: float) -> tuple[float, float]:
     alpha, e1, e2 = _cmu1_coefficients(mu_prime)
 
-    def obj(c: float) -> float:
+    def obj(c):
         return e1 * theta3(c, mu_prime) + e2 * c ** (1.0 - alpha)
 
     return _minimize_scan_golden(obj, _ENDPOINT_INSET, solve_c0() - _ENDPOINT_INSET)
@@ -358,13 +348,13 @@ def bound_rhs(
     def i1_integrand(tau: float) -> float:
         return abs(g.deriv(tau, m + alpha))
 
-    shifted = derivative_shift(g, m + 4)
-
     def i2_integrand(tau: float) -> float:
-        return abs(apply_Pm(shifted, m, tau))
+        return abs(apply_Pm(g, m, tau, m + 4))
 
-    i1 = integrate_segmented(i1_integrand, 0.0, t, rel_tol=1e-9, abs_floor=1e-14)
-    i2 = integrate_segmented(i2_integrand, 0.0, t, rel_tol=1e-9, abs_floor=1e-14)
+    with named_integral(f"I1 = int_0^{t:g} |g^({m + alpha})|"):
+        i1 = integrate_segmented(i1_integrand, 0.0, t, rel_tol=1e-9, abs_floor=1e-14)
+    with named_integral(f"I2 = int_0^{t:g} |P_{m} g^({m + 4})|"):
+        i2 = integrate_segmented(i2_integrand, 0.0, t, rel_tol=1e-9, abs_floor=1e-14)
 
     x = 1.0 / t
     c_of_x = F.cf(min(x, 1.0) / 4.0) * params.constants["Cmu"] / min(x**params.epsilon, 1.0)

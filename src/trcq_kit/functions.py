@@ -218,7 +218,10 @@ def _exact_action(symbol_spec: str, g_spec: str) -> "Callable[[float], float] | 
             p = int(mono_match.group(1))
             if p - mu <= -1.0:
                 return None
-            coeff = math.gamma(p + 1) / math.gamma(p + 1 - mu)
+            try:
+                coeff = math.gamma(p + 1) / math.gamma(p + 1 - mu)
+            except OverflowError:  # the ratio itself may still fit a double
+                coeff = math.exp(math.lgamma(p + 1) - math.lgamma(p + 1 - mu))
             return lambda t: coeff * t ** (p - mu) if t > 0.0 else 0.0
         if poly_match:
             p = int(poly_match.group(1))

@@ -1,9 +1,11 @@
 """Adaptive quadrature used by the bound evaluator and the integral checks.
 
-Two building blocks:
+Three building blocks:
 
 * :func:`adaptive_simpson` — classic adaptive Simpson with Richardson
   acceptance (the /15 estimate) on a finite interval.
+* :func:`integrate_segmented` — the finite-interval panel loop: adaptive
+  Simpson on geometrically growing panels.
 * :func:`integrate_semi_infinite` — for frequency-axis integrals
   ``int_start^inf f``: the head ``[start, start + first_width]`` plus
   segments up to a doubling cutoff, stopping once a caller-supplied
@@ -16,9 +18,10 @@ Integrands here are real, non-negative norms; everything is scalar-valued.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
-__all__ = ["adaptive_simpson", "integrate_segmented", "integrate_semi_infinite"]
+__all__ = ["adaptive_simpson", "integrate_segmented", "integrate_semi_infinite", "named_integral"]
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -88,17 +91,17 @@ def integrate_segmented(
     b: float,
     rel_tol: float = 1e-9,
     abs_floor: float = 1e-14,
-    first_width: "float | None" = None,
 ) -> float:
-    """Integrate over ``[a, b]`` split into geometrically growing panels.
+    """Integrate over the finite interval ``[a, b]`` panel by panel.
 
-    Useful when ``b - a`` spans many orders of magnitude and the integrand's
-    features sit near ``a``: one huge Simpson panel would step right over
-    them.
+    The first panel is ``min(1, (b - a)/8)`` wide and each next one twice as
+    wide, so integrand features near ``a`` are resolved even when ``b - a``
+    spans many orders of magnitude (one huge Simpson panel would step right
+    over them).
     """
     if b <= a:
         return 0.0
-    width = first_width if first_width is not None else min(1.0, (b - a) / 8.0)
+    width = min(1.0, (b - a) / 8.0)
     total = 0.0
     lo = a
     while lo < b:
@@ -137,3 +140,18 @@ def integrate_semi_infinite(
     raise RuntimeError(
         f"frequency integral did not localize: tail {tail_bound(omega):.3e} at cutoff {omega:.3e}"
     )
+
+
+@contextmanager
+def named_integral(name: str) -> Iterator[None]:
+    """Prefix a ``ValueError`` or ``RuntimeError`` raised inside with ``name``.
+
+    The type is kept, so a non-finite integrand still reads as bad input and
+    an unresolved panel as an uncertified result.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    except RuntimeError as exc:
+        raise RuntimeError(f"{name}: {exc}") from exc

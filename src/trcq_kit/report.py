@@ -31,10 +31,11 @@ __all__ = [
 class VerificationReport:
     """Outcome of one sampled inequality check.
 
-    A sample *violates* the check when ``quantity > bound * (1 + tol) + tol``;
-    ``worst_margin`` is the smallest value of ``bound - quantity`` seen, so a
-    healthy suite reports ``violations == 0`` and a non-negative (or at worst
-    ``-O(tol)``) margin.
+    A sample *violates* the check when ``quantity > bound * (1 + tol) + tol``
+    for the slack ``tol`` given to :func:`pointwise_report`; ``worst_margin``
+    is the smallest value of ``bound - quantity`` seen, so a healthy suite
+    reports ``violations == 0`` and a non-negative (or at worst ``-O(tol)``)
+    margin.
     """
 
     suite: str                      # name of the inequality family checked
@@ -43,7 +44,6 @@ class VerificationReport:
     violations: int                 # samples exceeding bound beyond tolerance
     worst_margin: float             # min(bound - quantity) over all samples
     worst_point: dict[str, Any] = field(default_factory=dict)
-    tol: float = 1e-12              # relative/absolute slack applied
 
     def __post_init__(self) -> None:
         if self.samples < 0:
@@ -68,13 +68,6 @@ class VerificationReport:
                 format(self.worst_margin, ".17g"),
                 quoted,
             ]
-        )
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        status = "ok" if self.passed else f"{self.violations} VIOLATIONS"
-        return (
-            f"[{self.suite}] {status}  samples={self.samples} "
-            f"seed={self.seed} worst_margin={self.worst_margin:.3e}"
         )
 
 
@@ -132,7 +125,6 @@ def pointwise_report(
         violations=int(np.count_nonzero(bad)),
         worst_margin=float(margin[worst]),
         worst_point=point,
-        tol=tol,
     )
 
 
@@ -150,5 +142,4 @@ def combine_reports(suite: str, parts: "list[VerificationReport]") -> Verificati
         violations=sum(r.violations for r in parts),
         worst_margin=worst.worst_margin,
         worst_point=point,
-        tol=max(r.tol for r in parts),
     )

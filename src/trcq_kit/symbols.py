@@ -17,9 +17,6 @@ Built-in families:
 * ``make_delay(d)``    -- ``exp(-s*d)``; time shift by ``d``.
 * ``make_decay(a)``    -- ``1/(s+a)``; convolution with ``exp(-a*t)``.
 * ``make_resolvent(A)``-- ``(s*I - A)**-1`` for a square matrix ``A``.
-
-``tr_symbol`` composes any symbol with the discretized frequency variable
-``s_kappa``, producing the symbol whose Taylor weights the quadrature uses.
 """
 
 from __future__ import annotations
@@ -31,7 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .report import VerificationReport, pointwise_report
-from .trmap import s_kappa, sample_cplus
+from .trmap import sample_cplus
+from .trmap import s_kappa  # noqa: F401  (unused here; perfbench/tracer.py wraps symbols.s_kappa)
 
 __all__ = [
     "CFModel",
@@ -42,7 +40,6 @@ __all__ = [
     "make_decay",
     "make_resolvent",
     "symbol_product",
-    "tr_symbol",
     "validate_growth",
     "from_spec",
     "builtin_zoo",
@@ -282,41 +279,6 @@ def symbol_product(F: Symbol, G: Symbol) -> Symbol:
         mu=F.mu + G.mu,
         cf=CFModel(F.cf.scale * G.cf.scale, F.cf.exponent + G.cf.exponent),
         dims=(F.rows, G.cols),
-    )
-
-
-# --------------------------------------------------------------------------
-# discretized-frequency composition
-# --------------------------------------------------------------------------
-
-
-def tr_symbol(F: Symbol, kappa: float) -> Symbol:
-    """The symbol ``s -> F(s_kappa(s, kappa))`` seen by the quadrature.
-
-    Well-defined because the discretized frequency stays in the right
-    half-plane.  The returned certificate combines the half-plane estimates
-    ``Re s_kappa >= min(Re s, 1)/2`` and ``|s_kappa| <= 8/(kappa^2 min(Re s,1))``
-    with the certificate of ``F``, folded into a ``mu = 0`` envelope.
-    """
-    kappa = float(kappa)
-    if not (0.0 < kappa <= 1.0):
-        raise ValueError("kappa must lie in (0, 1]")
-
-    def evaluator(s: np.ndarray) -> np.ndarray:
-        return F.evaluator(np.asarray(s_kappa(s, kappa)))
-
-    scale, expo = F.cf.scale, F.cf.exponent
-    if F.mu <= 0.0:
-        # cf(Re s_k) |s_k|^mu <= cf(min(Re s,1)/2) (min(Re s,1)/2)^mu
-        new_cf = CFModel(scale * 2.0 ** (expo - F.mu), expo - F.mu)
-    else:
-        new_cf = CFModel(scale * 2.0**expo * 8.0**F.mu * kappa ** (-2.0 * F.mu), expo + F.mu)
-    return Symbol(
-        name=f"tr[{F.name};kappa={kappa:g}]",
-        evaluator=evaluator,
-        mu=0.0,
-        cf=new_cf,
-        dims=F.dims,
     )
 
 

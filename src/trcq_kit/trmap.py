@@ -244,18 +244,19 @@ def _power_ratio(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+# Residual tolerance |c0**2 D(c0) - 1| of the root returned by solve_c0.
+_C0_TOL = 1e-13
+
+
 @lru_cache(maxsize=None)
-def solve_c0(tol: float = 1e-13) -> float:
+def solve_c0() -> float:
     """The unique c0 in (0, pi) with c0**2 * D(c0) = 1, by bisection.
 
     x**2 D(x) is strictly increasing, runs from 0 to +inf on (0, pi), and the
     bracket [0.1, pi - 0.1] straddles the root, so plain bisection is safe.
-    ``tol`` bounds the residual |c0**2 D(c0) - 1| as computed by
-    :func:`D_eval`.  The root is computed once per ``tol`` and cached.
+    The residual |c0**2 D(c0) - 1|, as computed by :func:`D_eval`, is at most
+    1e-13.  The root is computed once and cached.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-
     def residual(x: float) -> float:
         return x * x * float(D_eval(x)) - 1.0
 
@@ -265,7 +266,7 @@ def solve_c0(tol: float = 1e-13) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         r = residual(mid)
-        if abs(r) <= tol:
+        if abs(r) <= _C0_TOL:
             return mid
         if r < 0.0:
             lo = mid
@@ -274,8 +275,8 @@ def solve_c0(tol: float = 1e-13) -> float:
         if hi - lo < 1e-16 * hi:
             break
     mid = 0.5 * (lo + hi)
-    if abs(residual(mid)) > tol:
-        raise RuntimeError(f"bisection stalled; residual tolerance {tol} unreachable")
+    if abs(residual(mid)) > _C0_TOL:
+        raise RuntimeError(f"bisection stalled; residual tolerance {_C0_TOL} unreachable")
     return mid
 
 

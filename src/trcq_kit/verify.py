@@ -27,12 +27,11 @@ from .bounds import (
     SmoothCausalFunction,
     apply_Pm,
     const_Cm1,
-    derivative_shift,
     theta1,
     theta2,
     theta3,
 )
-from .quadrature import adaptive_simpson, integrate_semi_infinite
+from .quadrature import adaptive_simpson, integrate_semi_infinite, named_integral
 from .report import VerificationReport, combine_reports, pointwise_report
 from .symbols import Symbol, value_norm
 from .trmap import (
@@ -329,6 +328,14 @@ def check_prop41(
 # --------------------------------------------------------------------------
 
 
+def _integral_report(suite: str, lhs: float, rhs: float, **point) -> VerificationReport:
+    """One-sample report of the integral estimate ``lhs <= rhs``, described by ``point``."""
+    return pointwise_report(
+        suite, np.array([lhs]), np.array([rhs]), seed=0, tol=QUADRATURE_TOL,
+        describe=lambda i: dict(point, lhs=lhs, rhs=rhs),
+    )
+
+
 def check_lemma42(sigma: float, alpha: float, c: float, kappa: float) -> VerificationReport:
     """Frequency-axis moment bounds on the line Re s = sigma.
 
@@ -353,34 +360,22 @@ def check_lemma42(sigma: float, alpha: float, c: float, kappa: float) -> Verific
 
     radius = c / kappa
     omega0 = math.sqrt(max(radius * radius - sigma * sigma, 0.0))
-    head_a, tail_a, cut_a = integrate_semi_infinite(
-        f, tail, start=omega0, first_width=max(radius, 1.0)
-    )
+    with named_integral("lemma42 (a) integral over |s| >= c/kappa of |s|^-alpha"):
+        head_a, tail_a, cut_a = integrate_semi_infinite(
+            f, tail, start=omega0, first_width=max(radius, 1.0)
+        )
+    with named_integral("lemma42 (b) integral over R of |s|^-alpha"):
+        head_b, tail_b, cut_b = integrate_semi_infinite(f, tail, first_width=max(sigma, 1.0))
+
     lhs_a = 2.0 * (head_a + tail_a)
     rhs_a = 2.0 * alpha / (alpha - 1.0) * (kappa / c) ** (alpha - 1.0)
-
-    head_b, tail_b, cut_b = integrate_semi_infinite(f, tail, first_width=max(sigma, 1.0))
     lhs_b = 2.0 * (head_b + tail_b)
     rhs_b = 2.0 / sigma**alpha + 2.0 / (alpha - 1.0)
 
     point = {"sigma": sigma, "alpha": alpha, "c": c, "kappa": kappa}
     parts = [
-        pointwise_report(
-            "lemma42:a",
-            np.array([lhs_a]),
-            np.array([rhs_a]),
-            seed=0,
-            tol=QUADRATURE_TOL,
-            describe=lambda i: dict(point, lhs=lhs_a, rhs=rhs_a, cutoff=cut_a, tail=tail_a),
-        ),
-        pointwise_report(
-            "lemma42:b",
-            np.array([lhs_b]),
-            np.array([rhs_b]),
-            seed=0,
-            tol=QUADRATURE_TOL,
-            describe=lambda i: dict(point, lhs=lhs_b, rhs=rhs_b, cutoff=cut_b, tail=tail_b),
-        ),
+        _integral_report("lemma42:a", lhs_a, rhs_a, **point, cutoff=cut_a, tail=tail_a),
+        _integral_report("lemma42:b", lhs_b, rhs_b, **point, cutoff=cut_b, tail=tail_b),
     ]
     return combine_reports("lemma42", parts)
 
@@ -420,7 +415,8 @@ def check_lemma33(g: SmoothCausalFunction, sigma: float) -> VerificationReport:
     if g.laplace_decay is None or g.laplace_decay[1] <= 1.0:
         raise ValueError("need a transform decay certificate with exponent > 1")
 
-    rhs = math.pi / sigma * _time_l1(lambda t: abs(g.deriv(t, 2)))
+    with named_integral("lemma33 time integral int_0^inf |g''|"):
+        rhs = math.pi / sigma * _time_l1(lambda t: abs(g.deriv(t, 2)))
 
     transform = g.laplace
     c_decay, p_decay = g.laplace_decay
@@ -431,22 +427,11 @@ def check_lemma33(g: SmoothCausalFunction, sigma: float) -> VerificationReport:
     def tail(R: float) -> float:
         return 2.0 * c_decay * R ** (1.0 - p_decay) / (p_decay - 1.0)
 
-    head, tail_val, cutoff = integrate_semi_infinite(f, tail, first_width=max(sigma, 1.0))
-    lhs = head + tail_val
-    return pointwise_report(
-        f"lemma33:{g.name}",
-        np.array([lhs]),
-        np.array([rhs]),
-        seed=0,
-        tol=QUADRATURE_TOL,
-        describe=lambda i: {
-            "g": g.name,
-            "sigma": sigma,
-            "lhs": lhs,
-            "rhs": rhs,
-            "cutoff": cutoff,
-            "tail": tail_val,
-        },
+    with named_integral("lemma33 frequency integral int |G(sigma + i omega)| domega"):
+        head, tail_val, cutoff = integrate_semi_infinite(f, tail, first_width=max(sigma, 1.0))
+    return _integral_report(
+        f"lemma33:{g.name}", head + tail_val, rhs,
+        g=g.name, sigma=sigma, cutoff=cutoff, tail=tail_val,
     )
 
 
@@ -492,29 +477,16 @@ def check_prop34a(
             + R ** (m + 1.0 - p) / (p - 1.0 - m)
         )
 
-    head, tail_val, cutoff = integrate_semi_infinite(
-        f_both, tail, first_width=max(sigma, 1.0 / kappa)
-    )
-    lhs = head + tail_val
+    with named_integral(f"prop34a frequency integral int |(s_k^{m} - s^{m}) G(s)| domega"):
+        head, tail_val, cutoff = integrate_semi_infinite(
+            f_both, tail, first_width=max(sigma, 1.0 / kappa)
+        )
 
-    shifted = derivative_shift(g, m + 4)
-    time_mass = _time_l1(lambda t: abs(apply_Pm(shifted, m, t)))
+    with named_integral(f"prop34a time integral int_0^inf |P_{m} g^({m + 4})|"):
+        time_mass = _time_l1(lambda t: abs(apply_Pm(g, m, t, m + 4)))
     rhs = kappa * kappa * const_Cm1(m) / (sigma * min(sigma**m, 1.0)) * time_mass
 
-    return pointwise_report(
-        f"prop34a:{g.name}[m={m}]",
-        np.array([lhs]),
-        np.array([rhs]),
-        seed=0,
-        tol=QUADRATURE_TOL,
-        describe=lambda i: {
-            "g": g.name,
-            "sigma": sigma,
-            "m": m,
-            "kappa": kappa,
-            "lhs": lhs,
-            "rhs": rhs,
-            "cutoff": cutoff,
-            "tail": tail_val,
-        },
+    return _integral_report(
+        f"prop34a:{g.name}[m={m}]", head + tail_val, rhs,
+        g=g.name, sigma=sigma, m=m, kappa=kappa, cutoff=cutoff, tail=tail_val,
     )

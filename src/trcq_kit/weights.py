@@ -58,7 +58,6 @@ class WeightTable:
     radius: "float | None"          # contour radius rho
     fft_size: "int | None"          # transform length used
     accuracy_estimate: float        # expected absolute accuracy of entries
-    symbol_name: str = ""
 
     def __post_init__(self) -> None:
         if not (0.0 < self.kappa <= 1.0):
@@ -140,7 +139,6 @@ def cq_weights_fft(
         radius=float(rho),
         fft_size=L,
         accuracy_estimate=float(np.sqrt(eps) * worst),
-        symbol_name=F.name,
     )
 
 
@@ -182,7 +180,6 @@ def cq_weights_closed(kind: str, kappa: float, N: int) -> WeightTable:
         radius=None,
         fft_size=None,
         accuracy_estimate=0.0,
-        symbol_name=f"closed:{kind}",
     )
 
 

@@ -21,7 +21,6 @@ from trcq_kit.bounds import (
     const_Cm1,
     const_Cmu1,
     const_chain,
-    derivative_shift,
     derive_params,
     params_csv_row,
     theta1,
@@ -100,25 +99,20 @@ class TestSmoothCausalFunction:
             g.deriv(1.0, -1)
 
 
-class TestDerivativeShift:
+class TestApplyPm:
     def test_shift_semantics(self):
-        """The j-th derivative of the shifted function is g^(k+j)."""
+        """With m = 0 the k-shift is the plain derivative g^(k)."""
         g = poly_exp(5)
-        h = derivative_shift(g, 3)
-        assert h.max_order == g.max_order - 3
-        np.testing.assert_allclose(h.deriv(0.7, 2), g.deriv(0.7, 5), rtol=0, atol=0)
+        np.testing.assert_allclose(apply_Pm(g, 0, 0.7, 5), g.deriv(0.7, 5), rtol=0, atol=0)
 
     def test_overshift_rejected(self):
         g = poly_exp(5, max_order=6)
         with pytest.raises(ValueError):
-            derivative_shift(g, 7)
+            apply_Pm(g, 0, 1.0, 7)
 
-
-class TestApplyPm:
     def test_leibniz_identity_order_one(self):
         """P_1 h = h + h' pinned on the 5-shift of t^5 e^-t at t = 0.7."""
-        h = derivative_shift(poly_exp(5), 5)
-        val = apply_Pm(h, 1, 0.7)
+        val = apply_Pm(poly_exp(5), 1, 0.7, 5)
         assert complex(val).real == pytest.approx(
             -10.37888114189235456209, rel=5e-15
         )
@@ -332,6 +326,17 @@ class TestBoundRhs:
         g = poly_exp(5, max_order=4)
         with pytest.raises(ValueError, match="orders up to 4"):
             bound_rhs(make_delay(1.0), g, 0.1, 1.0)
+
+    def test_non_finite_integrand_names_its_integral(self):
+        """A derivative that is inf past t = 1 fails I1, and the error says so."""
+        g = poly_exp(5)
+        blown = SmoothCausalFunction(
+            name="blown",
+            max_order=g.max_order,
+            derivative=lambda t, k: math.inf if t > 1.0 else g.derivative(t, k),
+        )
+        with pytest.raises(ValueError, match=r"^I1 = int_0\^2 \|g\^\(5\)\|: integrand value inf"):
+            bound_rhs(make_delay(1.0), blown, 0.1, 2.0)
 
 
 # --------------------------------------------------------------------------

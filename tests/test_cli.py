@@ -5,9 +5,11 @@ failure, 2 usage error, 3 degenerate data, 4 internal error), config-file mergin
 flags-win precedence, and byte-identical determinism of repeated runs.
 """
 
+import importlib.util
 import math
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -267,6 +269,17 @@ class TestConverge:
         assert len(rows) == 2
         assert all(math.isfinite(float(x)) for r in rows for x in r if x)
 
+    def test_reference_past_gamma_overflow(self, tmp_path):
+        """Gamma(172) overflows a double, but the coefficient Gamma(171)/Gamma(172)
+        = 1/171 and the reference t^171/171 at t = 2 do not."""
+        out = tmp_path / "eoc.csv"
+        code = main(["converge", "--symbol", "power:-1", "--g", "mono:170",
+                     "--t-final", "2", "--kappa-list", "1,0.5", "--out", str(out)])
+        assert code == EXIT_OK
+        rows = [r.split(",") for r in data_rows(read_lines(out))]
+        assert len(rows) == 2
+        assert all(math.isfinite(float(x)) for r in rows for x in r if x)
+
     def test_kappa_list_must_decrease(self, capsys):
         code = main(["converge", "--symbol", "delay:1.0", "--g", "poly5exp",
                      "--kappa-list", "0.05,0.1"])
@@ -469,6 +482,14 @@ class TestParser:
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith("error: ")
 
+    def test_integral_failure_names_its_integral(self, capsys):
+        """poly170exp overflows in the time integral of |P_1 g^(5)|, not in the
+        frequency integral."""
+        assert main(["verify", "--suite", "prop34a", "--g", "poly170exp"]) == EXIT_USAGE
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: prop34a time integral int_0^inf |P_1 g^(5)|: ")
+        assert last.endswith("is not finite")
+
     def test_unexpected_exception_is_internal_not_a_violation(self, monkeypatch, capsys):
         def broken(mu):
             raise ZeroDivisionError("float division by zero")
@@ -483,3 +504,15 @@ class TestParser:
         code = main(["weights", "--symbol", "power:1", "--kappa", "fast", "--n", "4"])
         assert code == EXIT_USAGE
         assert "expected a real number" in capsys.readouterr().err
+
+
+def test_cli_snapshot_covers_every_command_and_suite():
+    """tools/cli_snapshot.py runs every subcommand and every verify suite."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
+    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    commands = {argv[0] for argv in snapshot.ARGVS if argv}
+    suites = {argv[argv.index("--suite") + 1] for argv in snapshot.ARGVS if "--suite" in argv}
+    assert set(cli._COMMANDS) <= commands
+    assert set(cli._SUITES) <= suites

@@ -102,12 +102,6 @@ class TestIntegrateSegmented:
         assert integrate_segmented(lambda t: 1.0, 3.0, 3.0) == 0.0
         assert integrate_segmented(lambda t: 1.0, 3.0, 2.0) == 0.0
 
-    def test_first_width_override(self):
-        val = integrate_segmented(
-            lambda t: math.exp(-t), 0.0, 20.0, rel_tol=1e-10, first_width=0.25
-        )
-        assert val == pytest.approx(1.0 - math.exp(-20.0), rel=1e-9)
-
 
 class TestIntegrateSemiInfinite:
     def test_exponential_with_certified_tail(self):

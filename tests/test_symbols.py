@@ -12,10 +12,8 @@ from trcq_kit import (
     make_delay,
     make_power,
     make_resolvent,
-    s_kappa,
     sample_cplus,
     symbol_product,
-    tr_symbol,
     validate_growth,
     value_norm,
 )
@@ -133,41 +131,6 @@ class TestGrowthValidation:
     def test_passes_correct_certificate(self):
         rep = validate_growth(make_delay(1.0), samples=5000, seed=6)
         assert rep.violations == 0
-
-
-class TestTrSymbol:
-    """Substituted symbol F(s_kappa(s)) and its transformed certificate."""
-
-    def test_evaluation(self):
-        F = make_decay(1.0)
-        kappa = 0.2
-        Fk = tr_symbol(F, kappa)
-        rng = np.random.default_rng(31)
-        s = sample_cplus(300, rng)
-        np.testing.assert_allclose(Fk(s), F(np.asarray(s_kappa(s, kappa))), rtol=1e-14)
-
-    def test_certificate_mu_nonpositive(self):
-        F = make_decay(1.0)  # mu = -1, cf = (1, 0)
-        Fk = tr_symbol(F, 0.5)
-        assert Fk.mu == 0.0
-        # scale *= 2^(exp - mu) = 2^(0-(-1)) = 2; exponent = exp - mu = 1
-        np.testing.assert_allclose(Fk.cf.scale, 2.0)
-        np.testing.assert_allclose(Fk.cf.exponent, 1.0)
-
-    def test_certificate_mu_positive(self):
-        F = make_power(1.0)  # mu = 1, cf = (1, 0)
-        kappa = 0.25
-        Fk = tr_symbol(F, kappa)
-        assert Fk.mu == 0.0
-        # scale *= 2^exp * 8^mu * kappa^(-2mu); exponent += mu
-        np.testing.assert_allclose(Fk.cf.scale, 8.0 / kappa**2)
-        np.testing.assert_allclose(Fk.cf.exponent, 1.0)
-
-    def test_transformed_certificate_validates(self):
-        for F in (make_delay(1.0), make_power(1.0), make_decay(1.0)):
-            for kappa in (0.5, 0.1):
-                rep = validate_growth(tr_symbol(F, kappa), samples=3000, seed=8)
-                assert rep.violations == 0, (F.name, kappa)
 
 
 class TestSymbolProduct:
