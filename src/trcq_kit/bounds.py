@@ -252,7 +252,7 @@ def _cm1_detail(m: int) -> tuple[float, float]:
     c_opt, val = _minimize_scan_golden(
         _cm1_objective(m), _ENDPOINT_INSET, math.pi - _ENDPOINT_INSET
     )
-    return c_opt, math.pi * 2.0 ** (m / 2.0) * val
+    return c_opt, math.pi * 2.0 ** (m / 2.0) * float(val)
 
 
 def const_Cm1(m: int) -> float:

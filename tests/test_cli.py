@@ -20,6 +20,19 @@ from trcq_kit.cli import EXIT_DEGENERATE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, ma
 PROVENANCE_RE = re.compile(r"^# trcq-kit \S+ config=[0-9a-f]{12}$")
 
 
+def _load_snapshot_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
+    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# tools/cli_snapshot.py owns the usage-error argvs, so the snapshot and these
+# tests run the same list.
+SNAPSHOT = _load_snapshot_tool()
+
+
 def read_lines(path):
     return path.read_text(encoding="utf-8").splitlines()
 
@@ -259,26 +272,17 @@ class TestConverge:
         assert rows[1][2] == "exact"
 
     def test_huge_errors_stay_finite(self, tmp_path):
-        """Errors near 1e221 are squared inside the norm; they must not read inf."""
-        out = tmp_path / "eoc.csv"
-        code = main(["converge", "--symbol", "power:0", "--g", "mono:170",
-                     "--t-final", "20", "--kappa-list", "0.5,0.25",
-                     "--out", str(out)])
-        assert code == EXIT_OK
-        rows = [r.split(",") for r in data_rows(read_lines(out))]
-        assert len(rows) == 2
-        assert all(math.isfinite(float(x)) for r in rows for x in r if x)
-
-    def test_reference_past_gamma_overflow(self, tmp_path):
-        """Gamma(172) overflows a double, but the coefficient Gamma(171)/Gamma(172)
+        """Errors near 1e221 are squared inside the norm; they must not read inf.
+        Gamma(172) overflows a double, but the coefficient Gamma(171)/Gamma(172)
         = 1/171 and the reference t^171/171 at t = 2 do not."""
         out = tmp_path / "eoc.csv"
-        code = main(["converge", "--symbol", "power:-1", "--g", "mono:170",
-                     "--t-final", "2", "--kappa-list", "1,0.5", "--out", str(out)])
-        assert code == EXIT_OK
-        rows = [r.split(",") for r in data_rows(read_lines(out))]
-        assert len(rows) == 2
-        assert all(math.isfinite(float(x)) for r in rows for x in r if x)
+        for argv in (["--symbol", "power:0", "--t-final", "20", "--kappa-list", "0.5,0.25"],
+                     ["--symbol", "power:-1", "--t-final", "2", "--kappa-list", "1,0.5"]):
+            code = main(["converge", "--g", "mono:170", *argv, "--out", str(out)])
+            assert code == EXIT_OK
+            rows = [r.split(",") for r in data_rows(read_lines(out))]
+            assert len(rows) == 2
+            assert all(math.isfinite(float(x)) for r in rows for x in r if x)
 
     def test_kappa_list_must_decrease(self, capsys):
         code = main(["converge", "--symbol", "delay:1.0", "--g", "poly5exp",
@@ -439,56 +443,26 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["bound", "--symbol", "power:0.5", "--g", "poly300exp"],
-            ["convolve", "--symbol", "power:0.5", "--g", "mono:400", "--kappa", "0.1",
-             "--t-final", "1"],
-            ["constants", "--mu", "1e6"],
-            ["constants", "--mu", "100"],
-            ["verify", "--suite", "lemma33", "--g", "mono:0"],
-        ],
-        ids=["poly300exp", "mono400", "mu1e6", "mu100", "lemma33-mono0"],
-    )
-    def test_out_of_range_input_is_a_usage_error(self, argv, capsys):
-        assert main(argv) == EXIT_USAGE
+    @pytest.mark.parametrize("case", list(SNAPSHOT.OUT_OF_RANGE))
+    def test_out_of_range_input_is_a_usage_error(self, case, capsys):
+        assert main(SNAPSHOT.OUT_OF_RANGE[case]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "--suite", "prop34a", "--g", "poly170exp"],
-            ["convolve", "--symbol", "power:0", "--g", "poly170exp", "--kappa", "1",
-             "--t-final", "200"],
-            ["convolve", "--symbol", "power:0", "--g", "mono:170", "--kappa", "1",
-             "--t-final", "100"],
-            ["converge", "--symbol", "delay:inf", "--g", "poly5exp"],
-            ["converge", "--symbol", "decay:inf", "--g", "mono:2"],
-            ["converge", "--symbol", "power:-1", "--g", "mono:170", "--t-final", "64",
-             "--kappa-list", "1,0.5"],
-            ["converge", "--symbol", "decay:1", "--g", "mono:170", "--t-final", "64",
-             "--kappa-list", "1,0.5"],
-        ],
-        ids=["prop34a-poly170exp", "poly170exp", "mono170", "delay-inf", "decay-inf",
-             "reference-gamma172", "reference-decay-mono170"],
-    )
-    def test_non_finite_input_is_a_usage_error(self, argv, capsys):
+    # poly170exp overflows in the time integral of |P_1 g^(5)|, not in the
+    # frequency integral, and the message says which.
+    NAMED_FAILURES = {
+        "prop34a-poly170exp": "error: prop34a time integral int_0^inf |P_1 g^(5)|: ",
+    }
+
+    @pytest.mark.parametrize("case", list(SNAPSHOT.NON_FINITE))
+    def test_non_finite_input_is_a_usage_error(self, case, capsys):
         """Overflowing inputs and infinite symbol parameters never reach a CSV."""
         start = time.monotonic()
-        assert main(argv) == EXIT_USAGE
+        assert main(SNAPSHOT.NON_FINITE[case]) == EXIT_USAGE
         assert time.monotonic() - start < 10.0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith("error: ")
-
-    def test_integral_failure_names_its_integral(self, capsys):
-        """poly170exp overflows in the time integral of |P_1 g^(5)|, not in the
-        frequency integral."""
-        assert main(["verify", "--suite", "prop34a", "--g", "poly170exp"]) == EXIT_USAGE
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith("error: prop34a time integral int_0^inf |P_1 g^(5)|: ")
-        assert last.endswith("is not finite")
+        assert captured.err.splitlines()[-1].startswith(self.NAMED_FAILURES.get(case, "error: "))
 
     def test_unexpected_exception_is_internal_not_a_violation(self, monkeypatch, capsys):
         def broken(mu):
@@ -508,11 +482,7 @@ class TestParser:
 
 def test_cli_snapshot_covers_every_command_and_suite():
     """tools/cli_snapshot.py runs every subcommand and every verify suite."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
-    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
-    snapshot = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(snapshot)
-    commands = {argv[0] for argv in snapshot.ARGVS if argv}
-    suites = {argv[argv.index("--suite") + 1] for argv in snapshot.ARGVS if "--suite" in argv}
+    commands = {argv[0] for argv in SNAPSHOT.ARGVS if argv}
+    suites = {argv[argv.index("--suite") + 1] for argv in SNAPSHOT.ARGVS if "--suite" in argv}
     assert set(cli._COMMANDS) <= commands
     assert set(cli._SUITES) <= suites

@@ -1,6 +1,6 @@
 """Record what the ``trcq`` command line does on a fixed list of arguments.
 
-    python3 tools/cli_snapshot.py OUT.json [--root CHECKOUT] [--jobs N]
+    python3 tools/cli_snapshot.py OUT.json [--root CHECKOUT]
 
 Each argument vector in ``ARGVS`` runs through ``trcq_kit.cli.main`` in a
 fresh interpreter (``PYTHONPATH=CHECKOUT/src``), once writing its CSV to
@@ -12,7 +12,10 @@ snapshot of the parent checkout with that of the change, e.g. with ``diff``.
 
 Every run starts in its own empty directory holding only ``FILES``, so the
 relative paths in ``ARGVS`` (a resolvent matrix and a config file) resolve
-the same way on every checkout.
+the same way on every checkout.  The suite names come from this checkout's
+``trcq_kit.cli._SUITES``, and ``OUT_OF_RANGE`` and ``NON_FINITE`` are the
+argvs that ``tests/test_cli.py`` expects to exit 2, so the list is the same
+whichever checkout ``--root`` names.
 """
 
 from __future__ import annotations
@@ -24,14 +27,38 @@ import os
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from trcq_kit.cli import _SUITES  # noqa: E402
 
 FILES = {
     "skew2.txt": "0 1\n-1 0\n",
     "weights.cfg": "symbol = power:1\nn = 4\nkappa = 0.5\n",
 }
 
-SUITES = ("hyperbolic", "lemma31", "prop32", "lemma32", "prop41", "lemma42", "lemma33", "prop34a")
+OUT_OF_RANGE = {
+    "poly300exp": ["bound", "--symbol", "power:0.5", "--g", "poly300exp"],
+    "mono400": ["convolve", "--symbol", "power:0.5", "--g", "mono:400", "--kappa", "0.1",
+                "--t-final", "1"],
+    "mu1e6": ["constants", "--mu", "1e6"],
+    "mu100": ["constants", "--mu", "100"],
+    "lemma33-mono0": ["verify", "--suite", "lemma33", "--g", "mono:0"],
+}
+
+NON_FINITE = {
+    "prop34a-poly170exp": ["verify", "--suite", "prop34a", "--g", "poly170exp"],
+    "poly170exp": ["convolve", "--symbol", "power:0", "--g", "poly170exp", "--kappa", "1",
+                   "--t-final", "200"],
+    "mono170": ["convolve", "--symbol", "power:0", "--g", "mono:170", "--kappa", "1",
+                "--t-final", "100"],
+    "delay-inf": ["converge", "--symbol", "delay:inf", "--g", "poly5exp"],
+    "decay-inf": ["converge", "--symbol", "decay:inf", "--g", "mono:2"],
+    "reference-gamma172": ["converge", "--symbol", "power:-1", "--g", "mono:170",
+                           "--t-final", "64", "--kappa-list", "1,0.5"],
+    "reference-decay-mono170": ["converge", "--symbol", "decay:1", "--g", "mono:170",
+                                "--t-final", "64", "--kappa-list", "1,0.5"],
+}
 
 ARGVS: "list[list[str]]" = [
     # README's examples
@@ -74,7 +101,7 @@ ARGVS: "list[list[str]]" = [
     ["longtime", "--symbol", "delay:1.0", "--g", "zero", "--kappa", "0.25",
      "--t-final", "4", "--t-min", "1"],
     # verify: every suite at seeds 1-3, then edge inputs
-    *[["verify", "--suite", suite, "--seed", str(seed)] for suite in SUITES for seed in (1, 2, 3)],
+    *[["verify", "--suite", suite, "--seed", str(seed)] for suite in _SUITES for seed in (1, 2, 3)],
     ["verify", "--suite", "prop41", "--symbol", "resolvent:skew2.txt", "--samples", "2000"],
     ["verify", "--suite", "lemma33", "--g", "poly12exp", "--sigma", "0.3"],
     ["verify", "--suite", "prop34a", "--g", "poly9exp", "--m", "2"],
@@ -105,20 +132,8 @@ ARGVS: "list[list[str]]" = [
     ["frobnicate"],
     [],
     ["--help"],
-    ["bound", "--symbol", "power:0.5", "--g", "poly300exp"],
-    ["convolve", "--symbol", "power:0.5", "--g", "mono:400", "--kappa", "0.1", "--t-final", "1"],
-    ["constants", "--mu", "1e6"],
-    ["constants", "--mu", "100"],
-    ["verify", "--suite", "lemma33", "--g", "mono:0"],
-    ["verify", "--suite", "prop34a", "--g", "poly170exp"],
-    ["convolve", "--symbol", "power:0", "--g", "poly170exp", "--kappa", "1", "--t-final", "200"],
-    ["convolve", "--symbol", "power:0", "--g", "mono:170", "--kappa", "1", "--t-final", "100"],
-    ["converge", "--symbol", "delay:inf", "--g", "poly5exp"],
-    ["converge", "--symbol", "decay:inf", "--g", "mono:2"],
-    ["converge", "--symbol", "power:-1", "--g", "mono:170", "--t-final", "64",
-     "--kappa-list", "1,0.5"],
-    ["converge", "--symbol", "decay:1", "--g", "mono:170", "--t-final", "64",
-     "--kappa-list", "1,0.5"],
+    *OUT_OF_RANGE.values(),
+    *NON_FINITE.values(),
 ]
 
 _RUN = "import sys; from trcq_kit.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -157,14 +172,12 @@ def _run(root: str, argv: "list[str]", out: bool) -> dict:
         return record
 
 
-def snapshot(root: str, jobs: int = 1) -> "list[dict]":
+def snapshot(root: str) -> "list[dict]":
     """One record per entry of ``ARGVS``, in order."""
-
-    def both(argv):
-        return {"argv": argv, "stdout": _run(root, argv, False), "out": _run(root, argv, True)}
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(both, ARGVS))
+    return [
+        {"argv": argv, "stdout": _run(root, argv, False), "out": _run(root, argv, True)}
+        for argv in ARGVS
+    ]
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -172,12 +185,11 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("out", help="JSON file to write")
     parser.add_argument(
         "--root",
-        default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        default=ROOT,
         help="checkout whose src/ is run (default: this one)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="argvs run at once (default 1)")
     args = parser.parse_args(argv)
-    records = snapshot(os.path.abspath(args.root), max(1, args.jobs))
+    records = snapshot(os.path.abspath(args.root))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1, sort_keys=True)
         fh.write("\n")
