@@ -70,7 +70,6 @@ from .verify import (
 from .weights import (
     WeightTable,
     compare_weight_tables,
-    cq_weights_closed,
     cq_weights_fft,
     default_fft_size,
 )
@@ -102,7 +101,6 @@ __all__ = [
     # weights
     "WeightTable",
     "cq_weights_fft",
-    "cq_weights_closed",
     "compare_weight_tables",
     "default_fft_size",
     # convolution

@@ -62,8 +62,9 @@ EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_INTERNAL = 4
 
-# A step cap, not a memory budget: at 2^22 steps the weight contour holds
-# 2^26 clongdouble points of 32 bytes, 2 GiB per array.
+# A step cap, not a memory budget: at 2^22 steps a weight contour (explicit
+# --fft-size, or a symbol without exact weights) holds 2^26 clongdouble points
+# of 32 bytes, 2 GiB per array; the exact weight routes need no contour.
 MAX_STEPS = 1 << 22
 
 EXACT_PAIRS_HELP = (
@@ -259,11 +260,21 @@ def _check_kappa_list(kappas: "list[float]") -> "list[float]":
     return kappas
 
 
+def _sample_for(F, g, grid: Grid):
+    """Samples of ``g`` on ``grid``, refused before any weights are built if
+    ``F`` cannot act on them."""
+    signal = sample(g, grid)
+    if F.cols != signal.dim:
+        raise CliError("weight columns must match signal dimension")
+    return signal
+
+
 def _errors(F, g, exact, kappa: float, t_final: float) -> np.ndarray:
     """Error per grid node of one TRCQ run (FFT engine) against ``exact``."""
     grid = Grid(kappa=kappa, steps=_steps_for(t_final, kappa))
+    signal = _sample_for(F, g, grid)
     table = cq_weights_fft(F, kappa, grid.steps)
-    return error_vs_exact(convolve_fft(table, sample(g, grid)), exact)
+    return error_vs_exact(convolve_fft(table, signal), exact)
 
 
 def _exact_or_die(symbol_spec: str, g_spec: str):
@@ -302,8 +313,8 @@ def cmd_convolve(eff: "dict[str, object]") -> int:
     F = _parse_symbol(eff["symbol"])
     g = _parse_input(eff["g"])
     grid = Grid(kappa=eff["kappa"], steps=_steps_for(eff["t_final"], eff["kappa"]))
+    signal = _sample_for(F, g, grid)
     table = cq_weights_fft(F, eff["kappa"], grid.steps)
-    signal = sample(g, grid)
     result = convolve_fft(table, signal) if engine == "fft" else convolve_naive(table, signal)
     buf = io.StringIO()
     signal_to_csv(result, buf)
@@ -484,7 +495,7 @@ _COMMANDS: "dict[str, Command]" = {
         Opt("symbol", str, "symbol spec, e.g. power:1 or delay:1.0", required=True),
         Opt("kappa", _conv_float, "time step in (0, 1]", required=True),
         Opt("n", _conv_int, "largest weight index N", required=True),
-        Opt("fft_size", _conv_int, "contour length (power of two)"),
+        Opt("fft_size", _conv_int, "contour length (power of two); forces the contour route"),
     )),
     "convolve": Command(cmd_convolve, "run a discrete convolution", (
         Opt("symbol", str, "symbol spec", required=True),

@@ -17,6 +17,10 @@ Built-in families:
 * ``make_delay(d)``    -- ``exp(-s*d)``; time shift by ``d``.
 * ``make_decay(a)``    -- ``1/(s+a)``; convolution with ``exp(-a*t)``.
 * ``make_resolvent(A)``-- ``(s*I - A)**-1`` for a square matrix ``A``.
+
+These families also carry ``exact_weights``: their TRCQ weights, the Taylor
+coefficients of ``zeta -> F(delta(zeta)/kappa)``, from an exact O(N)
+formula rather than a contour (see :mod:`trcq_kit.weights`).
 """
 
 from __future__ import annotations
@@ -89,6 +93,12 @@ class Symbol:
     ``evaluator`` must be vectorized: given an array ``s`` it returns an
     array of shape ``s.shape + dims``, preserving extended-precision complex
     dtypes where the underlying operations allow it.
+
+    ``exact_weights``, where the family has one, maps ``(kappa, N,
+    extended)`` to the weights ``w_0..w_N`` as an ``(N+1, rows, cols)``
+    array, computed from their exact Taylor coefficients in long double
+    (``extended=True``) or in double precision; real symbols give real
+    arrays.  ``None`` leaves the weights to the contour.
     """
 
     name: str
@@ -96,6 +106,9 @@ class Symbol:
     mu: float
     cf: CFModel
     dims: tuple[int, int] = (1, 1)
+    exact_weights: "Callable[[float, int, bool], np.ndarray] | None" = field(
+        default=None, repr=False
+    )
 
     def __post_init__(self) -> None:
         r, c = self.dims
@@ -163,6 +176,75 @@ def _scalarize(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], 
 
 
 # --------------------------------------------------------------------------
+# exact weight generators
+# --------------------------------------------------------------------------
+
+
+def _power_weights(mu: float) -> Callable[[float, int, bool], np.ndarray]:
+    """Weights of ``s**mu``: ``w_n = (2/kappa)**mu a_n``.
+
+    ``a_n`` are the Taylor coefficients of ``f = ((1 - z)/(1 + z))**mu``;
+    ``(1 - z**2) f' = -2 mu f`` gives ``a_0 = 1``, ``a_1 = -2 mu`` and
+    ``(n+1) a_{n+1} = -2 mu a_n + (n-1) a_{n-1}`` (Lubich, "Discretized
+    fractional calculus", SIAM J. Math. Anal. 17, 1986).
+    """
+
+    def weights(kappa: float, N: int, extended: bool = True) -> np.ndarray:
+        real = np.longdouble if extended else np.float64
+        two_mu = real(2.0 * mu)
+        a = [real(1.0), -two_mu + 0]  # + 0: power:0's zeros print as 0, not -0
+        for n in range(1, N):
+            a.append((-two_mu * a[n] + (n - 1) * a[n - 1]) / (n + 1))
+        scale = (real(2.0) / real(kappa)) ** real(mu)
+        return (scale * np.array(a[: N + 1], dtype=real))[:, None, None]
+
+    return weights
+
+
+def _powers(R: np.ndarray, count: int) -> np.ndarray:
+    """``R**0 .. R**(count-1)`` by doubling: ``R**(k+j) = R**j @ R**k``."""
+    out = np.empty((count,) + R.shape, dtype=R.dtype)
+    out[0] = np.eye(R.shape[0], dtype=R.dtype)
+    k, Rk = 1, R
+    while k < count:
+        m = min(k, count - k)
+        out[k : k + m] = out[:m] @ Rk
+        k, Rk = 2 * k, Rk @ Rk
+    return out
+
+
+def _cayley_weights(A: np.ndarray) -> Callable[[float, int, bool], np.ndarray]:
+    """Weights of ``(s I - A)**-1``: trapezoidal time stepping of ``u' = A u``.
+
+    With ``M = 2I - kappa A`` and the Cayley transform ``R = (2I + kappa A)
+    M**-1``: ``w_0 = kappa M**-1`` and ``w_n = kappa (R**n + R**(n-1))
+    M**-1``.  ``M**-1`` is LAPACK's double-precision inverse refined by one
+    Newton step in the working precision.
+    """
+    real = not np.any(A.imag)
+    mat = A.real if real else A
+    eye = np.eye(A.shape[0])
+
+    def weights(kappa: float, N: int, extended: bool = True) -> np.ndarray:
+        if real:
+            dtype = np.longdouble if extended else np.float64
+        else:
+            dtype = np.clongdouble if extended else np.complex128
+        k = dtype(kappa)
+        kA = k * mat.astype(dtype)
+        M = 2 * eye - kA
+        Minv = np.linalg.inv(M.astype(mat.dtype)).astype(dtype)
+        Minv = Minv + Minv @ (eye - M @ Minv)
+        P = _powers((2 * eye + kA) @ Minv, N + 1)
+        out = np.empty_like(P)
+        out[0] = k * Minv
+        out[1:] = k * (P[1:] + P[:-1]) @ Minv
+        return out
+
+    return weights
+
+
+# --------------------------------------------------------------------------
 # built-in families
 # --------------------------------------------------------------------------
 
@@ -181,6 +263,7 @@ def make_power(mu: float) -> Symbol:
         evaluator=_scalarize(scalar),
         mu=mu,
         cf=CFModel(1.0, 0.0),
+        exact_weights=_power_weights(mu),
     )
 
 
@@ -207,7 +290,13 @@ def make_decay(a: float) -> Symbol:
         return 1.0 / (s + a)
 
     # |s+a|^2 = |s|^2 + 2 a Re s + a^2 >= |s|^2, hence |F(s)| <= |s|**-1.
-    return Symbol(name=f"decay:{a:g}", evaluator=_scalarize(scalar), mu=-1.0, cf=CFModel(1.0, 0.0))
+    return Symbol(
+        name=f"decay:{a:g}",
+        evaluator=_scalarize(scalar),
+        mu=-1.0,
+        cf=CFModel(1.0, 0.0),
+        exact_weights=_cayley_weights(np.array([[-a]])),
+    )
 
 
 def make_resolvent(
@@ -262,6 +351,7 @@ def make_resolvent(
         mu=float(mu),
         cf=cf,
         dims=(n, n),
+        exact_weights=_cayley_weights(mat),
     )
 
 

@@ -1,8 +1,19 @@
-"""Quadrature weight generation by contour FFT.
+"""Quadrature weight generation: exact Taylor coefficients or a contour FFT.
 
 The weights ``w_m`` of a symbol ``F`` at step ``kappa`` are the Taylor
 coefficients of the generating function ``zeta -> F(delta(zeta)/kappa)``
-about ``zeta = 0``.  We read them off a circle of radius ``rho < 1``:
+about ``zeta = 0``.  :func:`cq_weights_fft` has two routes to them.
+
+*Exact route.*  Power, decay and resolvent symbols carry
+``Symbol.exact_weights``, an O(N) formula for the coefficients (a
+three-term recurrence for ``s**mu``, the Cayley transform for
+``(sI - A)**-1``).  It runs in long double and is rounded once to
+complex128, so real symbols get imaginary parts that are exactly 0.  The
+table's accuracy estimate is measured: the gap between a double-precision
+rerun and the long-double result, plus the rounding to complex128.
+
+*Contour route.*  Any other symbol, and any call that names ``fft_size``,
+reads the coefficients off a circle of radius ``rho < 1``:
 
     w_m = rho**-m * (1/L) * sum_l F(delta(rho*e^{-2 pi i l/L})/kappa) * e^{2 pi i l m/L},
 
@@ -12,10 +23,8 @@ the aliasing term (decreasing in ``rho``) and roundoff amplified by
 and the number of requested weights: ``rho = eps**(1/(L+N))``.  The contour
 evaluation and transform run in extended precision (``clongdouble``) so the
 delivered double-precision weights are limited by the aliasing model, not by
-accumulated roundoff.
-
-``cq_weights_closed`` provides the three hand-expanded tables (identity,
-derivative, integral) used to calibrate the FFT path.
+accumulated roundoff.  The contour is also the oracle the exact routes are
+tested against.
 """
 
 from __future__ import annotations
@@ -32,7 +41,6 @@ __all__ = [
     "WeightTable",
     "default_fft_size",
     "cq_weights_fft",
-    "cq_weights_closed",
     "compare_weight_tables",
     "weights_to_csv",
 ]
@@ -48,15 +56,15 @@ class WeightTable:
     """Weights ``w_0..w_N`` for one ``(symbol, kappa, N)`` triple.
 
     ``values`` has shape ``(count, rows, cols)``.  ``radius``/``fft_size``
-    record how the table was generated and are ``None`` for closed-form
-    tables, whose entries are exact up to rounding (``accuracy_estimate = 0``).
+    record how the table was generated: the contour's radius and length, or
+    ``None`` and ``0`` (no contour points) for a table from the exact route.
     """
 
     kappa: float
     count: int                      # N + 1
     values: np.ndarray              # (count, rows, cols) complex
-    radius: "float | None"          # contour radius rho
-    fft_size: "int | None"          # transform length used
+    radius: "float | None"          # contour radius rho; None without a contour
+    fft_size: int                   # transform length used; 0 without a contour
     accuracy_estimate: float        # expected absolute accuracy of entries
 
     def __post_init__(self) -> None:
@@ -71,9 +79,9 @@ class WeightTable:
             raise ValueError("weight values must be finite")
         if self.radius is not None and not (0.0 < self.radius < 1.0):
             raise ValueError("contour radius must lie in (0, 1)")
-        if self.fft_size is not None:
+        if self.fft_size != 0:
             if self.fft_size < self.count or self.fft_size & (self.fft_size - 1):
-                raise ValueError("fft_size must be a power of two >= count")
+                raise ValueError("fft_size must be 0 or a power of two >= count")
         if self.accuracy_estimate < 0.0:
             raise ValueError("accuracy_estimate must be non-negative")
 
@@ -84,7 +92,7 @@ class WeightTable:
 
 
 # --------------------------------------------------------------------------
-# contour-FFT generation
+# weight generation
 # --------------------------------------------------------------------------
 
 
@@ -101,17 +109,25 @@ def cq_weights_fft(
     N: int,
     fft_size: "int | None" = None,
 ) -> WeightTable:
-    """Compute ``w_0..w_N`` for symbol ``F`` by sampling its generating function.
+    """Compute ``w_0..w_N`` for symbol ``F``.
 
-    ``fft_size`` must be a power of two >= N+1; by default the smallest power
-    of two >= 8(N+1).  The declared ``accuracy_estimate`` is
-    ``sqrt(eps) * max contour ||F||``, the classical contour-differentiation
-    accuracy model.
+    Without ``fft_size``, a symbol with ``exact_weights`` takes the exact
+    route; its ``accuracy_estimate`` is the largest entry-norm gap between a
+    double-precision rerun and the long-double result plus the largest
+    rounding error of the delivered complex128 entries, and at least half
+    an ulp of the largest weight.
+
+    Otherwise the weights come from the contour: ``fft_size`` must be a
+    power of two >= N+1, by default the smallest power of two >= 8(N+1).
+    The declared ``accuracy_estimate`` is ``sqrt(eps) * max contour ||F||``,
+    the classical contour-differentiation accuracy model.
     """
     if not (0.0 < kappa <= 1.0):
         raise ValueError("kappa must lie in (0, 1]")
     if N < 0:
         raise ValueError("N must be non-negative")
+    if fft_size is None and F.exact_weights is not None:
+        return _exact_table(F, kappa, N)
     L = default_fft_size(N) if fft_size is None else int(fft_size)
     if L < N + 1:
         raise ValueError(f"fft_size {L} is smaller than the {N + 1} requested weights")
@@ -142,44 +158,24 @@ def cq_weights_fft(
     )
 
 
-# --------------------------------------------------------------------------
-# closed-form calibration tables
-# --------------------------------------------------------------------------
-
-
-def cq_weights_closed(kind: str, kappa: float, N: int) -> WeightTable:
-    """Hand-expanded weights for the three elementary symbols.
-
-    * ``identity``   F(s) = 1      -> (1, 0, 0, ...)
-    * ``derivative`` F(s) = s      -> (2/k, -4/k, 4/k, -4/k, ...)
-    * ``integral``   F(s) = 1/s    -> (k/2, k, k, ...), the trapezoid rule
-
-    Both non-trivial rows follow from the geometric expansion of
-    ``(1 -/+ zeta)/(1 +/- zeta)``.
-    """
-    if not (0.0 < kappa <= 1.0):
-        raise ValueError("kappa must lie in (0, 1]")
-    if N < 0:
-        raise ValueError("N must be non-negative")
-    w = np.zeros(N + 1, dtype=np.complex128)
-    if kind == "identity":
-        w[0] = 1.0
-    elif kind == "derivative":
-        w[0] = 2.0 / kappa
-        if N >= 1:
-            w[1:] = (4.0 / kappa) * (-1.0) ** np.arange(1, N + 1)
-    elif kind == "integral":
-        w[0] = 0.5 * kappa
-        w[1:] = kappa
-    else:
-        raise ValueError(f"unknown closed-form kind {kind!r}")
+def _exact_table(F: Symbol, kappa: float, N: int) -> WeightTable:
+    """The exact route, with its accuracy measured (see :func:`cq_weights_fft`)."""
+    precise = F.exact_weights(kappa, N, True)
+    weights = precise.astype(np.complex128)
+    # the double-precision rerun may overflow where long double does not;
+    # its gap then reads inf, which is what it measured
+    with np.errstate(over="ignore", invalid="ignore"):
+        rough = F.exact_weights(kappa, N, False)
+        gap = np.max(value_norm(rough - precise))
+    rounding = np.max(value_norm(weights - precise))
+    half_ulp = 0.5 * np.spacing(np.max(value_norm(weights)))
     return WeightTable(
         kappa=float(kappa),
         count=N + 1,
-        values=w[:, None, None],
+        values=weights,
         radius=None,
-        fft_size=None,
-        accuracy_estimate=0.0,
+        fft_size=0,
+        accuracy_estimate=max(float(gap + rounding), float(half_ulp)),
     )
 
 

@@ -24,7 +24,7 @@ from trcq_kit.convolution import (
     sample,
 )
 from trcq_kit.functions import parse_g
-from trcq_kit.symbols import builtin_zoo, from_spec
+from trcq_kit.symbols import builtin_zoo, from_spec, make_power
 from trcq_kit.trmap import D_eval, q_taylor_coeffs, solve_c0
 from trcq_kit.verify import (
     check_hyperbolic,
@@ -36,7 +36,7 @@ from trcq_kit.verify import (
     check_prop34a,
     check_prop41,
 )
-from trcq_kit.weights import compare_weight_tables, cq_weights_closed, cq_weights_fft
+from trcq_kit.weights import compare_weight_tables, cq_weights_fft
 
 
 # --------------------------------------------------------------------------
@@ -54,7 +54,7 @@ class TestWeightGeneration:
         ]
         start = time.perf_counter()
         for kind, spec in pairs:
-            closed = cq_weights_closed(kind, 0.1, 64)
+            closed = cq_weights_fft(from_spec(spec), 0.1, 64)
             fft = cq_weights_fft(from_spec(spec), 0.1, 64, fft_size=512)
             diff = compare_weight_tables(closed, fft)
             assert diff <= 1e-8, f"{kind}: weight tables differ by {diff:.3e}"
@@ -72,7 +72,7 @@ class TestDiscreteExactness:
         """F = 1/s applied to g(t) = t gives t_n^2/2 to 1e-12 relative, <1s."""
         start = time.perf_counter()
         grid = Grid(kappa=0.1, steps=64)
-        W = cq_weights_closed("integral", grid.kappa, grid.steps)
+        W = cq_weights_fft(make_power(-1.0), grid.kappa, grid.steps)
         out = convolve_naive(W, sample(lambda t: t, grid))
         exact = grid.nodes**2 / 2.0
         rel = np.abs(out.samples[1:, 0].real - exact[1:]) / exact[1:]
@@ -83,7 +83,7 @@ class TestDiscreteExactness:
         """F = s applied to g(t) = t^2 gives 2 t_n to 1e-12 relative, <1s."""
         start = time.perf_counter()
         grid = Grid(kappa=0.1, steps=64)
-        W = cq_weights_closed("derivative", grid.kappa, grid.steps)
+        W = cq_weights_fft(make_power(1.0), grid.kappa, grid.steps)
         out = convolve_naive(W, sample(lambda t: t * t, grid))
         exact = 2.0 * grid.nodes
         rel = np.abs(out.samples[1:, 0].real - exact[1:]) / exact[1:]
@@ -310,7 +310,7 @@ class TestEnginesAtScale:
         """convolve_fft at N = 2^20 finishes in under 10 seconds."""
         N = 1 << 20
         kappa = 1e-4
-        W = cq_weights_closed("integral", kappa, N)
+        W = cq_weights_fft(make_power(-1.0), kappa, N)
         grid = Grid(kappa=kappa, steps=N)
         sig = CausalSignal(grid=grid, samples=grid.nodes[:, None].astype(complex))
         start = time.perf_counter()

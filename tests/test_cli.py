@@ -6,8 +6,12 @@ flags-win precedence, and byte-identical determinism of repeated runs.
 """
 
 import importlib.util
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -216,6 +220,40 @@ class TestConvolve:
         for ra, rb in zip(rows_a, rows_b):
             assert abs(float(ra[2]) - float(rb[2])) <= 1e-12
             assert abs(float(ra[3]) - float(rb[3])) <= 1e-12
+
+    def test_dimension_mismatch_refused_before_weights(self, tmp_path, monkeypatch, capsys):
+        """A 2x2 resolvent on a scalar input exits 2 without building weights."""
+        for name, text in SNAPSHOT.FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+
+        def no_weights(*args, **kwargs):
+            raise AssertionError("weights were built")
+
+        monkeypatch.setattr(cli, "cq_weights_fft", no_weights)
+        argv = next(a for a in SNAPSHOT.ARGVS
+                    if a[:1] == ["convolve"] and "resolvent:skew2.txt" in a)
+        assert main(argv) == EXIT_USAGE
+        assert "weight columns must match signal dimension" in capsys.readouterr().err
+
+    def test_traced_run_counts_no_contour_points(self):
+        """perfbench's traced worker, run as its runner does, on the exact route."""
+        root = Path(__file__).resolve().parents[1]
+        path = os.environ.get("PYTHONPATH")
+        src = str(root / "src") + (os.pathsep + path if path else "")
+        argv = ["convolve", "--symbol", "power:0.5", "--g", "mono:7",
+                "--kappa", "0.01", "--t-final", "1"]
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "worker.py"), "--trace", "--", *argv],
+            cwd=root, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["rc"] == 0, report["error"]
+        counts = report["trace"]["counts"]
+        assert counts["weights.calls"] == 1
+        assert counts["weights.fft_points"] == 0
 
     def test_unknown_engine(self, capsys):
         code = main(["convolve", "--symbol", "power:0", "--g", "poly5exp",

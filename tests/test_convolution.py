@@ -21,8 +21,8 @@ from trcq_kit.convolution import (
     signal_to_csv,
 )
 from trcq_kit.functions import parse_g
-from trcq_kit.symbols import builtin_zoo
-from trcq_kit.weights import cq_weights_closed, cq_weights_fft
+from trcq_kit.symbols import builtin_zoo, make_power
+from trcq_kit.weights import cq_weights_fft
 
 
 # --------------------------------------------------------------------------
@@ -105,7 +105,7 @@ class TestExactness:
         """Trapezoid weights on g(t) = t reproduce t_n^2/2 to machine precision."""
         kappa = 0.1
         grid = Grid(kappa=kappa, steps=64)
-        W = cq_weights_closed("integral", kappa, grid.steps)
+        W = cq_weights_fft(make_power(-1.0), kappa, grid.steps)
         out = convolve_naive(W, sample(lambda t: t, grid))
         exact = grid.nodes**2 / 2.0
         np.testing.assert_allclose(out.samples[:, 0].real, exact, rtol=1e-12, atol=1e-15)
@@ -115,7 +115,7 @@ class TestExactness:
         """Difference weights on g(t) = t^2 reproduce 2 t_n to machine precision."""
         kappa = 0.1
         grid = Grid(kappa=kappa, steps=64)
-        W = cq_weights_closed("derivative", kappa, grid.steps)
+        W = cq_weights_fft(make_power(1.0), kappa, grid.steps)
         out = convolve_naive(W, sample(lambda t: t * t, grid))
         exact = 2.0 * grid.nodes
         np.testing.assert_allclose(out.samples[:, 0].real, exact, rtol=1e-12, atol=1e-12)
@@ -123,7 +123,7 @@ class TestExactness:
     def test_identity_weights_return_signal(self):
         """F = 1 convolves to the input itself."""
         grid = Grid(kappa=0.25, steps=16)
-        W = cq_weights_closed("identity", grid.kappa, grid.steps)
+        W = cq_weights_fft(make_power(0.0), grid.kappa, grid.steps)
         sig = sample(lambda t: np.sin(t) + 0.5 * t, grid)
         out = convolve_naive(W, sig)
         np.testing.assert_allclose(out.samples, sig.samples, rtol=0, atol=0)
@@ -131,8 +131,8 @@ class TestExactness:
     def test_integral_of_derivative_roundtrip(self):
         """Applying 1/s after s returns the input for signals vanishing at 0."""
         grid = Grid(kappa=0.125, steps=32)
-        Wd = cq_weights_closed("derivative", grid.kappa, grid.steps)
-        Wi = cq_weights_closed("integral", grid.kappa, grid.steps)
+        Wd = cq_weights_fft(make_power(1.0), grid.kappa, grid.steps)
+        Wi = cq_weights_fft(make_power(-1.0), grid.kappa, grid.steps)
         sig = sample(lambda t: t**3 * np.exp(-t), grid)
         back = convolve_naive(Wi, convolve_naive(Wd, sig))
         np.testing.assert_allclose(back.samples, sig.samples, rtol=1e-11, atol=1e-13)
@@ -180,7 +180,7 @@ class TestEngines:
     def test_fft_engine_short_signal(self):
         """The padded FFT route is correct down to a single step."""
         grid = Grid(kappa=0.5, steps=1)
-        W = cq_weights_closed("integral", grid.kappa, grid.steps)
+        W = cq_weights_fft(make_power(-1.0), grid.kappa, grid.steps)
         sig = sample(lambda t: t, grid)
         a = convolve_naive(W, sig)
         b = convolve_fft(W, sig)
@@ -195,13 +195,13 @@ class TestEngines:
 class TestCompatibility:
     def test_step_mismatch_rejected(self):
         """Weight tables and signals with different kappa cannot be combined."""
-        W = cq_weights_closed("integral", 0.1, 16)
+        W = cq_weights_fft(make_power(-1.0), 0.1, 16)
         sig = sample(lambda t: t, Grid(kappa=0.2, steps=16))
         with pytest.raises(ValueError, match="time step"):
             convolve_naive(W, sig)
 
     def test_too_few_weights_rejected(self):
-        W = cq_weights_closed("integral", 0.1, 8)
+        W = cq_weights_fft(make_power(-1.0), 0.1, 8)
         sig = sample(lambda t: t, Grid(kappa=0.1, steps=16))
         with pytest.raises(ValueError, match="entries"):
             convolve_naive(W, sig)

@@ -42,6 +42,18 @@ class TestBackendAgreement:
         np.testing.assert_allclose(out, reference_convolve(w, g), rtol=1e-15, atol=1e-9)
 
 
+    @pytest.mark.parametrize("imag", [0.0, 1.0])
+    def test_products_are_exact(self, imag):
+        # a * b = 1 - 2**-54 rounds to 1, so rounded products give (a - 1) b
+        # as 2**-27; Dot2 keeps the product's error and returns it exactly
+        a, b = 1.0 + 2.0**-27, 1.0 - 2.0**-27
+        w = np.array([a, -1.0]).reshape(2, 1, 1)
+        g = np.full((2, 1), b + 1j * imag)
+        out = causal_convolve(w, g)
+        assert out[1, 0].real == 2.0**-27 - 2.0**-54
+        assert out[1, 0].imag == imag * 2.0**-27
+
+
 class TestValidation:
     """Shape and dtype contracts."""
 

@@ -1,6 +1,9 @@
-"""Tests for CQ weight generation: closed forms, the FFT contour route, and
-the WeightTable container."""
+"""Tests for CQ weight generation: the exact routes (against 50-digit mpmath
+references), the FFT contour route, and the WeightTable container."""
 
+import io
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,77 +11,150 @@ from trcq_kit import (
     WeightTable,
     builtin_zoo,
     compare_weight_tables,
-    cq_weights_closed,
     cq_weights_fft,
     default_fft_size,
     from_spec,
     make_decay,
+    make_delay,
+    make_power,
+    make_resolvent,
     symbol_product,
+    value_norm,
 )
 from trcq_kit.weights import weights_to_csv
-import io
 
 
-def decay_weights_reference(a: float, kappa: float, N: int) -> np.ndarray:
-    """Hand-derived weights of F(s) = 1/(s+a): geometric expansion of
-    kappa(1+zeta) / ((2+a kappa) - (2-a kappa) zeta)."""
-    w0 = kappa / (2.0 + a * kappa)
-    r = (2.0 - a * kappa) / (2.0 + a * kappa)
-    out = np.empty(N + 1)
-    out[0] = w0
-    powers = r ** np.arange(N)
-    out[1:] = w0 * (powers * r + powers)
-    return out
+def damped_matrix(seed: int) -> np.ndarray:
+    """A seeded 2x2 real matrix skew - P, P positive definite: numerical range in Re < 0."""
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(0.5, 2.0)
+    B = rng.normal(scale=0.6, size=(2, 2))
+    return np.array([[0.0, b], [-b, 0.0]]) - (B @ B.T + 0.05 * np.eye(2))
+
+
+DAMPED = damped_matrix(7)
 
 
 class TestClosedForms:
-    """Hand-expanded tables for F in {1, s, 1/s}."""
+    """The exact route reproduces the hand tables for F in {1, s, 1/s}."""
 
     def test_identity(self):
-        t = cq_weights_closed("identity", 0.25, 5)
+        t = cq_weights_fft(make_power(0.0), 0.25, 5)
         np.testing.assert_array_equal(t.values[:, 0, 0], [1, 0, 0, 0, 0, 0])
 
     def test_derivative(self):
         k = 0.1
-        t = cq_weights_closed("derivative", k, 4)
+        t = cq_weights_fft(make_power(1.0), k, 4)
         ref = np.array([2 / k, -4 / k, 4 / k, -4 / k, 4 / k])
         np.testing.assert_allclose(t.values[:, 0, 0], ref, rtol=1e-15)
 
     def test_integral(self):
         k = 0.1
-        t = cq_weights_closed("integral", k, 4)
+        t = cq_weights_fft(make_power(-1.0), k, 4)
         ref = np.array([k / 2, k, k, k, k])
         np.testing.assert_allclose(t.values[:, 0, 0], ref, rtol=1e-15)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            cq_weights_closed("nope", 0.1, 4)
-
     def test_closed_tables_have_no_contour_metadata(self):
-        t = cq_weights_closed("integral", 0.1, 4)
-        assert t.radius is None and t.fft_size is None
-        assert t.accuracy_estimate == 0.0
+        t = cq_weights_fft(make_power(-1.0), 0.1, 4)
+        assert t.radius is None and t.fft_size == 0
+        # k/2 and k are exact in both precisions: the estimate is its floor
+        assert t.accuracy_estimate == 0.5 * np.spacing(0.1)
+
+
+def _assert_matches(table, ref):
+    """Error <= 1e-15 of max|w| in the entry norm, and within accuracy_estimate."""
+    diff = np.array(
+        [[[complex(mpmath.mpc(complex(table.values[n, i, j])) - ref[n][i][j])
+           for j in range(table.dims[1])] for i in range(table.dims[0])]
+         for n in range(table.count)]
+    )
+    scale = max(abs(x) for row in ref for line in row for x in line)
+    err = float(np.max(value_norm(diff)))
+    assert err <= 1e-15 * float(scale)
+    assert table.accuracy_estimate >= err
+    assert table.fft_size == 0
+
+
+class TestExactRoutes:
+    """Power, decay and resolvent weights against 50-digit references, N = 400."""
+
+    N = 400
+    KAPPA = 0.05
+
+    @pytest.mark.parametrize("mu", [-2.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.5, 5.0])
+    def test_power(self, mu):
+        # a_n of ((1-z)/(1+z))**mu as the Cauchy product of two binomial series
+        N, kappa = self.N, self.KAPPA
+        with mpmath.workdps(50):
+            m = mpmath.mpf(mu)
+            b = [(-1) ** k * mpmath.binomial(m, k) for k in range(N + 1)]
+            c = [mpmath.binomial(-m, k) for k in range(N + 1)]
+            scale = (2 / mpmath.mpf(kappa)) ** m
+            ref = [[[scale * mpmath.fsum(b[k] * c[n - k] for k in range(n + 1))]]
+                   for n in range(N + 1)]
+            table = cq_weights_fft(make_power(mu), kappa, N)
+            _assert_matches(table, ref)
+        assert np.all(table.values.imag == 0)
+
+    @pytest.mark.parametrize("a", [0.5, 2.0])
+    def test_decay(self, a):
+        # kappa (1 + z) / ((2 + a kappa) - (2 - a kappa) z), expanded geometrically
+        N, kappa = self.N, self.KAPPA
+        with mpmath.workdps(50):
+            ak = mpmath.mpf(a) * mpmath.mpf(kappa)
+            w0 = mpmath.mpf(kappa) / (2 + ak)
+            r = (2 - ak) / (2 + ak)
+            ref = [[[w0]]] + [[[w0 * (r**n + r ** (n - 1))]] for n in range(1, N + 1)]
+            table = cq_weights_fft(make_decay(a), kappa, N)
+            _assert_matches(table, ref)
+        assert np.all(table.values.imag == 0)
+
+    def test_resolvent(self):
+        # trapezoidal stepping of u' = A u: w_n = kappa (R^n + R^(n-1)) M^-1
+        N, kappa = self.N, self.KAPPA
+        with mpmath.workdps(50):
+            A = mpmath.matrix(DAMPED.tolist())
+            k = mpmath.mpf(kappa)
+            eye = mpmath.eye(2)
+            Minv = (2 * eye - k * A) ** -1
+            R = (2 * eye + k * A) * Minv
+            ref, power = [k * Minv], eye
+            for _ in range(N):
+                ref.append(k * (power * R + power) * Minv)
+                power = power * R
+            ref = [[[w[i, j] for j in range(2)] for i in range(2)] for w in ref]
+            table = cq_weights_fft(make_resolvent(DAMPED), kappa, N)
+            _assert_matches(table, ref)
+        assert np.all(table.values.imag == 0)
+
+    def test_delay_and_products_stay_on_the_contour(self):
+        for F in (make_delay(1.0), symbol_product(make_decay(1.0), make_power(0.5))):
+            table = cq_weights_fft(F, 0.1, 16)
+            assert table.fft_size > 0 and table.radius is not None, F.name
 
 
 class TestFftRoute:
     """Contour weights must agree with every closed form available."""
 
     def test_matches_closed_forms(self):
-        kappa = 0.1
-        pairs = [
-            ("power:1", "derivative"),
-            ("power:-1", "integral"),
-            ("power:0", "identity"),
+        kappa, N = 0.1, 32
+        symbols = [
+            make_power(1.0),
+            make_power(-1.0),
+            make_power(0.0),
+            make_power(0.5),
+            make_decay(2.0),
+            make_resolvent(DAMPED),
         ]
-        for spec, kind in pairs:
-            fft = cq_weights_fft(from_spec(spec), kappa, 32)
-            closed = cq_weights_closed(kind, kappa, 32)
-            assert compare_weight_tables(fft, closed) <= 1e-10, spec
+        for F in symbols:
+            fft = cq_weights_fft(F, kappa, N, fft_size=default_fft_size(N))
+            closed = cq_weights_fft(F, kappa, N)
+            assert compare_weight_tables(fft, closed) <= 1e-10, F.name
 
     def test_matches_decay_hand_formula(self):
         kappa, a, N = 0.2, 1.5, 40
-        table = cq_weights_fft(make_decay(a), kappa, N)
-        ref = decay_weights_reference(a, kappa, N)
+        table = cq_weights_fft(make_decay(a), kappa, N, fft_size=default_fft_size(N))
+        ref = cq_weights_fft(make_decay(a), kappa, N).values[:, 0, 0].real
         np.testing.assert_allclose(table.values[:, 0, 0].real, ref, atol=1e-12)
         assert np.max(np.abs(table.values.imag)) <= 1e-12
 
@@ -101,25 +177,24 @@ class TestFftRoute:
 
     def test_matrix_symbol_weights(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        from trcq_kit import make_resolvent
-
         table = cq_weights_fft(make_resolvent(A), 0.1, 16)
         assert table.values.shape == (17, 2, 2)
         assert table.dims == (2, 2)
 
     def test_accuracy_estimate_semantics(self):
         # for F = 1 the contour maximum is 1, so the estimate is sqrt(eps)
-        table = cq_weights_fft(from_spec("power:0"), 0.1, 8)
+        table = cq_weights_fft(from_spec("power:0"), 0.1, 8, fft_size=default_fft_size(8))
         np.testing.assert_allclose(
             table.accuracy_estimate, np.sqrt(np.finfo(float).eps), rtol=1e-6
         )
 
     def test_parameter_validation(self):
         F = from_spec("power:0")
-        with pytest.raises(ValueError):
-            cq_weights_fft(F, 0.0, 8)
-        with pytest.raises(ValueError):
-            cq_weights_fft(F, 0.1, -1)
+        for fft_size in (None, 64):  # the exact route and the contour alike
+            with pytest.raises(ValueError):
+                cq_weights_fft(F, 0.0, 8, fft_size=fft_size)
+            with pytest.raises(ValueError):
+                cq_weights_fft(F, 0.1, -1, fft_size=fft_size)
         with pytest.raises(ValueError):
             cq_weights_fft(F, 0.1, 8, fft_size=6)  # not a power of two
         with pytest.raises(ValueError):
@@ -146,28 +221,28 @@ class TestWeightTable:
         vals = np.zeros((3, 1, 1), dtype=complex)
         with pytest.raises(ValueError):
             WeightTable(kappa=0.0, count=3, values=vals, radius=None,
-                        fft_size=None, accuracy_estimate=0.0)
+                        fft_size=0, accuracy_estimate=0.0)
         with pytest.raises(ValueError):
             WeightTable(kappa=0.1, count=2, values=vals, radius=None,
-                        fft_size=None, accuracy_estimate=0.0)
+                        fft_size=0, accuracy_estimate=0.0)
         with pytest.raises(ValueError):
             WeightTable(kappa=0.1, count=3, values=vals, radius=1.5,
-                        fft_size=None, accuracy_estimate=0.0)
+                        fft_size=0, accuracy_estimate=0.0)
         with pytest.raises(ValueError):
             WeightTable(kappa=0.1, count=3, values=vals, radius=0.5,
-                        fft_size=None, accuracy_estimate=-1.0)
+                        fft_size=0, accuracy_estimate=-1.0)
 
     def test_compare_requires_matching_shape(self):
-        a = cq_weights_closed("integral", 0.1, 4)
-        b = cq_weights_closed("integral", 0.1, 5)
-        c = cq_weights_closed("integral", 0.2, 4)
+        a = cq_weights_fft(make_power(-1.0), 0.1, 4)
+        b = cq_weights_fft(make_power(-1.0), 0.1, 5)
+        c = cq_weights_fft(make_power(-1.0), 0.2, 4)
         with pytest.raises(ValueError):
             compare_weight_tables(a, b)
         with pytest.raises(ValueError):
             compare_weight_tables(a, c)
 
     def test_csv_layout(self):
-        table = cq_weights_closed("integral", 0.1, 2)
+        table = cq_weights_fft(make_power(-1.0), 0.1, 2)
         buf = io.StringIO()
         weights_to_csv(table, buf)
         lines = buf.getvalue().splitlines()

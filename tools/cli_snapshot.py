@@ -11,7 +11,7 @@ to stdout.  A refactor that must keep the CLI byte-identical compares the
 snapshot of the parent checkout with that of the change, e.g. with ``diff``.
 
 Every run starts in its own empty directory holding only ``FILES``, so the
-relative paths in ``ARGVS`` (a resolvent matrix and a config file) resolve
+relative paths in ``ARGVS`` (two resolvent matrices and a config file) resolve
 the same way on every checkout.  The suite names come from this checkout's
 ``trcq_kit.cli._SUITES``, and ``OUT_OF_RANGE`` and ``NON_FINITE`` are the
 argvs that ``tests/test_cli.py`` expects to exit 2, so the list is the same
@@ -34,6 +34,7 @@ from trcq_kit.cli import _SUITES  # noqa: E402
 
 FILES = {
     "skew2.txt": "0 1\n-1 0\n",
+    "damped2.txt": "-0.5 1\n-1.5 -0.25\n",
     "weights.cfg": "symbol = power:1\nn = 4\nkappa = 0.5\n",
 }
 
@@ -71,6 +72,10 @@ ARGVS: "list[list[str]]" = [
     ["weights", "--symbol", "delay:1.0", "--kappa", "0.05", "--n", "64"],
     ["weights", "--symbol", "resolvent:skew2.txt", "--kappa", "0.1", "--n", "16"],
     ["weights", "--config", "weights.cfg", "--kappa", "0.1"],
+    # each exact weight route at its default (no --fft-size)
+    ["weights", "--symbol", "power:2.5", "--kappa", "0.05", "--n", "64"],
+    ["weights", "--symbol", "decay:2", "--kappa", "0.05", "--n", "64"],
+    ["weights", "--symbol", "resolvent:damped2.txt", "--kappa", "0.05", "--n", "64"],
     # convolve
     ["convolve", "--symbol", "power:0.5", "--g", "mono:3", "--kappa", "0.1", "--t-final", "1"],
     ["convolve", "--symbol", "decay:1.0", "--g", "poly5exp", "--kappa", "0.05",
