@@ -120,7 +120,6 @@ class TheoremParams:
     alpha: int          # floor(mu - m) + 5: 5 when mu is an integer, else 4
     beta: int           # smoothness order required of g
     epsilon: float      # polynomial-in-time exponent of C(1/t)
-    delta_shift: float  # fractional shift floor(mu') - mu' + 1 in (0, 1]
     constants: dict
 
     def __post_init__(self) -> None:
@@ -130,7 +129,7 @@ class TheoremParams:
 
 
 def derive_params(mu: float, with_constants: bool = True) -> TheoremParams:
-    """Derive ``(m, alpha, beta, epsilon, delta_shift)`` and the constants.
+    """Derive ``(m, alpha, beta, epsilon)`` and the constants.
 
     ``epsilon`` always lands in ``[1 + max(m,1), 2 + max(m,1)]``; tests pin
     the full table for representative ``mu``.
@@ -145,7 +144,6 @@ def derive_params(mu: float, with_constants: bool = True) -> TheoremParams:
     alpha = math.floor(mu_prime) + 5
     beta = max(2 * m + 4, m + alpha)
     epsilon = max(2 * m - mu + 1.0, math.floor(mu) - mu + 3.0)
-    delta_shift = math.floor(mu_prime) - mu_prime + 1.0
     constants = const_chain(mu) if with_constants else {}
     return TheoremParams(
         mu=mu,
@@ -153,7 +151,6 @@ def derive_params(mu: float, with_constants: bool = True) -> TheoremParams:
         alpha=alpha,
         beta=beta,
         epsilon=epsilon,
-        delta_shift=delta_shift,
         constants=constants,
     )
 

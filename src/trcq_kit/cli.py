@@ -75,14 +75,6 @@ EXACT_PAIRS_HELP = (
 )
 
 
-class CliError(Exception):
-    """Usage or data error carrying the process exit code."""
-
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -96,20 +88,20 @@ def _conv_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise CliError(f"expected an integer, got {text!r}") from None
+        raise ValueError(f"expected an integer, got {text!r}") from None
 
 
 def _conv_float(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise CliError(f"expected a real number, got {text!r}") from None
+        raise ValueError(f"expected a real number, got {text!r}") from None
 
 
 def _conv_float_list(text: str) -> "list[float]":
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
-        raise CliError(f"expected a comma-separated list of reals, got {text!r}")
+        raise ValueError(f"expected a comma-separated list of reals, got {text!r}")
     return [_conv_float(p) for p in parts]
 
 
@@ -142,7 +134,7 @@ def _load_config(path: str) -> "dict[str, str]":
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}") from None
+        raise ValueError(f"cannot read config file: {exc}") from None
     entries: "dict[str, str]" = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -150,7 +142,7 @@ def _load_config(path: str) -> "dict[str, str]":
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         entries[key.strip().replace("-", "_")] = value.strip()
     return entries
 
@@ -166,7 +158,7 @@ def _effective_options(ns: argparse.Namespace) -> "dict[str, object]":
     config = _load_config(ns.config) if ns.config else {}
     unknown = sorted(set(config) - {opt.name for opt in options})
     if unknown:
-        raise CliError(f"config keys not recognized by '{command}': {', '.join(unknown)}")
+        raise ValueError(f"config keys not recognized by '{command}': {', '.join(unknown)}")
 
     eff: "dict[str, object]" = {}
     for opt in options:
@@ -177,7 +169,7 @@ def _effective_options(ns: argparse.Namespace) -> "dict[str, object]":
     missing = [opt.name for opt in options if opt.required and eff[opt.name] is None]
     if missing:
         flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise CliError(f"missing required option(s): {flags} (flag or config entry)")
+        raise ValueError(f"missing required option(s): {flags} (flag or config entry)")
     return eff
 
 
@@ -203,15 +195,16 @@ def _provenance(command: str, eff: "dict[str, object]") -> str:
     return f"# trcq-kit {__version__} config={digest}"
 
 
-def _write_output(out: "str | None", lines: "list[str]", echo: "tuple[str, ...]" = ()) -> None:
-    text = "\n".join(lines) + "\n"
+def _write_output(out: "str | None", lines: "list[str]", echo=(), table: str = "") -> None:
+    """Write ``lines``, then the CSV ``table`` text as built, to ``out`` or stdout."""
+    text = ("\n".join(lines) + "\n", table)
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(text)
         for line in echo:
             print(line)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
 
 
 # --------------------------------------------------------------------------
@@ -223,14 +216,14 @@ def _parse_symbol(spec: str):
     try:
         return from_spec(spec)
     except (ValueError, FileNotFoundError) as exc:
-        raise CliError(f"bad symbol spec {spec!r}: {exc}") from None
+        raise ValueError(f"bad symbol spec {spec!r}: {exc}") from None
 
 
 def _parse_input(spec: str):
     try:
         return parse_g(spec)
     except ValueError as exc:
-        raise CliError(f"bad input spec {spec!r}: {exc}") from None
+        raise ValueError(f"bad input spec {spec!r}: {exc}") from None
 
 
 def _node(t: float, kappa: float) -> int:
@@ -240,10 +233,10 @@ def _node(t: float, kappa: float) -> int:
 
 def _steps_for(t_final: float, kappa: float) -> int:
     if t_final <= 0.0:
-        raise CliError("t_final must be positive")
+        raise ValueError("t_final must be positive")
     steps = _node(t_final, kappa)
     if steps > MAX_STEPS:
-        raise CliError(
+        raise ValueError(
             f"t_final/kappa = {t_final / kappa:.3g} exceeds the step budget {MAX_STEPS}"
         )
     return steps
@@ -251,36 +244,34 @@ def _steps_for(t_final: float, kappa: float) -> int:
 
 def _check_kappa_list(kappas: "list[float]") -> "list[float]":
     if not kappas:
-        raise CliError("kappa list is empty")
+        raise ValueError("kappa list is empty")
     for k in kappas:
         if not (0.0 < k <= 1.0):
-            raise CliError(f"kappa values must lie in (0, 1], got {k:g}")
+            raise ValueError(f"kappa values must lie in (0, 1], got {k:g}")
     if any(a <= b for a, b in zip(kappas, kappas[1:])):
-        raise CliError("kappa list must be strictly decreasing")
+        raise ValueError("kappa list must be strictly decreasing")
     return kappas
 
 
-def _sample_for(F, g, grid: Grid):
-    """Samples of ``g`` on ``grid``, refused before any weights are built if
-    ``F`` cannot act on them."""
+def _inputs(F, g, kappa: float, t_final: float):
+    """Weight table and samples of one TRCQ run to ``t_final``; ``g`` is sampled,
+    and refused if ``F`` cannot act on it, before any weight is built."""
+    grid = Grid(kappa=kappa, steps=_steps_for(t_final, kappa))
     signal = sample(g, grid)
     if F.cols != signal.dim:
-        raise CliError("weight columns must match signal dimension")
-    return signal
+        raise ValueError("weight columns must match signal dimension")
+    return cq_weights_fft(F, kappa, grid.steps), signal
 
 
 def _errors(F, g, exact, kappa: float, t_final: float) -> np.ndarray:
     """Error per grid node of one TRCQ run (FFT engine) against ``exact``."""
-    grid = Grid(kappa=kappa, steps=_steps_for(t_final, kappa))
-    signal = _sample_for(F, g, grid)
-    table = cq_weights_fft(F, kappa, grid.steps)
-    return error_vs_exact(convolve_fft(table, signal), exact)
+    return error_vs_exact(convolve_fft(*_inputs(F, g, kappa, t_final)), exact)
 
 
 def _exact_or_die(symbol_spec: str, g_spec: str):
     exact = exact_solution(symbol_spec, g_spec)
     if exact is None:
-        raise CliError(
+        raise ValueError(
             f"no closed-form reference for symbol={symbol_spec!r} with "
             f"g={g_spec!r}; {EXACT_PAIRS_HELP}"
         )
@@ -298,28 +289,22 @@ def cmd_weights(eff: "dict[str, object]") -> int:
     buf = io.StringIO()
     weights_to_csv(table, buf)
     acc = _fmt(table.accuracy_estimate)
-    lines = [
-        _provenance("weights", eff),
-        f"# accuracy_estimate = {acc}",
-    ] + buf.getvalue().splitlines()
-    _write_output(eff["out"], lines, echo=(f"accuracy_estimate = {acc}",))
+    head = [_provenance("weights", eff), f"# accuracy_estimate = {acc}"]
+    _write_output(eff["out"], head, echo=(f"accuracy_estimate = {acc}",), table=buf.getvalue())
     return EXIT_OK
 
 
 def cmd_convolve(eff: "dict[str, object]") -> int:
     engine = eff["engine"]
     if engine not in ("fft", "naive"):
-        raise CliError(f"unknown engine {engine!r}; choose fft or naive")
+        raise ValueError(f"unknown engine {engine!r}; choose fft or naive")
     F = _parse_symbol(eff["symbol"])
     g = _parse_input(eff["g"])
-    grid = Grid(kappa=eff["kappa"], steps=_steps_for(eff["t_final"], eff["kappa"]))
-    signal = _sample_for(F, g, grid)
-    table = cq_weights_fft(F, eff["kappa"], grid.steps)
+    table, signal = _inputs(F, g, eff["kappa"], eff["t_final"])
     result = convolve_fft(table, signal) if engine == "fft" else convolve_naive(table, signal)
     buf = io.StringIO()
     signal_to_csv(result, buf)
-    lines = [_provenance("convolve", eff)] + buf.getvalue().splitlines()
-    _write_output(eff["out"], lines)
+    _write_output(eff["out"], [_provenance("convolve", eff)], table=buf.getvalue())
     return EXIT_OK
 
 
@@ -349,24 +334,23 @@ def cmd_bound(eff: "dict[str, object]") -> int:
     kappas = _check_kappa_list(eff["kappa_list"])
     t_list = sorted(set(float(t) for t in eff["t_list"]))
     if not t_list or t_list[0] <= 0.0:
-        raise CliError("t list must contain positive times")
+        raise ValueError("t list must contain positive times")
     F = _parse_symbol(eff["symbol"])
     if F.mu < 0.0:
-        raise CliError("the a-priori bound applies to mu >= 0 symbols only")
+        raise ValueError("the a-priori bound applies to mu >= 0 symbols only")
     exact = _exact_or_die(eff["symbol"], eff["g"])
     g = _parse_input(eff["g"])
     params = derive_params(F.mu)
     if params.beta > g.max_order:
-        raise CliError(
+        raise ValueError(
             f"input {g.name} supplies derivatives to order {g.max_order}; "
             f"the bound needs order {params.beta}"
         )
     certificate = validate_growth(F, samples=20000, seed=int(eff["seed"]))
     if certificate.violations:
-        raise CliError(
+        raise RuntimeError(
             f"growth certificate of {F.name} failed validation "
-            f"({certificate.violations} violations); the bound is meaningless",
-            EXIT_DEGENERATE,
+            f"({certificate.violations} violations); the bound is meaningless"
         )
 
     t_max = t_list[-1]
@@ -399,7 +383,7 @@ def cmd_bound(eff: "dict[str, object]") -> int:
 def cmd_longtime(eff: "dict[str, object]") -> int:
     kappa, t_final, t_min = eff["kappa"], eff["t_final"], eff["t_min"]
     if not (0.0 < kappa <= 1.0):
-        raise CliError(f"kappa must lie in (0, 1], got {kappa:g}")
+        raise ValueError(f"kappa must lie in (0, 1], got {kappa:g}")
     exact = _exact_or_die(eff["symbol"], eff["g"])
     F = _parse_symbol(eff["symbol"])
     g = _parse_input(eff["g"])
@@ -411,7 +395,7 @@ def cmd_longtime(eff: "dict[str, object]") -> int:
         t *= 0.5
     times.reverse()
     if not times:
-        raise CliError("t grid is empty; lower --t-min or raise --t-final")
+        raise ValueError("t grid is empty; lower --t-min or raise --t-final")
 
     errs = _errors(F, g, exact, kappa, t_final)
     rows = []
@@ -470,7 +454,7 @@ _SUITES: "dict[str, Callable[[dict[str, object]], object]]" = {
 def cmd_verify(eff: "dict[str, object]") -> int:
     suite = eff["suite"]
     if suite not in _SUITES:
-        raise CliError(f"unknown suite {suite!r}; known suites: {', '.join(_SUITES)}")
+        raise ValueError(f"unknown suite {suite!r}; known suites: {', '.join(_SUITES)}")
     report = _SUITES[suite](eff)
 
     lines = [_provenance("verify", eff), CSV_HEADER, report.csv_row()]
@@ -579,9 +563,6 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         eff = _effective_options(ns)
         return _COMMANDS[ns.command].handler(eff)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

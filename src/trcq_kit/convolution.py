@@ -9,6 +9,9 @@ Two engines compute it: a compensated O(N^2) loop (the accuracy reference,
 see :mod:`trcq_kit.kernels`) and an FFT engine that zero-pads both factors
 to a power of two >= 2N+1 and multiplies in the frequency domain using
 extended precision.  They must agree to ~1e-12 relative; tests enforce it.
+
+Inputs and references reach the grid through one evaluator, one scalar call
+per node; :func:`signal_to_csv` writes each row from one ``%`` template.
 """
 
 from __future__ import annotations
@@ -82,14 +85,20 @@ class CausalSignal:
         return self.samples.shape[1]
 
 
-def sample(fn: Callable[[float], "complex | np.ndarray"], grid: Grid) -> CausalSignal:
-    """Evaluate ``fn`` at the grid nodes; scalar results become 1-vectors.
+def _on_grid(fn: Callable[[float], "complex | np.ndarray"], grid: Grid) -> np.ndarray:
+    """``fn`` at each node, one complex row per node; scalars become 1-vectors."""
+    values = np.array([fn(t) for t in grid.nodes.tolist()], dtype=complex)
+    return values.reshape(grid.steps + 1, -1)
 
-    A non-finite sample raises ``ValueError`` naming the input and the first
-    node where it occurs.
+
+def sample(fn: Callable[[float], "complex | np.ndarray"], grid: Grid) -> CausalSignal:
+    """Evaluate ``fn`` once at each grid node; scalar results become 1-vectors.
+
+    ``fn`` must return the same shape at every node: a scalar, or a vector
+    of one fixed length.  A non-finite sample raises ``ValueError`` naming
+    the input and the first node where it occurs.
     """
-    rows = [np.atleast_1d(np.asarray(fn(float(t)))) for t in grid.nodes]
-    samples = np.array(rows, dtype=complex)
+    samples = _on_grid(fn, grid)
     bad = ~np.isfinite(samples).all(axis=1)
     if bad.any():
         n = int(np.argmax(bad))
@@ -165,10 +174,7 @@ def error_vs_exact(
     after; no finite error overflows, and rows ``np.linalg.norm`` gets
     finite come out bit-identical.  A non-finite error raises ``ValueError``.
     """
-    nodes = computed.grid.nodes
-    ref = np.array(
-        [np.atleast_1d(np.asarray(exact(float(t)))) for t in nodes], dtype=complex
-    )
+    ref = _on_grid(exact, computed.grid)
     if ref.shape != computed.samples.shape:
         raise ValueError("exact solution has mismatched dimension")
     # a non-finite row is reported below rather than warned about
@@ -180,7 +186,7 @@ def error_vs_exact(
     bad = ~np.isfinite(errors)
     if bad.any():
         n = int(np.argmax(bad))
-        raise ValueError(f"error at t = {nodes[n]:.17g} (node {n}) is not finite")
+        raise ValueError(f"error at t = {computed.grid.nodes[n]:.17g} (node {n}) is not finite")
     return errors
 
 
@@ -189,7 +195,9 @@ def signal_to_csv(signal: CausalSignal, stream: IO[str]) -> None:
     dim = signal.dim
     cols = ",".join(f"re_{j},im_{j}" for j in range(dim))
     stream.write(f"n,t,{cols}\n")
-    for n, t in enumerate(signal.grid.nodes):
-        vals = signal.samples[n]
-        parts = ",".join(f"{v.real:.17g},{v.imag:.17g}" for v in vals)
-        stream.write(f"{n},{t:.17g},{parts}\n")
+    row = "%d,%.17g" + ",%.17g,%.17g" * dim + "\n"
+    samples = signal.samples
+    columns = [range(len(samples)), signal.grid.nodes.tolist()]
+    for j in range(dim):
+        columns += [samples[:, j].real.tolist(), samples[:, j].imag.tolist()]
+    stream.writelines(row % values for values in zip(*columns))

@@ -167,10 +167,11 @@ def _poly_exp_integral(p: int) -> Callable[[float], float]:
 
 def _decay_monomial(a: float, p: int) -> Callable[[float], float]:
     # (e^{-a .} * tau^p)(t) = e^{-a t} int_0^t e^{a tau} tau^p dtau = M(a t)/a^{p+1}
-    # with M(x) = sum_{k<=p} (-1)^k p!/(p-k)! x^{p-k} - (-1)^p p! e^{-x}.  That
+    # with M(x) = sum_{k<=p} (-1)^k p!/(p-k)! x^{p-k} - (-1)^p p! e^{-x}, computed
+    # as t^{p+1} M(x)/x^{p+1}: a^{p+1} underflows to 0 for small a.  The
     # alternating form cancels catastrophically for small x, so below x = p+1
-    # the all-positive series M(x) = e^{-x} x^{p+1} sum_j x^j/(j! (p+1+j)) is
-    # summed instead.
+    # the all-positive series M(x)/x^{p+1} = e^{-x} sum_j x^j/(j! (p+1+j)) is
+    # summed instead; above it, in powers of 1/x < 1, nothing overflows.
     fact = math.factorial(p)
 
     def action(t: float) -> float:
@@ -178,10 +179,11 @@ def _decay_monomial(a: float, p: int) -> Callable[[float], float]:
             return 0.0
         x = a * t
         if x > p + 1.0:
-            acc = -((-1.0) ** p) * fact * math.exp(-x)
+            y = 1.0 / x
+            acc = -((-1.0) ** p) * fact * math.exp(-x) * y ** (p + 1)
             for k in range(p + 1):
-                acc += (-1.0) ** k * (fact / math.factorial(p - k)) * x ** (p - k)
-            return acc / a ** (p + 1)
+                acc += (-1.0) ** k * (fact / math.factorial(p - k)) * y ** (k + 1)
+            return t ** (p + 1) * acc
         term = 1.0  # x**j / j!
         acc = 1.0 / (p + 1)
         j = 1
@@ -192,7 +194,7 @@ def _decay_monomial(a: float, p: int) -> Callable[[float], float]:
             if contrib < 1e-17 * acc:
                 break
             j += 1
-        return x ** (p + 1) * math.exp(-x) * acc / a ** (p + 1)
+        return t ** (p + 1) * math.exp(-x) * acc
 
     return action
 

@@ -25,6 +25,9 @@ evaluation and transform run in extended precision (``clongdouble``) so the
 delivered double-precision weights are limited by the aliasing model, not by
 accumulated roundoff.  The contour is also the oracle the exact routes are
 tested against.
+
+Both routes refuse a weight beyond the double range before rounding to
+complex128, naming the symbol, ``kappa`` and the first such index.
 """
 
 from __future__ import annotations
@@ -55,30 +58,24 @@ __all__ = [
 class WeightTable:
     """Weights ``w_0..w_N`` for one ``(symbol, kappa, N)`` triple.
 
-    ``values`` has shape ``(count, rows, cols)``.  ``radius``/``fft_size``
-    record how the table was generated: the contour's radius and length, or
-    ``None`` and ``0`` (no contour points) for a table from the exact route.
+    ``values`` has shape ``(count, rows, cols)``.  ``fft_size`` is the length
+    of the contour the table came from (its radius is ``eps**(1/(fft_size+N))``),
+    or ``0`` for a table from the exact route.
     """
 
     kappa: float
-    count: int                      # N + 1
-    values: np.ndarray              # (count, rows, cols) complex
-    radius: "float | None"          # contour radius rho; None without a contour
+    values: np.ndarray              # (count, rows, cols) complex, count = N + 1
     fft_size: int                   # transform length used; 0 without a contour
     accuracy_estimate: float        # expected absolute accuracy of entries
 
     def __post_init__(self) -> None:
         if not (0.0 < self.kappa <= 1.0):
             raise ValueError("kappa must lie in (0, 1]")
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
         vals = np.asarray(self.values)
-        if vals.ndim != 3 or vals.shape[0] != self.count:
-            raise ValueError("values must have shape (count, rows, cols)")
+        if vals.ndim != 3 or vals.shape[0] < 1:
+            raise ValueError("values must have shape (count >= 1, rows, cols)")
         if not np.all(np.isfinite(vals)):
             raise ValueError("weight values must be finite")
-        if self.radius is not None and not (0.0 < self.radius < 1.0):
-            raise ValueError("contour radius must lie in (0, 1)")
         if self.fft_size != 0:
             if self.fft_size < self.count or self.fft_size & (self.fft_size - 1):
                 raise ValueError("fft_size must be 0 or a power of two >= count")
@@ -86,9 +83,12 @@ class WeightTable:
             raise ValueError("accuracy_estimate must be non-negative")
 
     @property
+    def count(self) -> int:
+        return len(self.values)
+
+    @property
     def dims(self) -> tuple[int, int]:
-        v = np.asarray(self.values)
-        return (v.shape[1], v.shape[2])
+        return np.asarray(self.values).shape[1:]
 
 
 # --------------------------------------------------------------------------
@@ -145,14 +145,12 @@ def cq_weights_fft(
 
     coeffs = np.fft.ifft(vals, axis=0)[: N + 1]
     scale = np.clongdouble(rho) ** (-np.arange(N + 1, dtype=np.longdouble))
-    weights = (coeffs * scale[:, None, None]).astype(np.complex128)
+    weights = _to_double(F, kappa, coeffs * scale[:, None, None])
 
     worst = float(np.max(value_norm(vals)))
     return WeightTable(
         kappa=float(kappa),
-        count=N + 1,
         values=weights,
-        radius=float(rho),
         fft_size=L,
         accuracy_estimate=float(np.sqrt(eps) * worst),
     )
@@ -161,7 +159,7 @@ def cq_weights_fft(
 def _exact_table(F: Symbol, kappa: float, N: int) -> WeightTable:
     """The exact route, with its accuracy measured (see :func:`cq_weights_fft`)."""
     precise = F.exact_weights(kappa, N, True)
-    weights = precise.astype(np.complex128)
+    weights = _to_double(F, kappa, precise)
     # the double-precision rerun may overflow where long double does not;
     # its gap then reads inf, which is what it measured
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,12 +169,22 @@ def _exact_table(F: Symbol, kappa: float, N: int) -> WeightTable:
     half_ulp = 0.5 * np.spacing(np.max(value_norm(weights)))
     return WeightTable(
         kappa=float(kappa),
-        count=N + 1,
         values=weights,
-        radius=None,
         fft_size=0,
         accuracy_estimate=max(float(gap + rounding), float(half_ulp)),
     )
+
+
+def _to_double(F: Symbol, kappa: float, precise: np.ndarray) -> np.ndarray:
+    """``precise`` rounded to complex128, refused if it leaves the double range."""
+    top = np.finfo(np.float64).max
+    out = ((np.abs(precise.real) > top) | (np.abs(precise.imag) > top)).any(axis=(1, 2))
+    if out.any():
+        raise ValueError(
+            f"weights of {F.name} at kappa = {kappa:g} leave the double range, "
+            f"first at w_{int(np.argmax(out))}"
+        )
+    return precise.astype(np.complex128)
 
 
 def compare_weight_tables(a: WeightTable, b: WeightTable) -> float:
@@ -196,11 +204,11 @@ def compare_weight_tables(a: WeightTable, b: WeightTable) -> float:
 
 def weights_to_csv(table: WeightTable, stream: IO[str]) -> None:
     """Write ``m,re,im`` rows, one commented block per matrix entry."""
-    vals = np.asarray(table.values)
     stream.write("m,re,im\n")
-    for i in range(vals.shape[1]):
-        for j in range(vals.shape[2]):
-            stream.write(f"# entry {i},{j}\n")
-            for m in range(table.count):
-                z = vals[m, i, j]
-                stream.write(f"{m},{z.real:.17g},{z.imag:.17g}\n")
+    rows = range(table.count)
+    for i, j in np.ndindex(table.dims):
+        stream.write(f"# entry {i},{j}\n")
+        entry = np.asarray(table.values)[:, i, j]
+        stream.writelines(
+            "%d,%.17g,%.17g\n" % row for row in zip(rows, entry.real.tolist(), entry.imag.tolist())
+        )

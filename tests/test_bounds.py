@@ -32,15 +32,15 @@ from trcq_kit.symbols import CFModel, make_delay
 
 D_AT_ONE = 0.09260497968758102
 
-# mu -> (m, alpha, beta, epsilon, delta_shift)
+# mu -> (m, alpha, beta, epsilon)
 PARAM_TABLE = {
-    0.0: (0, 5, 5, 3.0, 1.0),
-    0.25: (1, 4, 6, 2.75, 0.75),
-    0.5: (1, 4, 6, 2.5, 0.5),
-    1.0: (1, 5, 6, 3.0, 1.0),
-    1.5: (2, 4, 8, 3.5, 0.5),
-    2.0: (2, 5, 8, 3.0, 1.0),
-    3.0: (3, 5, 10, 4.0, 1.0),
+    0.0: (0, 5, 5, 3.0),
+    0.25: (1, 4, 6, 2.75),
+    0.5: (1, 4, 6, 2.5),
+    1.0: (1, 5, 6, 3.0),
+    1.5: (2, 4, 8, 3.5),
+    2.0: (2, 5, 8, 3.0),
+    3.0: (3, 5, 10, 4.0),
 }
 
 # mu -> (Cm1, Cmu1, Cm, Cmu2, Cmu3, Cmu), 50-digit chain rounded to double
@@ -144,12 +144,11 @@ class TestApplyPm:
 
 class TestDeriveParams:
     def test_parameter_table(self):
-        """(m, alpha, beta, epsilon, delta_shift) across representative mu."""
-        for mu, (m, alpha, beta, eps, shift) in PARAM_TABLE.items():
+        """(m, alpha, beta, epsilon) across representative mu."""
+        for mu, (m, alpha, beta, eps) in PARAM_TABLE.items():
             p = derive_params(mu, with_constants=False)
             assert (p.m, p.alpha, p.beta) == (m, alpha, beta), f"mu={mu}"
             assert p.epsilon == pytest.approx(eps, rel=0, abs=0), f"mu={mu}"
-            assert p.delta_shift == pytest.approx(shift, rel=0, abs=0), f"mu={mu}"
 
     def test_epsilon_bracket(self):
         """epsilon always lies in [1 + max(m,1), 2 + max(m,1)]."""
@@ -190,7 +189,6 @@ class TestDeriveParams:
                 alpha=5,
                 beta=5,
                 epsilon=3.0,
-                delta_shift=1.0,
                 constants={"Cmu": -1.0},
             )
 

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -322,6 +323,15 @@ class TestConverge:
             assert len(rows) == 2
             assert all(math.isfinite(float(x)) for r in rows for x in r if x)
 
+    @pytest.mark.parametrize("case", list(SNAPSHOT.TINY_RATE))
+    def test_underflowing_decay_rate_has_a_reference(self, case, tmp_path):
+        """a^(p+1) underflows to 0 for these decay rates; the reference never divides by it."""
+        out = tmp_path / "eoc.csv"
+        assert main([*SNAPSHOT.TINY_RATE[case], "--out", str(out)]) == EXIT_OK
+        rows = [r.split(",") for r in data_rows(read_lines(out))]
+        assert len(rows) == 2
+        assert all(math.isfinite(float(x)) for r in rows for x in r[:2])
+
     def test_kappa_list_must_decrease(self, capsys):
         code = main(["converge", "--symbol", "delay:1.0", "--g", "poly5exp",
                      "--kappa-list", "0.05,0.1"])
@@ -366,6 +376,18 @@ class TestBound:
     def test_pair_without_reference_refused(self, capsys):
         code = main(["bound", "--symbol", "power:0.5", "--g", "poly5exp"])
         assert code == EXIT_USAGE
+
+    def test_failed_growth_certificate_is_degenerate(self, monkeypatch, capsys):
+        """A certificate that fails validation makes the bound meaningless: exit 3."""
+        monkeypatch.setattr(cli, "validate_growth", lambda F, samples, seed: SimpleNamespace(
+            violations=3))
+        assert main(["bound", "--symbol", "power:0.5", "--g", "mono:7"]) == EXIT_DEGENERATE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: growth certificate of power:0.5 failed validation (3 violations); "
+            "the bound is meaningless"
+        ]
 
 
 # --------------------------------------------------------------------------
@@ -490,6 +512,10 @@ class TestParser:
     # frequency integral, and the message says which.
     NAMED_FAILURES = {
         "prop34a-poly170exp": "error: prop34a time integral int_0^inf |P_1 g^(5)|: ",
+        "weights-power79": "error: weights of power:79 at kappa = 0.001 leave the double "
+                           "range, first at w_53",
+        "weights-power79-contour": "error: weights of power:79 at kappa = 0.001 leave the "
+                                   "double range, first at w_",
     }
 
     @pytest.mark.parametrize("case", list(SNAPSHOT.NON_FINITE))

@@ -83,6 +83,15 @@ class TestCausalSignal:
         sig = sample(lambda t: np.array([t, 2.0 * t, -t]), grid)
         assert sig.dim == 3
         np.testing.assert_allclose(sig.samples[:, 1], 2.0 * grid.nodes, rtol=1e-15)
+        # one array per grid equals the per-node 1-vector construction, dtype included
+        grid = Grid(kappa=0.1, steps=40)
+        for fn in (parse_g("poly5exp"), lambda t: np.array([t, -2.5 * t + 1j, math.exp(-t)])):
+            per_node = np.array(
+                [np.atleast_1d(np.asarray(fn(float(t)))) for t in grid.nodes], dtype=complex
+            )
+            samples = sample(fn, grid).samples
+            assert samples.dtype == per_node.dtype
+            np.testing.assert_array_equal(samples, per_node)
 
     def test_sample_rejects_non_finite_values(self):
         """The first non-finite node is named, with the input's name."""
@@ -275,3 +284,18 @@ class TestErrorAndExport:
         last = lines[3].split(",")
         assert float(last[2]) == 3.0
         assert float(last[3]) == -4.0
+        # each value is written as f"{x:.17g}" would write it, extremes included
+        grid = Grid(kappa=0.3, steps=3)
+        samples = np.array([
+            [complex(-0.0, 5e-324), complex(1e308, -1e308)],
+            [complex(3.0, 0.1), complex(-5e-324, -0.0)],
+            [complex(1.0 / 3.0, 7.0), complex(-1e308, 2.5e-310)],
+            [complex(0.0, 0.0), complex(123456789.0, -1.0)],
+        ])
+        buf = io.StringIO()
+        signal_to_csv(CausalSignal(grid=grid, samples=samples), buf)
+        expected = ["n,t,re_0,im_0,re_1,im_1"] + [
+            ",".join([str(n), f"{t:.17g}"] + [f"{x:.17g}" for v in row for x in (v.real, v.imag)])
+            for n, (t, row) in enumerate(zip(grid.nodes, samples))
+        ]
+        assert buf.getvalue() == "\n".join(expected) + "\n"

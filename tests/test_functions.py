@@ -7,6 +7,7 @@ relative; the transform spot is exact in rational arithmetic.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -152,6 +153,17 @@ class TestExactSolution:
         """decay:0.5 on t^3 at t = 20 (alternating closed-form branch)."""
         u = exact_solution("decay:0.5", "mono:3")
         assert float(u(20.0)[0]) == pytest.approx(12064.00435839325719855, rel=1e-13)
+
+    def test_decay_on_monomial_tiny_rate(self):
+        """decay:0.001 on t^170 at t = 2: a^171 underflows to 0, the reference
+        t^171/171 e^-x 1F1(171; 172; x) (x = a t, Kummer's function) does not."""
+        with mpmath.workdps(40):
+            a, t, p = mpmath.mpf("0.001"), mpmath.mpf(2), 170
+            x = a * t
+            ref = t ** (p + 1) / (p + 1) * mpmath.exp(-x) * mpmath.hyp1f1(p + 1, p + 2, x)
+        value = float(exact_solution("decay:0.001", "mono:170")(2.0)[0])
+        assert value == pytest.approx(float(ref), rel=1e-14)
+        assert float(exact_solution("decay:1e-300", "mono:1")(2.0)[0]) == 2.0
 
     def test_decay_branches_agree(self):
         """Series and closed-form branches join continuously at x = p+1."""

@@ -56,7 +56,7 @@ class TestClosedForms:
 
     def test_closed_tables_have_no_contour_metadata(self):
         t = cq_weights_fft(make_power(-1.0), 0.1, 4)
-        assert t.radius is None and t.fft_size == 0
+        assert t.fft_size == 0
         # k/2 and k are exact in both precisions: the estimate is its floor
         assert t.accuracy_estimate == 0.5 * np.spacing(0.1)
 
@@ -127,10 +127,19 @@ class TestExactRoutes:
             _assert_matches(table, ref)
         assert np.all(table.values.imag == 0)
 
+    def test_weights_beyond_the_double_range_refused(self):
+        """(2/kappa)^79 fits a double but w_53 onwards do not; both routes say so."""
+        F = make_power(79.0)
+        with pytest.raises(ValueError, match=r"^weights of power:79 at kappa = 0.001 leave "
+                                             r"the double range, first at w_53$"):
+            cq_weights_fft(F, 0.001, 300)
+        with pytest.raises(ValueError, match="leave the double range, first at w_"):
+            cq_weights_fft(F, 0.001, 300, fft_size=4096)
+
     def test_delay_and_products_stay_on_the_contour(self):
         for F in (make_delay(1.0), symbol_product(make_decay(1.0), make_power(0.5))):
             table = cq_weights_fft(F, 0.1, 16)
-            assert table.fft_size > 0 and table.radius is not None, F.name
+            assert table.fft_size > 0, F.name
 
 
 class TestFftRoute:
@@ -220,17 +229,9 @@ class TestWeightTable:
     def test_validation(self):
         vals = np.zeros((3, 1, 1), dtype=complex)
         with pytest.raises(ValueError):
-            WeightTable(kappa=0.0, count=3, values=vals, radius=None,
-                        fft_size=0, accuracy_estimate=0.0)
+            WeightTable(kappa=0.0, values=vals, fft_size=0, accuracy_estimate=0.0)
         with pytest.raises(ValueError):
-            WeightTable(kappa=0.1, count=2, values=vals, radius=None,
-                        fft_size=0, accuracy_estimate=0.0)
-        with pytest.raises(ValueError):
-            WeightTable(kappa=0.1, count=3, values=vals, radius=1.5,
-                        fft_size=0, accuracy_estimate=0.0)
-        with pytest.raises(ValueError):
-            WeightTable(kappa=0.1, count=3, values=vals, radius=0.5,
-                        fft_size=0, accuracy_estimate=-1.0)
+            WeightTable(kappa=0.1, values=vals, fft_size=0, accuracy_estimate=-1.0)
 
     def test_compare_requires_matching_shape(self):
         a = cq_weights_fft(make_power(-1.0), 0.1, 4)
@@ -251,6 +252,23 @@ class TestWeightTable:
         first = lines[2].split(",")
         assert first[0] == "0"
         np.testing.assert_allclose(float(first[1]), 0.05)
+        # each value is written as f"{x:.17g}" would write it, extremes included
+        vals = np.array([
+            [[complex(-0.0, 5e-324), complex(1e308, 0.0)],
+             [complex(-1e308, -0.0), complex(7.0, 1.0 / 3.0)]],
+            [[complex(2.0, -5e-324), complex(0.1, 0.2)],
+             [complex(-3.0, 1e308), complex(0.0, -0.0)]],
+        ])
+        table = WeightTable(kappa=0.5, values=vals, fft_size=0, accuracy_estimate=0.0)
+        buf = io.StringIO()
+        weights_to_csv(table, buf)
+        expected = ["m,re,im"]
+        for i in range(2):
+            for j in range(2):
+                expected.append(f"# entry {i},{j}")
+                expected += [f"{m},{z.real:.17g},{z.imag:.17g}"
+                             for m, z in enumerate(vals[:, i, j])]
+        assert buf.getvalue() == "\n".join(expected) + "\n"
 
 
 class TestZooSmoke:

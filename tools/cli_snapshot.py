@@ -13,9 +13,10 @@ snapshot of the parent checkout with that of the change, e.g. with ``diff``.
 Every run starts in its own empty directory holding only ``FILES``, so the
 relative paths in ``ARGVS`` (two resolvent matrices and a config file) resolve
 the same way on every checkout.  The suite names come from this checkout's
-``trcq_kit.cli._SUITES``, and ``OUT_OF_RANGE`` and ``NON_FINITE`` are the
-argvs that ``tests/test_cli.py`` expects to exit 2, so the list is the same
-whichever checkout ``--root`` names.
+``trcq_kit.cli._SUITES``; ``OUT_OF_RANGE`` and ``NON_FINITE`` are the argvs
+that ``tests/test_cli.py`` expects to exit 2, and ``TINY_RATE`` those it
+expects to exit 0, so the list is the same whichever checkout ``--root``
+names.
 """
 
 from __future__ import annotations
@@ -59,6 +60,17 @@ NON_FINITE = {
                            "--t-final", "64", "--kappa-list", "1,0.5"],
     "reference-decay-mono170": ["converge", "--symbol", "decay:1", "--g", "mono:170",
                                 "--t-final", "64", "--kappa-list", "1,0.5"],
+    "weights-power79": ["weights", "--symbol", "power:79", "--kappa", "0.001", "--n", "300"],
+    "weights-power79-contour": ["weights", "--symbol", "power:79", "--kappa", "0.001",
+                                "--n", "300", "--fft-size", "4096"],
+}
+
+# decay rates whose a^(p+1) underflows to 0; the references stay finite
+TINY_RATE = {
+    "decay-0.001-mono170": ["converge", "--symbol", "decay:0.001", "--g", "mono:170",
+                            "--t-final", "2", "--kappa-list", "1,0.5"],
+    "decay-1e-300-mono1": ["converge", "--symbol", "decay:1e-300", "--g", "mono:1",
+                           "--t-final", "2", "--kappa-list", "1,0.5"],
 }
 
 ARGVS: "list[list[str]]" = [
@@ -139,6 +151,7 @@ ARGVS: "list[list[str]]" = [
     ["--help"],
     *OUT_OF_RANGE.values(),
     *NON_FINITE.values(),
+    *TINY_RATE.values(),
 ]
 
 _RUN = "import sys; from trcq_kit.cli import main; sys.exit(main(sys.argv[1:]))"
