@@ -6,9 +6,13 @@ nodes ``t_n = n*kappa``, the discrete convolution is
     out_n = sum_{m=0}^{n} w_{n-m} g(t_m).
 
 Two engines compute it: a compensated O(N^2) loop (the accuracy reference,
-see :mod:`trcq_kit.kernels`) and an FFT engine that zero-pads both factors
-to a power of two >= 2N+1 and multiplies in the frequency domain using
-extended precision.  They must agree to ~1e-12 relative; tests enforce it.
+see :mod:`trcq_kit.kernels`) and an FFT engine.  The FFT engine zero-pads
+both factors to the smallest length ``2**a * 3**b * 5**c >= 2N+1`` and
+multiplies real long-double transforms (``rfft``/``irfft``) in the frequency
+domain.  Complex data reaches both engines' real cores through the same
+real-block embedding (:func:`trcq_kit.kernels.real_embedding`), so real data
+comes out with imaginary parts that are exactly 0.  The engines must agree
+to ~1e-12 relative; tests enforce it.
 
 Inputs and references reach the grid through one evaluator, one scalar call
 per node; :func:`signal_to_csv` writes each row from one ``%`` template.
@@ -21,7 +25,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .kernels import causal_convolve
+from .kernels import causal_convolve, real_embedding
 from .weights import WeightTable
 
 __all__ = [
@@ -135,26 +139,43 @@ def convolve_naive(W: WeightTable, g: CausalSignal) -> CausalSignal:
     return CausalSignal(grid=g.grid, samples=out)
 
 
-def convolve_fft(W: WeightTable, g: CausalSignal) -> CausalSignal:
-    """Fast evaluation via zero-padded FFT in extended precision.
+def _smooth_length(n: int) -> int:
+    """Smallest ``2**a * 3**b * 5**c >= n``, for ``n >= 1``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that lifts p35 to n or beyond
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    Produces the full (non-causal-truncated) linear convolution on a padded
-    power-of-two length >= 2N+1, then keeps the first N+1 entries; extended
-    precision keeps the engines' disagreement at the 1e-13 level even for
-    long signals.
+
+def _convolve_real_fft(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Real causal convolution of ``w`` (M, rows, cols) and ``g`` (M, cols) in long double."""
+    M = g.shape[0]
+    L = _smooth_length(2 * M - 1)
+    wf = np.fft.rfft(w.astype(np.longdouble), n=L, axis=0)
+    gf = np.fft.rfft(g.astype(np.longdouble), n=L, axis=0)
+    return np.fft.irfft(np.einsum("prc,pc->pr", wf, gf), n=L, axis=0)[:M]
+
+
+def convolve_fft(W: WeightTable, g: CausalSignal) -> CausalSignal:
+    """Fast evaluation via zero-padded real FFTs in extended precision.
+
+    Both factors are padded to the smallest 5-smooth length
+    ``L = 2**a * 3**b * 5**c >= 2N+1``, so the cyclic convolution of length
+    ``L`` equals the linear one on its first N+1 entries.  The transforms are
+    ``rfft``/``irfft`` in long double; complex data runs through the same
+    real transforms as the blocks of :func:`trcq_kit.kernels.real_embedding`.
+    Extended precision keeps the engines' disagreement at the 1e-13 level
+    even for long signals; the result is rounded once to complex128.
     """
     _check_compatible(W, g)
     M = g.grid.steps + 1
-    need = 2 * M - 1
-    L = 1 << max(0, need - 1).bit_length()
-    w = np.zeros((L,) + W.dims, dtype=np.clongdouble)
-    w[:M] = np.asarray(W.values)[:M]
-    x = np.zeros((L, g.dim), dtype=np.clongdouble)
-    x[:M] = g.samples
-    wf = np.fft.fft(w, axis=0)
-    xf = np.fft.fft(x, axis=0)
-    prod = np.einsum("prc,pc->pr", wf, xf)
-    out = np.fft.ifft(prod, axis=0)[:M].astype(np.complex128)
+    out = real_embedding(_convolve_real_fft, np.asarray(W.values)[:M], g.samples)
     return CausalSignal(grid=g.grid, samples=out)
 
 

@@ -14,16 +14,19 @@ then rounded, so the naive engine can serve as the accuracy oracle for the
 FFT engine; rounded products alone would limit it to about 1e-12 relative
 on differentiation weights at a few thousand steps.
 
-Complex data runs through the same real sweep, each entry ``a + ib``
-embedded as the real block ``[[a, -b], [b, a]]``; data whose imaginary
-parts are all zero skips the embedding.
+Complex data runs through the same real sweep by :func:`real_embedding`,
+which both engines use: each weight entry ``a + ib`` becomes the real block
+``[[a, -b], [b, a]]`` and each sample ``x + iy`` the pair ``[x, y]``; data
+whose imaginary parts are all zero skips the embedding.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-__all__ = ["causal_convolve"]
+__all__ = ["causal_convolve", "real_embedding"]
 
 # Veltkamp's splitter: x = hi + lo with at most 26 significant bits each, so
 # products of halves are exact.  _SPLITTER * x overflows from 2**996 on.
@@ -96,9 +99,26 @@ def causal_convolve(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     for arr in (w, g):
         if np.max(np.abs(arr.view(np.float64))) >= _SPLIT_LIMIT:
             raise ValueError("naive engine: entries of magnitude 2**996 or more overflow")
+    return real_embedding(_dot2_sweep, w, g)
+
+
+def real_embedding(
+    convolve_real: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    w: np.ndarray,
+    g: np.ndarray,
+) -> np.ndarray:
+    """``convolve_real`` applied to possibly complex ``w`` and ``g``.
+
+    ``convolve_real`` takes real ``w`` of shape ``(M, rows, cols)`` and real
+    ``g`` of shape ``(M, cols)`` and returns the real ``(M, rows)`` causal
+    convolution in any float dtype.  Data with no nonzero imaginary part is
+    passed as its real parts; otherwise ``w`` is embedded as the blocks
+    ``[[re, -im], [im, re]]`` and ``g`` as ``[re, im]``, which doubles rows
+    and columns.  The result is rounded once to complex128.
+    """
     if not (w.imag.any() or g.imag.any()):
-        return _dot2_sweep(w.real, g.real).astype(np.complex128)
+        return convolve_real(w.real, g.real).astype(np.complex128)
     rows = w.shape[1]
     blocks = np.block([[w.real, -w.imag], [w.imag, w.real]])
-    out = _dot2_sweep(blocks, np.concatenate([g.real, g.imag], axis=1))
-    return out[:, :rows] + 1j * out[:, rows:]
+    out = convolve_real(blocks, np.concatenate([g.real, g.imag], axis=1))
+    return (out[:, :rows] + 1j * out[:, rows:]).astype(np.complex128, copy=False)

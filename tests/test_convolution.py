@@ -1,12 +1,14 @@
 """Tests for the discrete causal convolution engines.
 
-The O(N^2) compensated loop and the padded-FFT engine must agree to
-~1e-12 relative on every symbol in the zoo, and the elementary closed-form
-tables must reproduce the integration/differentiation identities exactly.
+The O(N^2) compensated loop and the padded real-FFT engine must agree to
+~1e-12 relative on every symbol in the zoo, for real and complex inputs,
+and the elementary closed-form tables must reproduce the
+integration/differentiation identities exactly.
 """
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from trcq_kit.convolution import (
     CausalSignal,
     Grid,
+    _smooth_length,
     convolve_fft,
     convolve_naive,
     error_vs_exact,
@@ -152,39 +155,107 @@ class TestExactness:
 # --------------------------------------------------------------------------
 
 
+def assert_engines_agree(W, sig, label):
+    """max |fft - naive| <= 1e-12 * max |naive|."""
+    a = convolve_naive(W, sig)
+    b = convolve_fft(W, sig)
+    scale = float(np.max(np.abs(a.samples))) or 1.0
+    diff = float(np.max(np.abs(a.samples - b.samples)))
+    assert diff <= 1e-12 * scale, f"{label}: engines differ by {diff/scale:.3e}"
+
+
 class TestEngines:
     def test_engines_agree_across_zoo(self):
-        """FFT and compensated-loop engines agree to 1e-12 relative, N = 512."""
+        """FFT and compensated-loop engines agree to 1e-12 relative, N = 512,
+        on a real input and on a complex one (the real-block embedding)."""
         kappa = 0.05
         steps = 512
         grid = Grid(kappa=kappa, steps=steps)
-        g = sample(lambda t: t**3 * np.exp(-t), grid)
+        inputs = [
+            sample(lambda t: t**3 * np.exp(-t), grid),
+            sample(lambda t: t**3 * np.exp(-t) + 1j * t * t * np.exp(-2.0 * t), grid),
+        ]
         for name, F in builtin_zoo().items():
             W = cq_weights_fft(F, kappa, steps)
-            if W.dims[1] != g.dim:
-                sig = CausalSignal(
-                    grid=grid, samples=np.repeat(g.samples, W.dims[1], axis=1)
-                )
-            else:
-                sig = g
-            a = convolve_naive(W, sig)
-            b = convolve_fft(W, sig)
-            scale = float(np.max(np.abs(a.samples))) or 1.0
-            diff = float(np.max(np.abs(a.samples - b.samples)))
-            assert diff <= 1e-12 * scale, f"{name}: engines differ by {diff/scale:.3e}"
+            for g in inputs:
+                if W.dims[1] != g.dim:
+                    sig = CausalSignal(
+                        grid=grid, samples=np.repeat(g.samples, W.dims[1], axis=1)
+                    )
+                else:
+                    sig = g
+                assert_engines_agree(W, sig, name)
 
     def test_fft_engine_handles_matrix_weights(self):
-        """A 2x2 resolvent symbol convolves a 2-vector input identically per engine."""
+        """A 2x2 resolvent symbol convolves a real and a complex 2-vector input
+        identically per engine."""
         zoo = builtin_zoo()
         F = zoo["resolvent:skew2"]
         kappa = 0.1
         steps = 128
         grid = Grid(kappa=kappa, steps=steps)
         W = cq_weights_fft(F, kappa, steps)
-        g = sample(lambda t: np.array([t * np.exp(-t), t * t * np.exp(-t)]), grid)
-        a = convolve_naive(W, g)
-        b = convolve_fft(W, g)
-        np.testing.assert_allclose(a.samples, b.samples, rtol=0, atol=1e-12)
+        for g in (
+            sample(lambda t: np.array([t * np.exp(-t), t * t * np.exp(-t)]), grid),
+            sample(lambda t: np.array([t * np.exp(-t) - 0.5j * t, 1j * t * t * np.exp(-t)]), grid),
+        ):
+            a = convolve_naive(W, g)
+            b = convolve_fft(W, g)
+            np.testing.assert_allclose(a.samples, b.samples, rtol=0, atol=1e-12)
+
+    def test_real_data_gives_exact_zero_imaginary_parts(self):
+        """Real weights and real samples come out with imaginary parts exactly 0."""
+        grid = Grid(kappa=0.025, steps=320)
+        W = cq_weights_fft(make_power(0.5), grid.kappa, grid.steps)
+        out = convolve_fft(W, sample(parse_g("mono:7"), grid))
+        assert not out.samples.imag.any()
+        assert out.samples.real.any()
+
+    def test_engines_agree_at_power_of_two_steps(self):
+        """Every CLI grid has M = 2**k + 1 nodes, where 2M - 1 = 2**(k+1) + 1
+        just misses a power of two; the engines agree there, k = 0..12."""
+        F = make_power(0.5)
+        for k in range(13):
+            steps = 1 << k
+            grid = Grid(kappa=1.0 / steps, steps=steps)
+            W = cq_weights_fft(F, grid.kappa, steps)
+            assert_engines_agree(W, sample(lambda t: t**3 * np.exp(-t), grid), f"k={k}")
+
+    def test_transform_length_is_smallest_5_smooth(self):
+        """The padded length is the least 2**a * 3**b * 5**c >= n, n = 1..5000."""
+
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        expected = 1
+        for n in range(1, 5001):
+            while not smooth(expected) or expected < n:
+                expected += 1
+            assert _smooth_length(n) == expected, n
+
+    def test_fft_engine_memory_at_65536_steps(self):
+        """One real scalar convolution at N = 2**16 allocates at most 16 MiB at its peak."""
+        steps = 1 << 16
+        grid = Grid(kappa=8.0 / steps, steps=steps)
+        W = cq_weights_fft(make_power(0.5), grid.kappa, steps)
+        sig = sample(parse_g("mono:7"), grid)
+        tracemalloc.start()
+        try:
+            convolve_fft(W, sig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_numpy_fft_keeps_long_double(self):
+        """numpy >= 2.0 transforms long double in long double (1.x used double)."""
+        x = np.linspace(0.0, 1.0, 15, dtype=np.longdouble)
+        X = np.fft.rfft(x, n=32)
+        assert X.dtype == np.clongdouble
+        assert np.fft.irfft(X, n=32).dtype == np.longdouble
 
     def test_fft_engine_short_signal(self):
         """The padded FFT route is correct down to a single step."""
