@@ -5,13 +5,14 @@ nodes ``t_n = n*kappa``, the discrete convolution is
 
     out_n = sum_{m=0}^{n} w_{n-m} g(t_m).
 
-Two engines compute it: a compensated O(N^2) loop (the accuracy reference,
-see :mod:`trcq_kit.kernels`) and an FFT engine.  The FFT engine zero-pads
-both factors to the smallest length ``2**a * 3**b * 5**c >= 2N+1`` and
-multiplies real long-double transforms (``rfft``/``irfft``) in the frequency
-domain.  Complex data reaches both engines' real cores through the same
-real-block embedding (:func:`trcq_kit.kernels.real_embedding`), so real data
-comes out with imaginary parts that are exactly 0.  The engines must agree
+Two engines compute it: an O(N^2) engine with exact products and one
+compensated sum (the accuracy reference, see :mod:`trcq_kit.kernels`) and an
+FFT engine.  The FFT engine zero-pads both factors to the smallest length
+``2**a * 3**b * 5**c >= 2N+1`` and multiplies real long-double transforms
+(``rfft``/``irfft``) in the frequency domain.  Complex data reaches both
+engines' real cores through the same real-block embedding
+(:func:`trcq_kit.kernels.real_embedding`), so real data comes out with
+imaginary parts that are exactly 0.  The engines must agree
 to ~1e-12 relative; tests enforce it.
 
 Inputs and references reach the grid through one evaluator, one scalar call
@@ -133,7 +134,13 @@ def _check_compatible(W: WeightTable, g: CausalSignal) -> None:
 
 
 def convolve_naive(W: WeightTable, g: CausalSignal) -> CausalSignal:
-    """Compensated O(N^2) evaluation of the discrete convolution."""
+    """O(N^2) evaluation of the discrete convolution, the accuracy reference.
+
+    Every product comes exactly from BLAS block products of sliced factors
+    and only the compensated sum of those products rounds, so the result is
+    as accurate as if computed in twice the working precision and then
+    rounded (:func:`trcq_kit.kernels.causal_convolve`).
+    """
     _check_compatible(W, g)
     out = causal_convolve(np.asarray(W.values), g.samples)
     return CausalSignal(grid=g.grid, samples=out)

@@ -246,8 +246,8 @@ def _exact_action(symbol_spec: str, g_spec: str) -> "Callable[[float], float] | 
     return None
 
 
-def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], np.ndarray] | None":
-    """Closed-form value of (symbol applied to g) at time t, as a 1-vector
+def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], tuple] | None":
+    """Closed-form value of (symbol applied to g) at time t, as a 1-tuple
     (it is compared with a signal row), when known.
 
     Supported pairs: any symbol on ``zero``; ``delay:d`` on anything;
@@ -264,9 +264,9 @@ def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], np.ndarr
     if action is None:
         return None
 
-    def exact(t: float) -> np.ndarray:
+    def exact(t: float) -> tuple:
         try:
-            return np.array([action(t)])
+            return (action(t),)
         except OverflowError:
             raise ValueError(f"{reference} overflows a double at t = {t:.17g}") from None
 

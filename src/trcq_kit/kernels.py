@@ -1,20 +1,55 @@
-"""Compensated inner loop of the O(N^2) convolution engine.
+"""Error-free O(N^2) convolution engine on BLAS block products.
 
 The causal sum
 
     out[n] = sum_{m=0}^{n} w[n-m] @ g[m],        n = 0..M-1,
 
-runs as a numpy sweep over the lags in real double precision with Dot2
-(Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci.
-Comput. 26, 2005): each product is split into its rounded value and its
-exact error (Dekker's TwoProduct), each addition into its rounded sum and
-exact error (Knuth's TwoSum), and the errors are summed alongside.  The
-result is as accurate as if computed in twice the working precision and
-then rounded, so the naive engine can serve as the accuracy oracle for the
-FFT engine; rounded products alone would limit it to about 1e-12 relative
-on differentiation weights at a few thousand steps.
+is evaluated in real double precision so that every product is exact and
+only one compensated accumulation rounds.  For each weight entry ``(r, c)``:
 
-Complex data runs through the same real sweep by :func:`real_embedding`,
+* The input column ``g[:, c]`` is cut into blocks of ``B`` samples, the
+  columns of a ``B x ceil(M/B)`` matrix ``X``.  Output block ``J`` is
+  ``sum_d T_d @ X[:, J - d]`` with the ``B x B`` Toeplitz blocks
+  ``T_d[i, k] = w[dB + i - k]``, zero where the index is negative.
+* Each column of ``X``, and the ``2B - 1`` weights each ``T_d`` is built
+  from, are split into slices by exact extraction (Ozaki, Ogita, Oishi and
+  Rump, "Error-free transformations of matrix multiplication by using fast
+  routines of matrix multiplication and its applications", Numer.
+  Algorithms 59, 2012).  With ``2**e`` above the largest remaining
+  magnitude and ``sigma = 2**(e + 53 - beta)``, ``hi = (a + sigma) - sigma``
+  holds multiples of ``2**(e - beta)`` of magnitude at most ``2**e``, the
+  remainder ``a - hi`` is exact, and the split repeats on the remainder
+  until it is zero.  A slice of the weights is again Toeplitz, so every row
+  of a slice of ``T_d`` lies on one grid.
+* Because ``2*beta + log2(B) <= 53``, every entry of a slice product
+  ``T_d^(i) @ X^(j)`` is an integer multiple of one grid unit, below
+  ``2**53`` of them, so BLAS computes it exactly, in any summation order and
+  with or without FMA.  The slices of one diagonal go through one GEMM.
+* Each exact slice product is added into the output by Knuth's TwoSum, the
+  rounded running sum and the exact errors kept apart and added at the end:
+  Sum2 of Ogita, Rump and Oishi ("Accurate sum and dot product", SIAM J.
+  Sci. Comput. 26, 2005).
+
+The only rounding left is that of Sum2 over ``T = kw*kx*ceil(M/B)`` terms
+per node, ``kw`` and ``kx`` being the slice counts of the weights and the
+input: the error is at most ``u|s| + gamma_T**2 * sum|p|`` (``u = 2**-53``)
+for the exact sum ``s`` and the exact slice products ``p``, whose absolute
+sum is within a small factor of ``sum |w||g|``.  The result is as accurate as if computed in
+twice the working precision and then rounded, so the naive engine can serve
+as the accuracy oracle for the FFT engine.  Like Dot2's TwoProduct, this
+assumes no underflow: a slice product whose grid unit lies below
+``2**-1074`` rounds.
+
+Cost: one ``(kw*B) x B`` by ``B x (kx*ceil(M/B))`` GEMM per diagonal, about
+``kw*kx*M**2/2`` multiply-adds in all, and TwoSum over about
+``kw*kx*M**2/(2B)`` output entries, ``B`` times fewer than a lag-by-lag sum
+would touch.  The slice count grows with each block's exponent range: a
+block whose entries span ``R`` binades takes about ``(53 + R) / (beta - 1)``
+slices, so full-mantissa data takes 3 and an input like ``t**60``, which
+sweeps hundreds of binades in its first blocks, takes more there; a block's
+extra slices are multiplied only with its own columns.
+
+Complex data runs through the same real engine by :func:`real_embedding`,
 which both engines use: each weight entry ``a + ib`` becomes the real block
 ``[[a, -b], [b, a]]`` and each sample ``x + iy`` the pair ``[x, y]``; data
 whose imaginary parts are all zero skips the embedding.
@@ -25,64 +60,111 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["causal_convolve", "real_embedding"]
 
-# Veltkamp's splitter: x = hi + lo with at most 26 significant bits each, so
-# products of halves are exact.  _SPLITTER * x overflows from 2**996 on.
-_SPLITTER = 2.0**27 + 1.0
-_SPLIT_LIMIT = 2.0**996
+_BLOCK = 256  # B
+_SLICE_BITS = 22  # beta: 2*beta + log2(B) <= 53
+_SIGMA_BITS = 53 - _SLICE_BITS
+# sigma = 2**(e + _SIGMA_BITS) overflows above this e; such rows are split
+# scaled down by a power of two, which moves no bit that stays on the grid
+_TOP_EXP = 1023 - _SIGMA_BITS
+_LIMIT = 2.0**996
+# each slice lowers e by at least beta - 1; from below 2**996 the grid unit
+# reaches 2**-1074, where a slice takes everything, within this many slices
+_MAX_SLICES = (996 + 1074 - _SLICE_BITS) // (_SLICE_BITS - 1) + 2
 
 
-def _split(x: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    c = _SPLITTER * x
-    hi = c - (c - x)
-    return hi, x - hi
+def _slices(a: np.ndarray) -> "list[np.ndarray]":
+    """Exact split of each row of ``a`` (consumed) into slices summing to it.
+
+    Slice ``k`` of a row holds multiples of ``2**(e_k - beta)`` of magnitude
+    at most ``2**e_k``, ``2**e_k`` being above the row's largest remaining
+    magnitude.  An all-zero ``a`` gives no slices.
+    """
+    out = []
+    for _ in range(_MAX_SLICES):
+        top = np.maximum(a.max(axis=-1, keepdims=True), -a.min(axis=-1, keepdims=True))
+        if not top.any():
+            return out
+        e = np.frexp(top)[1]
+        scale = np.ldexp(1.0, -np.maximum(e - _TOP_EXP, 0))
+        sigma = np.ldexp(scale, e + _SIGMA_BITS)
+        hi = (a * scale + sigma - sigma) / scale
+        a -= hi
+        out.append(hi)
+    raise RuntimeError(f"naive engine: no exact split within {_MAX_SLICES} slices")
 
 
-def _dot2_sweep(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _two_sum_into(
+    s: np.ndarray, err: np.ndarray, p: np.ndarray, t: np.ndarray, z: np.ndarray
+) -> None:
+    """``s`` becomes ``fl(s + p)`` and ``err`` gains its exact error (TwoSum).
+
+    ``p`` is consumed; ``t`` and ``z`` are scratch of the same shape.
+    """
+    np.add(s, p, out=t)
+    np.subtract(t, s, out=z)
+    p -= z
+    np.subtract(t, z, out=z)
+    np.subtract(s, z, out=z)
+    z += p  # (s - (t - z)) + (p - z): the exact error of t = s + p
+    err += z
+    s[...] = t
+
+
+def _block_toeplitz(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Real causal convolution of ``w`` (M, rows, cols) and ``g`` (M, cols)."""
     M, rows, cols = w.shape
-    w_hi, w_lo = _split(w)
-    xs = np.ascontiguousarray(g.T)  # (cols, M): the lags run along the last axis
-    xs_hi, xs_lo = _split(xs)
-    total = np.zeros((rows, M))
-    errors = np.zeros((rows, M))
-    p_buf, e_buf, t_buf, z_buf = (np.empty((rows, M)) for _ in range(4))
-    # lag k contributes w[k] @ g[n-k] to every out[n >= k], one column at a time
-    for k in range(M):
-        n = M - k
-        p, e, t, z = p_buf[:, :n], e_buf[:, :n], t_buf[:, :n], z_buf[:, :n]
-        s = total[:, k:]
-        for j in range(cols):
-            a, a_hi, a_lo = w[k, :, j, None], w_hi[k, :, j, None], w_lo[k, :, j, None]
-            x, x_hi, x_lo = xs[j, :n], xs_hi[j, :n], xs_lo[j, :n]
-            # TwoProduct: p + e == a * x exactly
-            np.multiply(a, x, out=p)
-            np.multiply(a_hi, x_hi, out=e)
-            e -= p
-            e += np.multiply(a_lo, x_hi, out=z)
-            e += np.multiply(a_hi, x_lo, out=z)
-            e += np.multiply(a_lo, x_lo, out=z)
-            # TwoSum: t + (s - (t - z)) + (p - z) == s + p exactly, z = t - s
-            np.add(s, p, out=t)
-            np.subtract(t, s, out=z)
-            p -= z
-            np.subtract(t, z, out=z)
-            np.subtract(s, z, out=z)
-            z += p
-            z += e
-            errors[:, k:] += z
-            s[...] = t
-    return (total + errors).T
+    B = _BLOCK
+    nb = -(-M // B)
+    # total[r, i, J] and errors[r, i, J] accumulate out[J*B + i, r]
+    total = np.zeros((rows, B, nb))
+    errors = np.zeros((rows, B, nb))
+    t, z = np.empty(B * nb), np.empty(B * nb)
+    for c in range(cols):
+        x = np.zeros(nb * B)
+        x[:M] = g[:, c]
+        # row j holds block j of the input reversed, so that against a reversed
+        # row of T_d (a window of wp below) the block product is a plain GEMM;
+        # a slice is multiplied only over the span of blocks it is nonzero on
+        spans = []
+        for s in _slices(x.reshape(nb, B)[:, ::-1].copy()):
+            live = np.flatnonzero(s.any(axis=1))
+            spans.append((live[0], live[-1] + 1, s))
+        if not spans:
+            continue
+        for r in range(rows):
+            # wp[q] = w[q - (B-1)], zero outside the table: row i of T_d,
+            # reversed, is wp[dB + i : dB + i + B], so T_d is made of 2B - 1 of them
+            wp = np.zeros((nb + 1) * B - 1)
+            wp[B - 1 : B - 1 + M] = w[:, r, c]
+            for d in range(nb):
+                parts = [(lo, min(hi, nb - d), s) for lo, hi, s in spans if lo < nb - d]
+                ws = _slices(wp[d * B : (d + 2) * B - 1].copy())
+                if not (parts and ws):
+                    continue
+                a = sliding_window_view(np.stack(ws), B, axis=1).reshape(-1, B)
+                xd = np.concatenate([s[lo:hi] for lo, hi, s in parts]).T
+                p = (a @ xd).reshape(len(ws), B, -1)
+                for pi in p:
+                    off = 0
+                    for lo, hi, _ in parts:
+                        n, cut = hi - lo, slice(d + lo, d + hi)
+                        _two_sum_into(total[r, :, cut], errors[r, :, cut], pi[:, off : off + n],
+                                      t[: B * n].reshape(B, n), z[: B * n].reshape(B, n))
+                        off += n
+    return (total + errors).transpose(2, 1, 0).reshape(nb * B, rows)[:M]
 
 
 def causal_convolve(w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Dot2-compensated causal convolution.
+    """Causal convolution with exact products and one compensated sum.
 
     ``w`` has shape ``(K, rows, cols)`` with ``K >= M``; ``g`` has shape
     ``(M, cols)``.  Returns ``(M, rows)`` complex128.  Entries of magnitude
-    ``2**996`` or more are refused: their exact products would overflow.
+    ``2**996`` or more are refused, and so are NaN entries, which have no
+    exact products.
     """
     w = np.ascontiguousarray(w, dtype=np.complex128)
     g = np.ascontiguousarray(g, dtype=np.complex128)
@@ -97,9 +179,12 @@ def causal_convolve(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     M = g.shape[0]
     w = w[:M]
     for arr in (w, g):
-        if np.max(np.abs(arr.view(np.float64))) >= _SPLIT_LIMIT:
+        top = np.max(np.abs(arr.view(np.float64)))
+        if np.isnan(top):
+            raise ValueError("naive engine: NaN entries have no exact products")
+        if top >= _LIMIT:
             raise ValueError("naive engine: entries of magnitude 2**996 or more overflow")
-    return real_embedding(_dot2_sweep, w, g)
+    return real_embedding(_block_toeplitz, w, g)
 
 
 def real_embedding(

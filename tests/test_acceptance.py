@@ -287,9 +287,9 @@ class TestParameterTable:
 
 class TestEnginesAtScale:
     def test_engines_agree_across_zoo(self):
-        """Naive and FFT engines agree to 1e-12 relative at N = 4096."""
-        kappa = 0.01
-        steps = 4096
+        """Naive and FFT engines agree to 1e-12 relative at N = 2^14."""
+        kappa = 0.0025
+        steps = 1 << 14
         grid = Grid(kappa=kappa, steps=steps)
         base = sample(lambda t: t**3 * np.exp(-t), grid)
         for name, F in builtin_zoo().items():

@@ -1,6 +1,6 @@
 """Tests for the discrete causal convolution engines.
 
-The O(N^2) compensated loop and the padded real-FFT engine must agree to
+The O(N^2) exact-product engine and the padded real-FFT engine must agree to
 ~1e-12 relative on every symbol in the zoo, for real and complex inputs,
 and the elementary closed-form tables must reproduce the
 integration/differentiation identities exactly.
@@ -166,7 +166,7 @@ def assert_engines_agree(W, sig, label):
 
 class TestEngines:
     def test_engines_agree_across_zoo(self):
-        """FFT and compensated-loop engines agree to 1e-12 relative, N = 512,
+        """FFT and O(N^2) engines agree to 1e-12 relative, N = 512,
         on a real input and on a complex one (the real-block embedding)."""
         kappa = 0.05
         steps = 512
