@@ -117,7 +117,7 @@ class TheoremParams:
 
     mu: float
     m: int              # ceil(mu)
-    alpha: int          # floor(mu - m) + 5: 5 when mu is an integer, else 4
+    alpha: int          # _alpha(mu - m): 5 when mu is an integer, else 4
     beta: int           # smoothness order required of g
     epsilon: float      # polynomial-in-time exponent of C(1/t)
     constants: dict
@@ -126,6 +126,12 @@ class TheoremParams:
         for key, val in self.constants.items():
             if not np.isfinite(val) or val < 0.0:
                 raise ValueError(f"constant {key} must be finite and non-negative")
+
+
+def _alpha(mu_prime: float) -> int:
+    """``floor(mu') + 5`` for the fractional part ``mu' = mu - ceil(mu)`` in
+    (-1, 0]: 5 when mu is an integer, else 4."""
+    return math.floor(mu_prime) + 5
 
 
 def derive_params(mu: float, with_constants: bool = True) -> TheoremParams:
@@ -140,8 +146,7 @@ def derive_params(mu: float, with_constants: bool = True) -> TheoremParams:
     if with_constants and mu > MAX_MU:
         raise ValueError(f"the constant chain is computable for mu <= {MAX_MU} only, got {mu:g}")
     m = math.ceil(mu)
-    mu_prime = mu - m  # in (-1, 0]
-    alpha = math.floor(mu_prime) + 5
+    alpha = _alpha(mu - m)
     beta = max(2 * m + 4, m + alpha)
     epsilon = max(2 * m - mu + 1.0, math.floor(mu) - mu + 3.0)
     constants = const_chain(mu) if with_constants else {}
@@ -208,9 +213,9 @@ MAX_MU = int(
 ) - 1
 
 
-def _minimize_scan_golden(obj: Callable, lo: float, hi: float) -> tuple[float, float]:
+def _minimize_scan_golden(obj: Callable, lo: float, hi: float) -> float:
     """Log-spaced coarse scan of the elementwise ``obj`` (one call on the whole
-    grid) + scalar golden-section polish; returns (argmin, min)."""
+    grid) + scalar golden-section polish; returns the minimum value."""
     xs = np.geomspace(lo, hi, _SCAN_POINTS)
     vals = obj(xs)
     i = int(np.argmin(vals))
@@ -228,30 +233,10 @@ def _minimize_scan_golden(obj: Callable, lo: float, hi: float) -> tuple[float, f
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = obj(d)
-    x = 0.5 * (a + b)
-    fx = obj(x)
-    best = min((fx, x), (fc, c), (fd, d))
-    return best[1], best[0]
-
-
-def _cm1_objective(m: int) -> Callable:
-    def obj(c):
-        # For large m, 8^m / c^(2m+2) near c = 1e-2 overflows to inf on the scan
-        # grid; inf is never the minimum, so numpy's warning is silenced.
-        with np.errstate(over="ignore"):
-            return np.maximum(E_m_eval(c, m) + 1.0 / (c * c), 8.0**m / c ** (2 * m + 2))
-
-    return obj
+    return min(obj(0.5 * (a + b)), fc, fd)
 
 
 @lru_cache(maxsize=None)
-def _cm1_detail(m: int) -> tuple[float, float]:
-    c_opt, val = _minimize_scan_golden(
-        _cm1_objective(m), _ENDPOINT_INSET, math.pi - _ENDPOINT_INSET
-    )
-    return c_opt, math.pi * 2.0 ** (m / 2.0) * float(val)
-
-
 def const_Cm1(m: int) -> float:
     """Constant for the power-difference frequency estimate at order ``m``.
 
@@ -262,32 +247,32 @@ def const_Cm1(m: int) -> float:
         raise ValueError("m must be non-negative")
     if m == 0:
         return 0.0
-    return _cm1_detail(m)[1]
 
+    def obj(c):
+        # For large m, 8^m / c^(2m+2) near c = 1e-2 overflows to inf on the scan
+        # grid; inf is never the minimum, so numpy's warning is silenced.
+        with np.errstate(over="ignore"):
+            return np.maximum(E_m_eval(c, m) + 1.0 / (c * c), 8.0**m / c ** (2 * m + 2))
 
-def _cmu1_coefficients(mu_prime: float) -> tuple[int, float, float]:
-    alpha = math.floor(mu_prime + 5)  # 5 at mu' = 0, else 4
-    e1 = 2.0 ** (3.0 - mu_prime) * max(1.0, 1.0 / (alpha - mu_prime - 4.0))
-    e2 = 8.0 * alpha / (alpha - 1.0)
-    return alpha, e1, e2
+    val = _minimize_scan_golden(obj, _ENDPOINT_INSET, math.pi - _ENDPOINT_INSET)
+    return math.pi * 2.0 ** (m / 2.0) * float(val)
 
 
 @lru_cache(maxsize=None)
-def _cmu1_detail(mu_prime: float) -> tuple[float, float]:
-    alpha, e1, e2 = _cmu1_coefficients(mu_prime)
-
-    def obj(c):
-        return e1 * theta3(c, mu_prime) + e2 * c ** (1.0 - alpha)
-
-    return _minimize_scan_golden(obj, _ENDPOINT_INSET, solve_c0() - _ENDPOINT_INSET)
-
-
 def const_Cmu1(mu_prime: float) -> float:
     """Constant of the fractional-part estimate, for ``mu_prime`` in (-1, 0]."""
     mu_prime = float(mu_prime)
     if not (-1.0 < mu_prime <= 0.0):
         raise ValueError("const_Cmu1 requires -1 < mu_prime <= 0")
-    return _cmu1_detail(mu_prime)[1]
+    alpha = _alpha(mu_prime)
+    # alpha - 4 is exact, so e1 keeps every digit of a mu_prime near 0
+    e1 = 2.0 ** (3.0 - mu_prime) * max(1.0, 1.0 / ((alpha - 4) - mu_prime))
+    e2 = 8.0 * alpha / (alpha - 1.0)
+
+    def obj(c):
+        return e1 * theta3(c, mu_prime) + e2 * c ** (1.0 - alpha)
+
+    return _minimize_scan_golden(obj, _ENDPOINT_INSET, solve_c0() - _ENDPOINT_INSET)
 
 
 def const_chain(mu: float) -> dict:

@@ -361,7 +361,7 @@ def cmd_bound(eff: "dict[str, object]") -> int:
     for t in t_list:
         for kappa in sorted(kappas):
             errs = per_kappa[kappa]
-            n_t = min(_node(t, kappa), len(errs) - 1)
+            n_t = _node(t, kappa)
             observed = float(errs[: n_t + 1].max())
             rhs = bound_rhs(F, g, kappa, t, params)
             if observed == 0.0:
@@ -401,7 +401,7 @@ def cmd_longtime(eff: "dict[str, object]") -> int:
     rows = []
     points = []
     for t in times:
-        n_t = min(_node(t, kappa), len(errs) - 1)
+        n_t = _node(t, kappa)
         err = float(errs[n_t])  # pointwise at the last node <= t
         rows.append(f"{_fmt(t)},{_fmt(err)}")
         if err > 0.0:

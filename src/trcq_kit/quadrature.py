@@ -23,6 +23,9 @@ from typing import Callable, Iterator
 
 __all__ = ["adaptive_simpson", "integrate_segmented", "integrate_semi_infinite", "named_integral"]
 
+# cutoff doublings before a semi-infinite integral is declared non-localizing
+_MAX_DOUBLINGS = 200
+
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
     return (h / 6.0) * (fa + 4.0 * fm + fb)
@@ -119,7 +122,6 @@ def integrate_semi_infinite(
     rel_tol: float = 1e-9,
     abs_floor: float = 1e-14,
     first_width: float = 1.0,
-    max_doublings: int = 200,
 ) -> tuple[float, float, float]:
     """Approximate ``int_start^inf f`` with a certified remainder.
 
@@ -127,11 +129,11 @@ def integrate_semi_infinite(
     ``(head, tail, R)`` where ``head`` integrates ``[start, R]`` and ``tail =
     tail_bound(R)``.  The first cutoff is ``start + first_width``; after that
     the cutoff doubles until the tail is negligible against the head (or
-    ``max_doublings`` is exhausted, which raises).
+    ``_MAX_DOUBLINGS`` doublings are exhausted, which raises).
     """
     omega = start + first_width
     total = adaptive_simpson(f, start, omega, rel_tol, abs_floor)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         t = tail_bound(omega)
         if t <= max(abs_floor, rel_tol * (abs(total) + t)):
             return total, t, omega

@@ -26,7 +26,7 @@ formula rather than a contour (see :mod:`trcq_kit.weights`).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -281,22 +281,14 @@ def make_delay(d: float) -> Symbol:
 
 
 def make_decay(a: float) -> Symbol:
-    """``F(s) = 1/(s+a)``; in time, convolution with ``exp(-a t)``."""
+    """``F(s) = 1/(s+a)``, the 1x1 resolvent of ``-a``; in time, convolution
+    with ``exp(-a t)``."""
     a = float(a)
     if not (a > 0.0 and np.isfinite(a)):
         raise ValueError(f"decay rate a must be finite and positive, got {a:g}")
-
-    def scalar(s: np.ndarray) -> np.ndarray:
-        return 1.0 / (s + a)
-
     # |s+a|^2 = |s|^2 + 2 a Re s + a^2 >= |s|^2, hence |F(s)| <= |s|**-1.
-    return Symbol(
-        name=f"decay:{a:g}",
-        evaluator=_scalarize(scalar),
-        mu=-1.0,
-        cf=CFModel(1.0, 0.0),
-        exact_weights=_cayley_weights(np.array([[-a]])),
-    )
+    F = make_resolvent(np.array([[-a]]), mu=-1.0, cf=CFModel(1.0, 0.0))
+    return replace(F, name=f"decay:{a:g}")
 
 
 def make_resolvent(

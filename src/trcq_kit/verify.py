@@ -64,6 +64,12 @@ QUADRATURE_TOL = 1e-6    # integral estimates resolved by quadrature
 
 _INSET = 1.0 - 1e-3      # relative inset applied to open-domain radii
 
+# orders m of the power-defect parts (lemma31:c, prop32:c) and of lemma32
+_DEFECT_ORDERS = range(1, 6)
+_LEMMA32_ORDERS = range(1, 7)
+# steps of prop41's substituted-symbol parts (a) and (c)
+_PROP41_KAPPAS = (0.1, 0.05, 0.025)
+
 
 # --------------------------------------------------------------------------
 # sampled pointwise suites
@@ -92,15 +98,15 @@ def check_hyperbolic(samples: int, seed: int) -> VerificationReport:
     return combine_reports("hyperbolic", parts)
 
 
-def check_lemma31(samples: int, seed: int, m_max: int = 5) -> VerificationReport:
+def check_lemma31(samples: int, seed: int) -> VerificationReport:
     """Half-plane estimates for w = delta(exp(-z)).
 
     (a) Re w >= min(Re z, 1)/2 and (b) |w| <= 8/min(Re z, 1) on all of C+;
-    (c) |w^m - z^m| <= E_m(|z|) |z|^(m+2) for |z| < pi, m = 1..m_max;
+    (c) |w^m - z^m| <= E_m(|z|) |z|^(m+2) for |z| < pi, m = 1..5;
     (d) Re(w/z) >= 1 - |z|^2 D(|z|) for |z| < c0.
     """
-    if samples < 1 or m_max < 1:
-        raise ValueError("need samples >= 1 and m_max >= 1")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     parts = []
 
@@ -117,7 +123,7 @@ def check_lemma31(samples: int, seed: int, m_max: int = 5) -> VerificationReport
 
     zc = sample_cplus(samples, rng, max_modulus=np.pi * _INSET)
     mod = np.abs(zc)
-    for m in range(1, m_max + 1):
+    for m in _DEFECT_ORDERS:
         quantity = np.abs(delta_power_diff(zc, m))
         bound = E_m_eval(mod, m) * mod ** (m + 2)
         parts.append(
@@ -148,15 +154,16 @@ def check_lemma31(samples: int, seed: int, m_max: int = 5) -> VerificationReport
     return combine_reports("lemma31", parts)
 
 
-def check_prop32(samples: int, seed: int, m_max: int = 5) -> VerificationReport:
+def check_prop32(samples: int, seed: int) -> VerificationReport:
     """The same four estimates transported to s_kappa = delta(exp(-kappa s))/kappa.
 
     (a) Re s_k >= min(Re s, 1)/2;  (b) |s_k| <= 8/(kappa^2 min(Re s, 1));
-    (c) |s_k^m - s^m| <= E_m(|kappa s|) kappa^2 |s|^(m+2) for |kappa s| < pi;
+    (c) |s_k^m - s^m| <= E_m(|kappa s|) kappa^2 |s|^(m+2) for |kappa s| < pi,
+        m = 1..5;
     (d) Re(s_k/s) >= 1 - |kappa s|^2 D(|kappa s|) for |kappa s| < c0.
     """
-    if samples < 1 or m_max < 1:
-        raise ValueError("need samples >= 1 and m_max >= 1")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     parts = []
 
@@ -178,7 +185,7 @@ def check_prop32(samples: int, seed: int, m_max: int = 5) -> VerificationReport:
     sc = sample_cplus(samples, rng, max_modulus=np.minimum(1e3, np.pi * _INSET / kc))
     zc = kc * sc
     modc = np.abs(zc)
-    for m in range(1, m_max + 1):
+    for m in _DEFECT_ORDERS:
         quantity = np.abs(delta_power_diff(zc, m)) / kc**m
         bound = E_m_eval(modc, m) * kc * kc * np.abs(sc) ** (m + 2)
         parts.append(
@@ -210,16 +217,16 @@ def check_prop32(samples: int, seed: int, m_max: int = 5) -> VerificationReport:
     return combine_reports("prop32", parts)
 
 
-def check_lemma32(samples: int, seed: int, m_max: int = 6) -> VerificationReport:
-    """Half-plane norm inequality 1 + |z|^m <= 2^(m/2) |1 + z|^m, m = 1..m_max."""
-    if samples < 1 or m_max < 1:
-        raise ValueError("need samples >= 1 and m_max >= 1")
+def check_lemma32(samples: int, seed: int) -> VerificationReport:
+    """Half-plane norm inequality 1 + |z|^m <= 2^(m/2) |1 + z|^m, m = 1..6."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     z = sample_cplus(samples, rng)
     mod = np.abs(z)
     shifted = np.abs(1.0 + z)
     parts = []
-    for m in range(1, m_max + 1):
+    for m in _LEMMA32_ORDERS:
         parts.append(
             pointwise_report(
                 f"lemma32:m={m}",
@@ -233,12 +240,7 @@ def check_lemma32(samples: int, seed: int, m_max: int = 6) -> VerificationReport
     return combine_reports("lemma32", parts)
 
 
-def check_prop41(
-    F: Symbol,
-    samples: int,
-    seed: int,
-    kappa_grid: "tuple[float, ...]" = (0.1, 0.05, 0.025),
-) -> VerificationReport:
+def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
     """Envelope bounds for a mu <= 0 symbol under the frequency substitution.
 
     (a) ||F(s_kappa)|| <= Theta1(Re s);
@@ -247,24 +249,22 @@ def check_prop41(
     (c) ||F(s_kappa) - F(s)|| <= kappa^2 Theta2(min(Re s,1)/2)
         Theta3(|kappa s|) |s|^(mu+3) for |kappa s| < c0.
 
-    Parts (b) and (c) run at the relaxed tolerance for computed-derivative
-    quantities; part (a) at the strict pointwise tolerance.
+    Parts (a) and (c) run at kappa = 0.1, 0.05 and 0.025.  Parts (b) and (c)
+    run at the relaxed tolerance for computed-derivative quantities; part (a)
+    at the strict pointwise tolerance.
     """
     if F.mu > 0.0:
         raise ValueError("these envelopes are defined for mu <= 0 symbols only")
-    if samples < 1 or not kappa_grid:
-        raise ValueError("need samples >= 1 and a non-empty kappa grid")
-    for k in kappa_grid:
-        if not (0.0 < k <= 1.0):
-            raise ValueError("kappa grid values must lie in (0, 1]")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     mu, cf = F.mu, F.cf
     parts = []
 
-    # (a) stability of the substituted symbol, over samples x kappa_grid
+    # (a) stability of the substituted symbol, over samples x kappas
     s = sample_cplus(samples, rng)
     bound_a = theta1(s.real, mu, cf)
-    for k in kappa_grid:
+    for k in _PROP41_KAPPAS:
         norms = value_norm(F(s_kappa(s, k)))
         parts.append(
             pointwise_report(
@@ -304,7 +304,7 @@ def check_prop41(
 
     # (c) quadratic-accuracy envelope on |kappa s| < c0
     c0 = solve_c0()
-    for k in kappa_grid:
+    for k in _PROP41_KAPPAS:
         sc = sample_cplus(samples, rng, max_modulus=min(1e3, c0 * _INSET / k))
         diff = value_norm(F(s_kappa(sc, k)) - F(sc))
         mod = np.abs(k * sc)

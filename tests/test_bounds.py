@@ -8,6 +8,7 @@ at 1e-30 bracket width) and rounded to double; the package must match to
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -78,6 +79,35 @@ CHAIN_TABLE = {
         2.9023928174170933848,
     ),
 }
+
+
+
+def _reference_cmu1(mu_prime: float) -> float:
+    """Cmu1 = min_c e1 Theta3(c) + e2 c^(1 - alpha) on [1e-2, c0 - 1e-2] in
+    50 digits: a 257-point log scan, then golden section to 1e-30."""
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(mu_prime)
+        alpha = 5 if mu == 0 else 4
+        e1 = 2 ** (3 - mu) * max(1, 1 / (alpha - 4 - mu))
+        e2 = mpmath.mpf(8 * alpha) / (alpha - 1)
+
+        def obj(c):
+            d = (2 * mpmath.tan(c / 2) - c) / c**3  # D(c)
+            return e1 * d * (1 - c * c * d) ** mu + e2 * c ** (1 - alpha)
+
+        c0 = mpmath.findroot(lambda c: mpmath.tan(c / 2) - c, 2.3)  # c0^2 D(c0) = 1
+        lo, hi = mpmath.mpf("0.01"), c0 - mpmath.mpf("0.01")
+        xs = [lo * (hi / lo) ** (mpmath.mpf(k) / 256) for k in range(257)]
+        i = min(range(257), key=lambda k: obj(xs[k]))
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, 256)]
+        invphi = (mpmath.sqrt(5) - 1) / 2
+        while b - a > mpmath.mpf("1e-30"):
+            c, d = b - invphi * (b - a), a + invphi * (b - a)
+            if obj(c) < obj(d):
+                b = d
+            else:
+                a = c
+        return float(obj((a + b) / 2))
 
 
 # --------------------------------------------------------------------------
@@ -166,6 +196,13 @@ class TestDeriveParams:
     def test_fractional_mu_gives_alpha_four(self):
         for mu in (0.1, 0.9, 1.5, 3.25):
             assert derive_params(mu, with_constants=False).alpha == 4
+
+    def test_alpha_just_below_an_integer(self):
+        """mu = 3 - 2^-51 is fractional: alpha 4, and a Cmu1 minimised with
+        alpha 4, whose e1 = 2^(3 - mu')/(-mu') is near 2^54."""
+        p = derive_params(2.9999999999999996)
+        assert (p.m, p.alpha) == (3, 4)
+        assert p.constants["Cmu1"] > 1e14
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
@@ -269,6 +306,13 @@ class TestConstantChain:
         assert chain["Cmu2"] == pytest.approx(scale * chain["Cmu1"], rel=1e-15)
         assert chain["Cmu3"] == pytest.approx(chain["Cm"] * 2.0**0.5, rel=1e-15)
         assert chain["Cmu"] == max(chain["Cmu2"], chain["Cmu3"])
+
+    def test_cmu1_near_integer_mu_keeps_its_digits(self):
+        """Just below an integer mu, e1 divides by -mu' ~ 1e-12; a rounded
+        alpha - mu' - 4 would lose 4 digits of it."""
+        np.testing.assert_allclose(
+            const_Cmu1(-1e-12), _reference_cmu1(-1e-12), rtol=5e-14, atol=0
+        )
 
     def test_cm1_order_zero_vanishes(self):
         assert const_Cm1(0) == 0.0

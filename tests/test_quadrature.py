@@ -137,6 +137,4 @@ class TestIntegrateSemiInfinite:
     def test_non_decaying_tail_raises(self):
         """A tail bound that never becomes negligible exhausts the doublings."""
         with pytest.raises(RuntimeError, match="did not localize"):
-            integrate_semi_infinite(
-                lambda t: 0.0, lambda R: 1.0, max_doublings=8
-            )
+            integrate_semi_infinite(lambda t: 0.0, lambda R: 1.0)

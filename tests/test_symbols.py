@@ -82,6 +82,24 @@ class TestZoo:
             make_decay(2.0)(s)[..., 0, 0], 1.0 / (s + 2.0), rtol=1e-15
         )
 
+    @pytest.mark.parametrize("a", [1e-300, 0.5, 2.0, 1e300])
+    def test_decay_is_one_over_s_plus_a_bit_for_bit(self, a):
+        """decay:a, built as the 1x1 resolvent of -a, keeps every bit of
+        1/(s+a), signed zeros included, in double and long double."""
+        s = sample_cplus(2000, 7, max_modulus=1e6, min_modulus=1e-6)
+        # points on the real axis, approached from both sides
+        s = np.concatenate([s, s.real + 0.0j, np.conj(s.real + 0.0j)])
+        s_ld = np.empty(s.shape, dtype=np.clongdouble)
+        s_ld.real = s.real.astype(np.longdouble) * np.longdouble(1.0 + 2.0**-60)
+        s_ld.imag = s.imag.astype(np.longdouble)
+        F = make_decay(a)
+        for z in (s, s_ld):
+            got, ref = F(z)[..., 0, 0], 1.0 / (z + a)
+            assert got.dtype == ref.dtype
+            for part in (np.real, np.imag):
+                np.testing.assert_array_equal(part(got), part(ref))
+                np.testing.assert_array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+
     def test_resolvent_matches_inv(self):
         rng = np.random.default_rng(23)
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])

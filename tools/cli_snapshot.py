@@ -126,6 +126,9 @@ ARGVS: "list[list[str]]" = [
     ["verify", "--suite", "lemma33", "--g", "zero"],
     # constants
     *[["constants", "--mu", mu] for mu in ("0", "1", "1.5", "2.5", "3.7", "79")],
+    # just below an integer: alpha 4, and e1 divides by -mu' ~ 1e-12 or 4e-16
+    ["constants", "--mu", "0.999999999999"],
+    ["constants", "--mu", "2.9999999999999996"],
     # usage errors, degenerate data and refusals (tests/test_cli.py)
     ["weights", "--kappa", "0.1", "--n", "4"],
     ["weights", "--symbol", "banana:1", "--kappa", "0.1", "--n", "4"],
