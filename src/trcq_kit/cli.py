@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .bounds import CONSTANTS_CSV_HEADER, bound_rhs, derive_params, params_csv_row
 from .convolution import (
+    CausalSignal,
     Grid,
     convolve_fft,
     convolve_naive,
@@ -52,7 +53,7 @@ from .verify import (
     check_prop34a,
     check_prop41,
 )
-from .weights import cq_weights_fft, weights_to_csv
+from .weights import cq_weights_fft, default_fft_size, weights_to_csv
 
 __all__ = ["main"]
 
@@ -66,6 +67,7 @@ EXIT_INTERNAL = 4
 # --fft-size, or a symbol without exact weights) holds 2^26 clongdouble points
 # of 32 bytes, 2 GiB per array; the exact weight routes need no contour.
 MAX_STEPS = 1 << 22
+MAX_FFT_SIZE = default_fft_size(MAX_STEPS)
 
 EXACT_PAIRS_HELP = (
     "supported (symbol, input) pairs with a closed-form reference: "
@@ -226,19 +228,20 @@ def _parse_input(spec: str):
         raise ValueError(f"bad input spec {spec!r}: {exc}") from None
 
 
-def _node(t: float, kappa: float) -> int:
-    """Index of the last grid node ``n kappa`` at or before ``t``."""
-    return int(math.floor(t / kappa + 1e-9))
-
-
 def _steps_for(t_final: float, kappa: float) -> int:
+    """Index of the last grid node ``n kappa`` at or before ``t_final``."""
+    if not (0.0 < kappa <= 1.0):
+        raise ValueError(f"kappa must lie in (0, 1], got {kappa:g}")
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
-    steps = _node(t_final, kappa)
-    if steps > MAX_STEPS:
+    ratio = t_final / kappa
+    if not math.isfinite(ratio):
         raise ValueError(
-            f"t_final/kappa = {t_final / kappa:.3g} exceeds the step budget {MAX_STEPS}"
+            f"t_final/kappa = {ratio:g} is not finite; the step budget is {MAX_STEPS}"
         )
+    steps = math.floor(ratio + 1e-9)
+    if steps > MAX_STEPS:
+        raise ValueError(f"t_final/kappa = {ratio:.3g} exceeds the step budget {MAX_STEPS}")
     return steps
 
 
@@ -264,7 +267,10 @@ def _inputs(F, g, kappa: float, t_final: float):
 
 
 def _errors(F, g, exact, kappa: float, t_final: float) -> np.ndarray:
-    """Error per grid node of one TRCQ run (FFT engine) against ``exact``."""
+    """Error per grid node of one TRCQ run (FFT engine) to ``t_final`` against
+    ``exact``.  An error reported at t comes from a run that ends at t: the
+    engine is causal, but the FFT's roundoff scales with the largest value it
+    transforms, so a longer run would charge later values' roundoff to t."""
     return error_vs_exact(convolve_fft(*_inputs(F, g, kappa, t_final)), exact)
 
 
@@ -284,8 +290,13 @@ def _exact_or_die(symbol_spec: str, g_spec: str):
 
 
 def cmd_weights(eff: "dict[str, object]") -> int:
+    n, fft_size = eff["n"], eff["fft_size"]
+    if n > MAX_STEPS:
+        raise ValueError(f"n = {n} exceeds the step budget {MAX_STEPS}")
+    if fft_size is not None and fft_size > MAX_FFT_SIZE:
+        raise ValueError(f"fft_size = {fft_size} exceeds the contour budget {MAX_FFT_SIZE}")
     F = _parse_symbol(eff["symbol"])
-    table = cq_weights_fft(F, eff["kappa"], eff["n"], fft_size=eff["fft_size"])
+    table = cq_weights_fft(F, eff["kappa"], n, fft_size=fft_size)
     buf = io.StringIO()
     weights_to_csv(table, buf)
     acc = _fmt(table.accuracy_estimate)
@@ -353,16 +364,11 @@ def cmd_bound(eff: "dict[str, object]") -> int:
             f"({certificate.violations} violations); the bound is meaningless"
         )
 
-    t_max = t_list[-1]
-    per_kappa = {kappa: _errors(F, g, exact, kappa, t_max) for kappa in kappas}
-
     rows = []
     worst_ratio = 0.0
     for t in t_list:
         for kappa in sorted(kappas):
-            errs = per_kappa[kappa]
-            n_t = _node(t, kappa)
-            observed = float(errs[: n_t + 1].max())
+            observed = float(_errors(F, g, exact, kappa, t).max())
             rhs = bound_rhs(F, g, kappa, t, params)
             if observed == 0.0:
                 ratio = 0.0
@@ -382,11 +388,8 @@ def cmd_bound(eff: "dict[str, object]") -> int:
 
 def cmd_longtime(eff: "dict[str, object]") -> int:
     kappa, t_final, t_min = eff["kappa"], eff["t_final"], eff["t_min"]
-    if not (0.0 < kappa <= 1.0):
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa:g}")
     exact = _exact_or_die(eff["symbol"], eff["g"])
-    F = _parse_symbol(eff["symbol"])
-    g = _parse_input(eff["g"])
+    table, signal = _inputs(_parse_symbol(eff["symbol"]), _parse_input(eff["g"]), kappa, t_final)
 
     times = []
     t = float(t_final)
@@ -397,12 +400,13 @@ def cmd_longtime(eff: "dict[str, object]") -> int:
     if not times:
         raise ValueError("t grid is empty; lower --t-min or raise --t-final")
 
-    errs = _errors(F, g, exact, kappa, t_final)
     rows = []
     points = []
     for t in times:
-        n_t = _node(t, kappa)
-        err = float(errs[n_t])  # pointwise at the last node <= t
+        # each t runs on its own prefix of the one table and sampling
+        n = _steps_for(t, kappa)
+        prefix = CausalSignal(Grid(kappa, n), signal.samples[: n + 1])
+        err = float(error_vs_exact(convolve_fft(table, prefix), exact)[-1])
         rows.append(f"{_fmt(t)},{_fmt(err)}")
         if err > 0.0:
             points.append((t, err))

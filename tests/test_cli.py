@@ -21,6 +21,10 @@ import pytest
 from trcq_kit.bounds import derive_params, params_csv_row
 from trcq_kit import cli
 from trcq_kit.cli import EXIT_DEGENERATE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from trcq_kit.convolution import Grid, convolve_naive, error_vs_exact, sample
+from trcq_kit.functions import exact_solution, parse_g
+from trcq_kit.symbols import from_spec
+from trcq_kit.weights import cq_weights_fft
 
 PROVENANCE_RE = re.compile(r"^# trcq-kit \S+ config=[0-9a-f]{12}$")
 
@@ -46,6 +50,15 @@ def data_rows(lines):
     """Rows after the provenance/comment lines and the header."""
     body = [ln for ln in lines if not ln.startswith("#")]
     return body[1:]  # drop the CSV header
+
+
+def naive_errors(symbol, g_spec, kappa, t):
+    """Error per node of the naive engine, the Dot2-accurate oracle, on the
+    grid that ends at ``t``."""
+    grid = Grid(kappa=kappa, steps=round(t / kappa))
+    table = cq_weights_fft(from_spec(symbol), kappa, grid.steps)
+    result = convolve_naive(table, sample(parse_g(g_spec), grid))
+    return error_vs_exact(result, exact_solution(symbol, g_spec))
 
 
 # --------------------------------------------------------------------------
@@ -101,6 +114,20 @@ class TestWeights:
              "--fft-size", "6"]
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("size", [
+        ["--n", str(cli.MAX_STEPS + 1)],
+        ["--n", "8", "--fft-size", str(2 * cli.MAX_FFT_SIZE)],
+    ], ids=["n", "fft-size"])
+    def test_budgets_refused_before_weights(self, size, monkeypatch, capsys):
+        """The step budget, and the 2^26-point contour it sizes, bind here too."""
+        def no_weights(*args, **kwargs):
+            raise AssertionError("weights were built")
+
+        monkeypatch.setattr(cli, "cq_weights_fft", no_weights)
+        assert cli.MAX_FFT_SIZE == 1 << 26
+        assert main(["weights", "--symbol", "power:1", "--kappa", "0.1", *size]) == EXIT_USAGE
+        assert "budget" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
@@ -368,6 +395,26 @@ class TestBound:
         for r in rows:
             assert 0.0 <= float(r[4]) <= 1.0
 
+    @pytest.mark.parametrize("g", ["mono:20", "mono:170"])
+    def test_later_values_do_not_fail_early_rows(self, g, tmp_path):
+        """On a fast-growing input, the FFT roundoff of a run to the last time
+        would swamp the early rows; each row comes from its own run."""
+        out = tmp_path / "bound.csv"
+        assert main(["bound", "--symbol", "power:1", "--g", g, "--out", str(out)]) == EXIT_OK
+        rows = [r.split(",") for r in data_rows(read_lines(out))]
+        assert len(rows) == 10
+        assert all(0.0 < float(r[4]) <= 1.0 for r in rows)
+
+    @pytest.mark.parametrize("symbol, g", [("power:0.5", "mono:7"), ("power:1", "mono:20")])
+    def test_observed_error_is_the_naive_engines(self, symbol, g, tmp_path):
+        out = tmp_path / "bound.csv"
+        main(["bound", "--symbol", symbol, "--g", g, "--out", str(out)])
+        rows = [[float(x) for x in r.split(",")] for r in data_rows(read_lines(out))]
+        assert len(rows) == 10
+        for t, kappa, observed, _, _ in rows:
+            oracle = float(naive_errors(symbol, g, kappa, t).max())
+            assert observed == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
     def test_negative_mu_symbol_refused(self, capsys):
         code = main(["bound", "--symbol", "decay:1.0", "--g", "poly5exp"])
         assert code == EXIT_USAGE
@@ -431,6 +478,37 @@ class TestLongtime:
         code = main(["longtime", "--symbol", "delay:1.0", "--g", "poly5exp",
                      "--kappa", "0.1", "--t-final", "0.1", "--t-min", "1"])
         assert code == EXIT_USAGE
+
+    def test_error_is_the_naive_engines_at_each_time(self, tmp_path):
+        out = tmp_path / "lt.csv"
+        argv = ["--symbol", "power:1", "--g", "mono:20", "--kappa", "0.05",
+                "--t-final", "16", "--t-min", "1"]
+        assert main(["longtime", *argv, "--out", str(out)]) == EXIT_OK
+        rows = [[float(x) for x in r.split(",")] for r in data_rows(read_lines(out))]
+        assert [r[0] for r in rows] == [1.0, 2.0, 4.0, 8.0, 16.0]
+        for t, err in rows:
+            oracle = float(naive_errors("power:1", "mono:20", 0.05, t)[-1])
+            assert err == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_infinite_t_final_returns(self):
+        """The time list halves down from t_final, so an infinite t_final must be
+        refused first.  Run capped in memory and time: the loop would not end."""
+        root = Path(__file__).resolve().parents[1]
+        path = os.environ.get("PYTHONPATH")
+        src = str(root / "src") + (os.pathsep + path if path else "")
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31)); "
+                "from trcq_kit.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "longtime", "--symbol", "delay:1.0", "--g", "poly5exp",
+             "--t-final", "inf"],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.splitlines()[-1] == (
+            f"error: t_final/kappa = inf is not finite; the step budget is {cli.MAX_STEPS}"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -527,6 +605,16 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith(self.NAMED_FAILURES.get(case, "error: "))
+
+    @pytest.mark.parametrize("kappa, t_final, message", [
+        ("0.1", "nan", f"t_final/kappa = nan is not finite; the step budget is {cli.MAX_STEPS}"),
+        ("0", "1", "kappa must lie in (0, 1], got 0"),
+    ], ids=["nan", "kappa0"])
+    def test_run_length_refusal_names_its_cause(self, kappa, t_final, message, capsys):
+        code = main(["convolve", "--symbol", "power:1", "--g", "poly5exp",
+                     "--kappa", kappa, "--t-final", t_final])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unexpected_exception_is_internal_not_a_violation(self, monkeypatch, capsys):
         def broken(mu):

@@ -46,6 +46,13 @@ OUT_OF_RANGE = {
     "mu1e6": ["constants", "--mu", "1e6"],
     "mu100": ["constants", "--mu", "100"],
     "lemma33-mono0": ["verify", "--suite", "lemma33", "--g", "mono:0"],
+    # run lengths t_final/kappa that are not finite
+    "convolve-t-inf": ["convolve", "--symbol", "power:1", "--g", "poly5exp", "--kappa", "0.1",
+                       "--t-final", "inf"],
+    "converge-t-inf": ["converge", "--symbol", "power:1", "--g", "poly5exp", "--t-final", "inf"],
+    "bound-t-inf": ["bound", "--symbol", "power:1", "--g", "poly6exp", "--t-list", "1,inf"],
+    "convolve-kappa-1e-300": ["convolve", "--symbol", "power:1", "--g", "poly5exp",
+                              "--kappa", "1e-300", "--t-final", "1e10"],
 }
 
 NON_FINITE = {
@@ -109,6 +116,7 @@ ARGVS: "list[list[str]]" = [
     ["bound", "--symbol", "power:0.5", "--g", "mono:7"],
     ["bound", "--symbol", "power:1", "--g", "poly6exp"],
     ["bound", "--symbol", "power:1", "--g", "mono:170"],
+    ["bound", "--symbol", "power:1", "--g", "mono:20"],
     # longtime
     ["longtime", "--symbol", "delay:1.0", "--g", "poly5exp", "--kappa", "0.1",
      "--t-final", "16", "--t-min", "1"],
