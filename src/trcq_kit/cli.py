@@ -266,12 +266,17 @@ def _inputs(F, g, kappa: float, t_final: float):
     return cq_weights_fft(F, kappa, grid.steps), signal
 
 
-def _errors(F, g, exact, kappa: float, t_final: float) -> np.ndarray:
-    """Error per grid node of one TRCQ run (FFT engine) to ``t_final`` against
-    ``exact``.  An error reported at t comes from a run that ends at t: the
-    engine is causal, but the FFT's roundoff scales with the largest value it
-    transforms, so a longer run would charge later values' roundoff to t."""
-    return error_vs_exact(convolve_fft(*_inputs(F, g, kappa, t_final)), exact)
+def _errors(F, g, exact, kappa: float, times: "list[float]") -> "list[np.ndarray]":
+    """Error per grid node of the TRCQ run (FFT engine) to each of ``times``
+    against ``exact``: one sampling, reference and weight table, sized to
+    ``max(times)``, and one run per t on its prefix.  The engine is causal,
+    but the FFT's roundoff scales with the largest value it transforms, so a
+    longer run would charge later values' roundoff to t."""
+    steps = [_steps_for(t, kappa) for t in times]
+    table, signal = _inputs(F, g, kappa, max(times))
+    reference = sample(exact, signal.grid)
+    prefixes = (CausalSignal(Grid(kappa, n), signal.samples[: n + 1]) for n in steps)
+    return [error_vs_exact(convolve_fft(table, prefix), reference) for prefix in prefixes]
 
 
 def _exact_or_die(symbol_spec: str, g_spec: str):
@@ -325,7 +330,7 @@ def cmd_converge(eff: "dict[str, object]") -> int:
     F = _parse_symbol(eff["symbol"])
     g = _parse_input(eff["g"])
 
-    errors = [float(_errors(F, g, exact, kappa, eff["t_final"]).max()) for kappa in kappas]
+    errors = [float(_errors(F, g, exact, kappa, [eff["t_final"]])[0].max()) for kappa in kappas]
 
     rows = []
     for i, (kappa, err) in enumerate(zip(kappas, errors)):
@@ -364,24 +369,17 @@ def cmd_bound(eff: "dict[str, object]") -> int:
             f"({certificate.violations} violations); the bound is meaningless"
         )
 
+    errors = {kappa: _errors(F, g, exact, kappa, t_list) for kappa in sorted(kappas)}
     rows = []
     worst_ratio = 0.0
-    for t in t_list:
-        for kappa in sorted(kappas):
-            observed = float(_errors(F, g, exact, kappa, t).max())
+    for i, t in enumerate(t_list):
+        for kappa, errs in errors.items():
+            observed = float(errs[i].max())
             rhs = bound_rhs(F, g, kappa, t, params)
-            if observed == 0.0:
-                ratio = 0.0
-            elif rhs == 0.0:
-                ratio = math.inf
-            else:
-                ratio = observed / rhs
+            ratio = 0.0 if observed == 0.0 else observed / rhs if rhs != 0.0 else math.inf
             worst_ratio = max(worst_ratio, ratio)
             rows.append(f"{_fmt(t)},{_fmt(kappa)},{_fmt(observed)},{_fmt(rhs)},{_fmt(ratio)}")
-    lines = [
-        _provenance("bound", eff),
-        "t,kappa,observed_error,bound_rhs,ratio",
-    ] + rows
+    lines = [_provenance("bound", eff), "t,kappa,observed_error,bound_rhs,ratio"] + rows
     _write_output(eff["out"], lines, echo=(f"worst ratio = {_fmt(worst_ratio)}",))
     return EXIT_OK if worst_ratio <= 1.0 else EXIT_ASSERTION
 
@@ -389,7 +387,9 @@ def cmd_bound(eff: "dict[str, object]") -> int:
 def cmd_longtime(eff: "dict[str, object]") -> int:
     kappa, t_final, t_min = eff["kappa"], eff["t_final"], eff["t_min"]
     exact = _exact_or_die(eff["symbol"], eff["g"])
-    table, signal = _inputs(_parse_symbol(eff["symbol"]), _parse_input(eff["g"]), kappa, t_final)
+    F = _parse_symbol(eff["symbol"])
+    g = _parse_input(eff["g"])
+    _steps_for(t_final, kappa)  # refuse a run it cannot size before halving t_final
 
     times = []
     t = float(t_final)
@@ -400,34 +400,20 @@ def cmd_longtime(eff: "dict[str, object]") -> int:
     if not times:
         raise ValueError("t grid is empty; lower --t-min or raise --t-final")
 
-    rows = []
-    points = []
-    for t in times:
-        # each t runs on its own prefix of the one table and sampling
-        n = _steps_for(t, kappa)
-        prefix = CausalSignal(Grid(kappa, n), signal.samples[: n + 1])
-        err = float(error_vs_exact(convolve_fft(table, prefix), exact)[-1])
-        rows.append(f"{_fmt(t)},{_fmt(err)}")
-        if err > 0.0:
-            points.append((t, err))
-
-    lines = [_provenance("longtime", eff), "t,error"] + rows
+    # each t's error is the last node of its own run
+    errors = [float(errs[-1]) for errs in _errors(F, g, exact, kappa, times)]
+    lines = [_provenance("longtime", eff), "t,error"]
+    lines += [f"{_fmt(t)},{_fmt(err)}" for t, err in zip(times, errors)]
+    points = [(t, err) for t, err in zip(times, errors) if err > 0.0]
     if len(points) < 2:
         lines.append("# fit degenerate: need at least two positive errors")
         _write_output(eff["out"], lines, echo=("fit degenerate",))
         return EXIT_DEGENERATE
 
-    ts = np.array([p[0] for p in points])
-    log_err = np.log(np.array([p[1] for p in points]))
-    rate_r = float(np.polyfit(ts, log_err, 1)[0])
-    slope_p = float(np.polyfit(np.log(ts), log_err, 1)[0])
-    lines.append(f"# exp_rate_r = {_fmt(rate_r)}")
-    lines.append(f"# loglog_slope_p = {_fmt(slope_p)}")
-    _write_output(
-        eff["out"],
-        lines,
-        echo=(f"exp_rate_r = {_fmt(rate_r)}", f"loglog_slope_p = {_fmt(slope_p)}"),
-    )
+    ts, errs = np.array(points).T
+    fits = (f"exp_rate_r = {_fmt(np.polyfit(ts, np.log(errs), 1)[0])}",
+            f"loglog_slope_p = {_fmt(np.polyfit(np.log(ts), np.log(errs), 1)[0])}")
+    _write_output(eff["out"], lines + ["# " + fit for fit in fits], echo=fits)
     return EXIT_OK
 
 

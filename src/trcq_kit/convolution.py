@@ -15,8 +15,8 @@ engines' real cores through the same real-block embedding
 imaginary parts that are exactly 0.  The engines must agree
 to ~1e-12 relative; tests enforce it.
 
-Inputs and references reach the grid through one evaluator, one scalar call
-per node; :func:`signal_to_csv` writes each row from one ``%`` template.
+Inputs and references reach the grid through :func:`sample` alone, one scalar
+call per node; :func:`signal_to_csv` writes each row from one ``%`` template.
 """
 
 from __future__ import annotations
@@ -90,12 +90,6 @@ class CausalSignal:
         return self.samples.shape[1]
 
 
-def _on_grid(fn: Callable[[float], "complex | np.ndarray"], grid: Grid) -> np.ndarray:
-    """``fn`` at each node, one complex row per node; scalars become 1-vectors."""
-    values = np.array([fn(t) for t in grid.nodes.tolist()], dtype=complex)
-    return values.reshape(grid.steps + 1, -1)
-
-
 def sample(fn: Callable[[float], "complex | np.ndarray"], grid: Grid) -> CausalSignal:
     """Evaluate ``fn`` once at each grid node; scalar results become 1-vectors.
 
@@ -103,7 +97,8 @@ def sample(fn: Callable[[float], "complex | np.ndarray"], grid: Grid) -> CausalS
     of one fixed length.  A non-finite sample raises ``ValueError`` naming
     the input and the first node where it occurs.
     """
-    samples = _on_grid(fn, grid)
+    samples = np.array([fn(t) for t in grid.nodes.tolist()], dtype=complex)
+    samples = samples.reshape(grid.steps + 1, -1)
     bad = ~np.isfinite(samples).all(axis=1)
     if bad.any():
         n = int(np.argmax(bad))
@@ -191,23 +186,24 @@ def convolve_fft(W: WeightTable, g: CausalSignal) -> CausalSignal:
 # --------------------------------------------------------------------------
 
 
-def error_vs_exact(
-    computed: CausalSignal,
-    exact: Callable[[float], "complex | np.ndarray"],
-) -> np.ndarray:
-    """Per-node Euclidean-norm errors ``||computed_n - exact(t_n)||``.
-
-    The norm squares its input, so a row with a component of 1 or more is
-    scaled into [0.5, 1) by an exact power of two first and scaled back
-    after; no finite error overflows, and rows ``np.linalg.norm`` gets
+def error_vs_exact(computed: CausalSignal, reference: CausalSignal) -> np.ndarray:
+    """Per-node Euclidean-norm errors ``||computed_n - reference_n||``, where
+    ``reference`` is sampled (:func:`sample`) with the same step on as many
+    nodes or more.  The norm squares its input, so a row with a component of 1
+    or more is scaled into [0.5, 1) by an exact power of two first and scaled
+    back after; no finite error overflows, and rows ``np.linalg.norm`` gets
     finite come out bit-identical.  A non-finite error raises ``ValueError``.
     """
-    ref = _on_grid(exact, computed.grid)
-    if ref.shape != computed.samples.shape:
-        raise ValueError("exact solution has mismatched dimension")
+    last = computed.grid.steps
+    if reference.grid.kappa != computed.grid.kappa:
+        raise ValueError("reference and computed signal use different time steps")
+    if reference.grid.steps < last:
+        raise ValueError(f"reference ends at node {reference.grid.steps}, before node {last}")
+    if reference.dim != computed.dim:
+        raise ValueError("reference has mismatched dimension")
     # a non-finite row is reported below rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = computed.samples - ref
+        diff = computed.samples - reference.samples[: last + 1]
         peak = np.maximum(np.abs(diff.real), np.abs(diff.imag)).max(axis=1)
         exp = np.maximum(np.frexp(peak)[1], 0)
         errors = np.ldexp(np.linalg.norm(diff * np.ldexp(1.0, -exp)[:, None], axis=1), exp)

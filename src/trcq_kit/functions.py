@@ -254,7 +254,7 @@ def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], tuple] |
     ``power:mu`` on ``mono:p`` (Riemann-Liouville ``Gamma(p+1)/Gamma(p+1-mu)
     t^(p-mu)``); ``power:{-1,0,1}`` on ``poly<p>exp``; ``decay:a`` on
     ``mono:p``; ``decay:1`` on ``poly<p>exp``.  Returns ``None`` otherwise.
-    A reference that overflows a double raises ``ValueError`` naming the pair.
+    A reference that is not finite (it overflows) raises ``ValueError`` naming the pair.
     """
     reference = f"the closed-form reference for symbol {symbol_spec!r} on input {g_spec!r}"
     try:
@@ -266,8 +266,11 @@ def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], tuple] |
 
     def exact(t: float) -> tuple:
         try:
-            return (action(t),)
+            value = action(t)
         except OverflowError:
-            raise ValueError(f"{reference} overflows a double at t = {t:.17g}") from None
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{reference} overflows a double at t = {t:.17g}")
+        return (value,)
 
     return exact

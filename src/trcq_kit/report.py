@@ -102,7 +102,8 @@ def pointwise_report(
     """Build a report from per-sample ``quantity``/``bound`` arrays.
 
     ``describe(flat_index)`` should return a JSON-friendly dict describing the
-    sample at that flat index; it is called once, for the worst sample.
+    sample at that flat index; it is called once, for the worst sample.  A
+    non-finite sample raises ``ValueError``: NaN would never count as a violation.
     """
     q = np.asarray(quantity, dtype=float).ravel()
     b = np.asarray(bound, dtype=float).ravel()
@@ -110,6 +111,10 @@ def pointwise_report(
         raise ValueError("quantity and bound must have matching shapes")
     if q.size == 0:
         raise ValueError("empty sample set")
+    finite = np.isfinite(q) & np.isfinite(b)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{suite}: sample {i} is not finite: quantity {q[i]:g}, bound {b[i]:g}")
     margin = b - q
     bad = q > b * (1.0 + tol) + tol
     worst = int(np.argmin(margin))

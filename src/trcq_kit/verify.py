@@ -336,6 +336,12 @@ def _integral_report(suite: str, lhs: float, rhs: float, **point) -> Verificatio
     )
 
 
+def _require_finite(**params: float) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {value} is not finite")
+
+
 def check_lemma42(sigma: float, alpha: float, c: float, kappa: float) -> VerificationReport:
     """Frequency-axis moment bounds on the line Re s = sigma.
 
@@ -347,6 +353,7 @@ def check_lemma42(sigma: float, alpha: float, c: float, kappa: float) -> Verific
     analytic tail int_R^inf omega^-alpha = R^(1-alpha)/(alpha-1) added to
     the computed side.
     """
+    _require_finite(sigma=sigma, alpha=alpha, c=c)
     if sigma <= 0.0 or c <= 0.0 or not (0.0 < kappa <= 1.0):
         raise ValueError("need sigma > 0, c > 0 and kappa in (0, 1]")
     if alpha <= 1.0:
@@ -406,6 +413,7 @@ def check_lemma33(g: SmoothCausalFunction, sigma: float) -> VerificationReport:
     beyond the cutoff is bounded through its declared decay |G| <= C/|s|**p,
     p > 1, and added to the left side.
     """
+    _require_finite(sigma=sigma)
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     if g.max_order < 2:
@@ -446,6 +454,7 @@ def check_prop34a(
     Requires a closed-form transform (shipped inputs) so the check isolates
     the inequality rather than compounding transform error.
     """
+    _require_finite(sigma=sigma)
     if m < 1:
         raise ValueError("m must be at least 1")
     if sigma <= 0.0 or not (0.0 < kappa <= 1.0):

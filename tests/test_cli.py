@@ -58,7 +58,7 @@ def naive_errors(symbol, g_spec, kappa, t):
     grid = Grid(kappa=kappa, steps=round(t / kappa))
     table = cq_weights_fft(from_spec(symbol), kappa, grid.steps)
     result = convolve_naive(table, sample(parse_g(g_spec), grid))
-    return error_vs_exact(result, exact_solution(symbol, g_spec))
+    return error_vs_exact(result, sample(exact_solution(symbol, g_spec), grid))
 
 
 # --------------------------------------------------------------------------
@@ -415,6 +415,21 @@ class TestBound:
             oracle = float(naive_errors(symbol, g, kappa, t).max())
             assert observed == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
+    def test_one_weight_table_per_kappa(self, monkeypatch, tmp_path):
+        """At the default lists (five times, two steps) each step builds one
+        table, sized to the last time, and every time runs on a prefix of it."""
+        built = []
+
+        def counted(F, kappa, n, **kwargs):
+            built.append((kappa, n))
+            return cq_weights_fft(F, kappa, n, **kwargs)
+
+        monkeypatch.setattr(cli, "cq_weights_fft", counted)
+        out = tmp_path / "bound.csv"
+        assert main(["bound", "--symbol", "power:1", "--g", "poly6exp", "--out", str(out)]) == EXIT_OK
+        assert built == [(0.05, 320), (0.1, 160)]
+        assert len(data_rows(read_lines(out))) == 10
+
     def test_negative_mu_symbol_refused(self, capsys):
         code = main(["bound", "--symbol", "decay:1.0", "--g", "poly5exp"])
         assert code == EXIT_USAGE
@@ -489,6 +504,21 @@ class TestLongtime:
         for t, err in rows:
             oracle = float(naive_errors("power:1", "mono:20", 0.05, t)[-1])
             assert err == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_reference_evaluated_once_per_node(self, monkeypatch, tmp_path):
+        """perfbench's accuracy_study longtime call evaluates the closed form
+        once at each of its 20001 nodes, not again on every prefix."""
+        calls = []
+
+        def counted_solution(symbol_spec, g_spec):
+            exact = exact_solution(symbol_spec, g_spec)
+            return lambda t: calls.append(t) or exact(t)
+
+        monkeypatch.setattr(cli, "exact_solution", counted_solution)
+        argv = ["longtime", "--symbol", "decay:1.0", "--g", "poly5exp", "--kappa", "0.01",
+                "--t-final", "200", "--out", str(tmp_path / "lt.csv")]
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 20001
 
     def test_infinite_t_final_returns(self):
         """The time list halves down from t_final, so an infinite t_final must be

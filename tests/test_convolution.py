@@ -301,12 +301,12 @@ class TestCompatibility:
 
 class TestErrorAndExport:
     def test_error_vs_exact_values(self):
-        """Per-node errors are Euclidean norms against the reference callable."""
+        """Per-node errors are Euclidean norms against the sampled reference."""
         grid = Grid(kappa=0.5, steps=2)
         sig = CausalSignal(
             grid=grid, samples=np.array([[0.0], [1.0], [2.0]], dtype=complex)
         )
-        errs = error_vs_exact(sig, lambda t: t)
+        errs = error_vs_exact(sig, sample(lambda t: t, grid))
         np.testing.assert_allclose(errs, [0.0, 0.5, 1.0], rtol=0, atol=1e-15)
 
     def test_error_vs_exact_never_overflows(self):
@@ -314,28 +314,43 @@ class TestErrorAndExport:
         whose squares overflow, still give finite norms."""
         rng = np.random.default_rng(3)
         grid = Grid(kappa=0.5, steps=199)
+        zeros = sample(lambda t: np.zeros(2), grid)
         rows = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
         rows *= 10.0 ** rng.uniform(-3.0, 3.0, (200, 1))
         sig = CausalSignal(grid=grid, samples=rows)
-        errs = error_vs_exact(sig, lambda t: np.zeros(2))
+        errs = error_vs_exact(sig, zeros)
         assert np.array_equal(errs, np.linalg.norm(rows, axis=1))
 
         huge = CausalSignal(grid=grid, samples=1e200 * rows)
-        errs = error_vs_exact(huge, lambda t: np.zeros(2))
+        errs = error_vs_exact(huge, zeros)
         assert np.all(np.isfinite(errs))
         np.testing.assert_allclose(errs, 1e200 * np.linalg.norm(rows, axis=1), rtol=1e-15)
 
     def test_error_vs_exact_non_finite_names_the_node(self):
+        """A reference never holds a non-finite value (``sample`` refuses
+        one), so here the computed signal does."""
         grid = Grid(kappa=0.5, steps=2)
-        sig = CausalSignal(grid=grid, samples=np.zeros((3, 1), dtype=complex))
+        sig = CausalSignal(grid=grid, samples=np.array([[0.0], [math.inf], [0.0]], dtype=complex))
         with pytest.raises(ValueError, match="node 1"):
-            error_vs_exact(sig, lambda t: math.inf if t == 0.5 else 0.0)
+            error_vs_exact(sig, sample(lambda t: 0.0, grid))
 
     def test_error_vs_exact_dimension_mismatch(self):
         grid = Grid(kappa=0.5, steps=2)
         sig = CausalSignal(grid=grid, samples=np.zeros((3, 2), dtype=complex))
         with pytest.raises(ValueError, match="dimension"):
-            error_vs_exact(sig, lambda t: t)
+            error_vs_exact(sig, sample(lambda t: t, grid))
+
+    def test_error_vs_exact_compares_a_prefix_of_a_longer_reference(self):
+        """A reference with more nodes is compared on the computed signal's
+        nodes only; a shorter one, or one on another step, is refused."""
+        grid = Grid(kappa=0.5, steps=2)
+        sig = CausalSignal(grid=grid, samples=np.array([[0.0], [1.0], [2.0]], dtype=complex))
+        errs = error_vs_exact(sig, sample(lambda t: t, Grid(kappa=0.5, steps=6)))
+        np.testing.assert_allclose(errs, [0.0, 0.5, 1.0], rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="ends at node 1, before node 2"):
+            error_vs_exact(sig, sample(lambda t: t, Grid(kappa=0.5, steps=1)))
+        with pytest.raises(ValueError, match="different time steps"):
+            error_vs_exact(sig, sample(lambda t: t, Grid(kappa=0.25, steps=4)))
 
     def test_signal_csv_layout(self):
         """Header plus one row per node, with re/im columns per component."""

@@ -187,6 +187,12 @@ class TestExactSolution:
         g = poly_exp(5)
         np.testing.assert_allclose(u(1.2), g.deriv(1.2, 0), rtol=0, atol=0)
 
+    def test_non_finite_reference_is_a_value_error(self):
+        """Gamma(171)/Gamma(0.1) * t^-0.9 is inf without an OverflowError; it
+        is refused like one."""
+        with pytest.raises(ValueError, match="overflows a double at t = 0.001"):
+            exact_solution("power:170.9", "mono:170")(0.001)
+
     def test_unsupported_pairs_return_none(self):
         assert exact_solution("power:0.5", "poly5exp") is None
         assert exact_solution("decay:2", "poly5exp") is None

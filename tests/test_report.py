@@ -46,6 +46,13 @@ class TestPointwiseReport:
         with pytest.raises(ValueError):
             pointwise_report("demo", np.zeros(3), np.zeros(4), seed=0)
 
+    def test_non_finite_sample_rejected(self):
+        """A comparison with NaN is never true, so NaN would pass as no violation."""
+        with pytest.raises(ValueError, match="^x: sample 0 is not finite"):
+            pointwise_report("x", [np.nan], [1.0], seed=0)
+        with pytest.raises(ValueError, match="^demo: sample 1 is not finite"):
+            pointwise_report("demo", np.zeros(3), np.array([1.0, np.inf, np.nan]), seed=0)
+
 
 class TestCsvRow:
     """Rows are plain CSV with the JSON blob quoted by doubling quotes."""

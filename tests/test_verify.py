@@ -140,6 +140,16 @@ class TestFrequencyMoments:
             rep = check_lemma42(sigma, alpha, c, kappa)
             assert rep.violations == 0, (sigma, alpha, c, kappa)
 
+    @pytest.mark.parametrize("sigma, alpha, c, name", [
+        (math.inf, 2.0, 1.0, "sigma"),
+        (math.nan, 2.0, 1.0, "sigma"),
+        (1.0, math.inf, 1.0, "alpha"),
+        (1.0, 2.0, math.inf, "c"),
+    ])
+    def test_non_finite_parameter_named(self, sigma, alpha, c, name):
+        with pytest.raises(ValueError, match=f"^{name} = (inf|nan) is not finite"):
+            check_lemma42(sigma, alpha, c, 0.5)
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             check_lemma42(0.0, 2.0, 1.0, 0.5)
@@ -174,6 +184,8 @@ class TestTransformMass:
         assert rep.violations == 0
 
     def test_domain_validation(self):
+        with pytest.raises(ValueError, match="^sigma = nan is not finite"):
+            check_lemma33(poly_exp(5), math.nan)
         with pytest.raises(ValueError):
             check_lemma33(poly_exp(5), 0.0)
         with pytest.raises(ValueError):
@@ -200,6 +212,8 @@ class TestPowerDefect:
             check_prop34a(poly_exp(5, max_order=5), 1.0, 1, 0.1)
         with pytest.raises(ValueError, match="exponent > m\\+1"):
             check_prop34a(poly_exp(1), 1.0, 1, 0.1)
+        with pytest.raises(ValueError, match="^sigma = inf is not finite"):
+            check_prop34a(poly_exp(5), math.inf, 1, 0.1)
         with pytest.raises(ValueError):
             check_prop34a(poly_exp(5), -1.0, 1, 0.1)
         with pytest.raises(ValueError):

@@ -53,6 +53,11 @@ OUT_OF_RANGE = {
     "bound-t-inf": ["bound", "--symbol", "power:1", "--g", "poly6exp", "--t-list", "1,inf"],
     "convolve-kappa-1e-300": ["convolve", "--symbol", "power:1", "--g", "poly5exp",
                               "--kappa", "1e-300", "--t-final", "1e10"],
+    # suite parameters that are not finite
+    "lemma42-alpha-inf": ["verify", "--suite", "lemma42", "--alpha", "inf"],
+    "lemma42-c-inf": ["verify", "--suite", "lemma42", "--c", "inf"],
+    "lemma42-sigma-inf": ["verify", "--suite", "lemma42", "--sigma", "inf"],
+    "lemma33-sigma-nan": ["verify", "--suite", "lemma33", "--sigma", "nan"],
 }
 
 NON_FINITE = {
