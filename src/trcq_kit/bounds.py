@@ -92,6 +92,24 @@ class SmoothCausalFunction:
     def __call__(self, t: float) -> float:
         return self.deriv(t, 0)
 
+    def require(self, order: int, purpose: str) -> None:
+        """Refuse this input for an estimate built on its derivatives up to
+        ``order``: the callbacks must reach that order, and ``g^(k)(0) = 0``
+        for ``k < order``, without which ``s^k G`` is not the transform of
+        ``g^(k)`` (the compatibility condition of convolution quadrature).
+        """
+        if self.max_order < order:
+            raise ValueError(
+                f"{self.name} supports orders up to {self.max_order}; {purpose} needs {order}"
+            )
+        for k in range(order):
+            value = self.deriv(0.0, k)
+            if value != 0.0:
+                raise ValueError(
+                    f"{self.name} has g^({k})(0) = {value:g}; "
+                    f"{purpose} needs g^(k)(0) = 0 for k < {order}"
+                )
+
 
 def apply_Pm(g: SmoothCausalFunction, m: int, t: float, k: int = 0) -> float:
     """Evaluate ``(P_m g^(k))(t)`` as a float, where ``P_m h = exp(-t) d^m/dt^m [exp(t) h]``.
@@ -134,7 +152,7 @@ def _alpha(mu_prime: float) -> int:
     return math.floor(mu_prime) + 5
 
 
-def derive_params(mu: float, with_constants: bool = True) -> TheoremParams:
+def derive_params(mu: float) -> TheoremParams:
     """Derive ``(m, alpha, beta, epsilon)`` and the constants.
 
     ``epsilon`` always lands in ``[1 + max(m,1), 2 + max(m,1)]``; tests pin
@@ -143,20 +161,19 @@ def derive_params(mu: float, with_constants: bool = True) -> TheoremParams:
     mu = float(mu)
     if mu < 0.0 or not np.isfinite(mu):
         raise ValueError("mu must be a non-negative real")
-    if with_constants and mu > MAX_MU:
+    if mu > MAX_MU:
         raise ValueError(f"the constant chain is computable for mu <= {MAX_MU} only, got {mu:g}")
     m = math.ceil(mu)
     alpha = _alpha(mu - m)
     beta = max(2 * m + 4, m + alpha)
     epsilon = max(2 * m - mu + 1.0, math.floor(mu) - mu + 3.0)
-    constants = const_chain(mu) if with_constants else {}
     return TheoremParams(
         mu=mu,
         m=m,
         alpha=alpha,
         beta=beta,
         epsilon=epsilon,
-        constants=constants,
+        constants=const_chain(mu),
     )
 
 
@@ -322,10 +339,7 @@ def bound_rhs(
     if params is None:
         params = derive_params(F.mu)
     m, alpha = params.m, params.alpha
-    if params.beta > g.max_order:
-        raise ValueError(
-            f"{g.name} supports orders up to {g.max_order}; the bound needs {params.beta}"
-        )
+    g.require(params.beta, "the bound")
 
     def i1_integrand(tau: float) -> float:
         return abs(g.deriv(tau, m + alpha))

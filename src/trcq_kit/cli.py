@@ -348,20 +348,17 @@ def cmd_converge(eff: "dict[str, object]") -> int:
 
 def cmd_bound(eff: "dict[str, object]") -> int:
     kappas = _check_kappa_list(eff["kappa_list"])
-    t_list = sorted(set(float(t) for t in eff["t_list"]))
-    if not t_list or t_list[0] <= 0.0:
-        raise ValueError("t list must contain positive times")
+    for t in eff["t_list"]:
+        if not t > 0.0:  # NaN too
+            raise ValueError(f"--t-list times must be positive, got {t:g}")
+    t_list = sorted(set(eff["t_list"]))
     F = _parse_symbol(eff["symbol"])
     if F.mu < 0.0:
         raise ValueError("the a-priori bound applies to mu >= 0 symbols only")
     exact = _exact_or_die(eff["symbol"], eff["g"])
     g = _parse_input(eff["g"])
     params = derive_params(F.mu)
-    if params.beta > g.max_order:
-        raise ValueError(
-            f"input {g.name} supplies derivatives to order {g.max_order}; "
-            f"the bound needs order {params.beta}"
-        )
+    g.require(params.beta, "the bound")
     certificate = validate_growth(F, samples=20000, seed=int(eff["seed"]))
     if certificate.violations:
         raise RuntimeError(
@@ -390,6 +387,8 @@ def cmd_longtime(eff: "dict[str, object]") -> int:
     F = _parse_symbol(eff["symbol"])
     g = _parse_input(eff["g"])
     _steps_for(t_final, kappa)  # refuse a run it cannot size before halving t_final
+    if not math.isfinite(t_min):
+        raise ValueError(f"--t-min = {t_min:g} is not finite")
 
     times = []
     t = float(t_final)

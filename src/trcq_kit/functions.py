@@ -54,8 +54,8 @@ def _horner_ascending(coeffs: "list[float]", t: float) -> float:
     return acc
 
 
-def poly_exp(p: int, max_order: int = 16) -> SmoothCausalFunction:
-    """``g(t) = t**p * exp(-t)`` with exact derivatives of every order.
+def poly_exp(p: int) -> SmoothCausalFunction:
+    """``g(t) = t**p * exp(-t)`` with exact derivatives of orders 0..16.
 
     Writing ``g^(k) = P_k(t) exp(-t)``, the polynomials obey
     ``P_{k+1} = P_k' - P_k`` starting from ``P_0 = t**p``; the integer
@@ -63,10 +63,9 @@ def poly_exp(p: int, max_order: int = 16) -> SmoothCausalFunction:
     evaluation is exact.
     """
     _check_power(p)
-    table: "list[list[int]]" = []
     cur = [0] * p + [1]
-    table.append(cur)
-    for _ in range(max_order):
+    table = [cur]
+    for _ in range(16):
         deriv = [cur[i] * i for i in range(1, len(cur))]
         deriv.append(0)
         cur = [d - c for d, c in zip(deriv, cur)]
@@ -79,15 +78,16 @@ def poly_exp(p: int, max_order: int = 16) -> SmoothCausalFunction:
     fact = float(math.factorial(p))
     return SmoothCausalFunction(
         name=f"poly{p}exp",
-        max_order=max_order,
+        max_order=len(coeff_table) - 1,
         derivative=derivative,
         laplace=lambda s: fact / (s + 1.0) ** (p + 1),
         laplace_decay=(fact, float(p + 1)),
     )
 
 
-def monomial(p: int, max_order: int = 64) -> SmoothCausalFunction:
-    """``g(t) = t**p``; derivatives are falling factorials, zero past order p."""
+def monomial(p: int) -> SmoothCausalFunction:
+    """``g(t) = t**p`` with derivatives of orders 0..64: falling factorials,
+    zero past order p."""
     _check_power(p)
 
     def derivative(t: float, k: int) -> float:
@@ -103,7 +103,7 @@ def monomial(p: int, max_order: int = 64) -> SmoothCausalFunction:
     fact = float(math.factorial(p))
     return SmoothCausalFunction(
         name=f"mono:{p}",
-        max_order=max_order,
+        max_order=64,
         derivative=derivative,
         laplace=lambda s: fact / s ** (p + 1),
         laplace_decay=(fact, float(p + 1)),

@@ -25,6 +25,8 @@ __all__ = ["adaptive_simpson", "integrate_segmented", "integrate_semi_infinite",
 
 # cutoff doublings before a semi-infinite integral is declared non-localizing
 _MAX_DOUBLINGS = 200
+# bisections of one panel before adaptive Simpson declares it unresolved
+_MAX_DEPTH = 48
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -37,7 +39,6 @@ def adaptive_simpson(
     b: float,
     rel_tol: float = 1e-9,
     abs_floor: float = 1e-14,
-    max_depth: int = 48,
 ) -> float:
     """Integrate ``f`` over ``[a, b]`` adaptively.
 
@@ -47,7 +48,7 @@ def adaptive_simpson(
     refinement where the integrand vanishes identically.
 
     A non-finite integrand value raises ``ValueError``; a panel still
-    unresolved after ``max_depth`` bisections raises ``RuntimeError``, so an
+    unresolved after ``_MAX_DEPTH`` bisections raises ``RuntimeError``, so an
     under-resolved integral is never returned as a converged one.
     """
     if not b > a:
@@ -79,13 +80,13 @@ def adaptive_simpson(
         if depth <= 0:
             raise RuntimeError(
                 f"adaptive_simpson: panel [{a:.17g}, {b:.17g}] unresolved after "
-                f"{max_depth} bisections (error estimate {err:.3e})"
+                f"{_MAX_DEPTH} bisections (error estimate {err:.3e})"
             )
         return recurse(a, m, fa, flm, fm, left, depth - 1) + recurse(
             m, b, fm, frm, fb, right, depth - 1
         )
 
-    return recurse(a, b, fa, fm, fb, whole, max_depth)
+    return recurse(a, b, fa, fm, fb, whole, _MAX_DEPTH)
 
 
 def integrate_segmented(

@@ -80,8 +80,6 @@ def _json_default(obj: Any) -> Any:
         return obj.item()
     if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -97,13 +95,14 @@ def pointwise_report(
     *,
     seed: int,
     tol: float = 1e-12,
-    describe: "callable | None" = None,
+    **point: Any,
 ) -> VerificationReport:
     """Build a report from per-sample ``quantity``/``bound`` arrays.
 
-    ``describe(flat_index)`` should return a JSON-friendly dict describing the
-    sample at that flat index; it is called once, for the worst sample.  A
-    non-finite sample raises ``ValueError``: NaN would never count as a violation.
+    The keywords in ``point`` are the coordinates recorded with the worst
+    sample: an array is read at that sample's flat index, any other value is
+    recorded as given.  A non-finite sample raises ``ValueError``: NaN would
+    never count as a violation.
     """
     q = np.asarray(quantity, dtype=float).ravel()
     b = np.asarray(bound, dtype=float).ravel()
@@ -118,18 +117,19 @@ def pointwise_report(
     margin = b - q
     bad = q > b * (1.0 + tol) + tol
     worst = int(np.argmin(margin))
-    point: dict[str, Any] = {"index": worst}
-    if describe is not None:
-        point.update(describe(worst))
-    point["quantity"] = float(q[worst])
-    point["bound"] = float(b[worst])
+    coordinates = {
+        name: value.item(worst) if isinstance(value, np.ndarray) else value
+        for name, value in point.items()
+    }
     return VerificationReport(
         suite=suite,
         samples=int(q.size),
         seed=seed,
         violations=int(np.count_nonzero(bad)),
         worst_margin=float(margin[worst]),
-        worst_point=point,
+        worst_point={
+            "index": worst, **coordinates, "quantity": float(q[worst]), "bound": float(b[worst])
+        },
     )
 
 

@@ -386,7 +386,7 @@ def validate_growth(F: Symbol, samples: int, seed: int) -> VerificationReport:
         bound,
         seed=seed,
         tol=1e-10,
-        describe=lambda i: {"s": complex(s[i])},
+        s=s,
     )
 
 

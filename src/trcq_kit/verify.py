@@ -88,12 +88,11 @@ def check_hyperbolic(samples: int, seed: int) -> VerificationReport:
     x = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), samples))
     mn = np.minimum(x, 1.0)
     th, th2 = np.tanh(x), np.tanh(0.5 * x)
-    describe = lambda i: {"x": float(x[i])}
     parts = [
-        pointwise_report("hyperbolic:a", 0.5 * mn, th, seed=seed, tol=SUITE_TOL, describe=describe),
-        pointwise_report("hyperbolic:b", 1.0 / th, 2.0 / mn, seed=seed, tol=SUITE_TOL, describe=describe),
-        pointwise_report("hyperbolic:c", 0.25 * mn, th2, seed=seed, tol=SUITE_TOL, describe=describe),
-        pointwise_report("hyperbolic:d", 1.0 / th2, 4.0 / mn, seed=seed, tol=SUITE_TOL, describe=describe),
+        pointwise_report("hyperbolic:a", 0.5 * mn, th, seed=seed, tol=SUITE_TOL, x=x),
+        pointwise_report("hyperbolic:b", 1.0 / th, 2.0 / mn, seed=seed, tol=SUITE_TOL, x=x),
+        pointwise_report("hyperbolic:c", 0.25 * mn, th2, seed=seed, tol=SUITE_TOL, x=x),
+        pointwise_report("hyperbolic:d", 1.0 / th2, 4.0 / mn, seed=seed, tol=SUITE_TOL, x=x),
     ]
     return combine_reports("hyperbolic", parts)
 
@@ -113,13 +112,8 @@ def check_lemma31(samples: int, seed: int) -> VerificationReport:
     z = sample_cplus(samples, rng)
     w = delta_char(np.exp(-z))
     mn = np.minimum(z.real, 1.0)
-    describe = lambda i: {"z": complex(z[i])}
-    parts.append(
-        pointwise_report("lemma31:a", 0.5 * mn, w.real, seed=seed, tol=SUITE_TOL, describe=describe)
-    )
-    parts.append(
-        pointwise_report("lemma31:b", np.abs(w), 8.0 / mn, seed=seed, tol=SUITE_TOL, describe=describe)
-    )
+    parts.append(pointwise_report("lemma31:a", 0.5 * mn, w.real, seed=seed, tol=SUITE_TOL, z=z))
+    parts.append(pointwise_report("lemma31:b", np.abs(w), 8.0 / mn, seed=seed, tol=SUITE_TOL, z=z))
 
     zc = sample_cplus(samples, rng, max_modulus=np.pi * _INSET)
     mod = np.abs(zc)
@@ -128,12 +122,7 @@ def check_lemma31(samples: int, seed: int) -> VerificationReport:
         bound = E_m_eval(mod, m) * mod ** (m + 2)
         parts.append(
             pointwise_report(
-                f"lemma31:c[m={m}]",
-                quantity,
-                bound,
-                seed=seed,
-                tol=SUITE_TOL,
-                describe=lambda i: {"z": complex(zc[i]), "m": m},
+                f"lemma31:c[m={m}]", quantity, bound, seed=seed, tol=SUITE_TOL, z=zc, m=m
             )
         )
 
@@ -148,7 +137,7 @@ def check_lemma31(samples: int, seed: int) -> VerificationReport:
             (wd / zd).real,
             seed=seed,
             tol=SUITE_TOL,
-            describe=lambda i: {"z": complex(zd[i])},
+            z=zd,
         )
     )
     return combine_reports("lemma31", parts)
@@ -171,13 +160,13 @@ def check_prop32(samples: int, seed: int) -> VerificationReport:
     s = sample_cplus(samples, rng)
     sk = s_kappa(s, kappa)
     mn = np.minimum(s.real, 1.0)
-    describe = lambda i: {"s": complex(s[i]), "kappa": float(kappa[i])}
     parts.append(
-        pointwise_report("prop32:a", 0.5 * mn, sk.real, seed=seed, tol=SUITE_TOL, describe=describe)
+        pointwise_report("prop32:a", 0.5 * mn, sk.real, seed=seed, tol=SUITE_TOL, s=s, kappa=kappa)
     )
     parts.append(
         pointwise_report(
-            "prop32:b", np.abs(sk), 8.0 / (kappa * kappa * mn), seed=seed, tol=SUITE_TOL, describe=describe
+            "prop32:b", np.abs(sk), 8.0 / (kappa * kappa * mn), seed=seed, tol=SUITE_TOL,
+            s=s, kappa=kappa,
         )
     )
 
@@ -195,7 +184,9 @@ def check_prop32(samples: int, seed: int) -> VerificationReport:
                 bound,
                 seed=seed,
                 tol=SUITE_TOL,
-                describe=lambda i: {"s": complex(sc[i]), "kappa": float(kc[i]), "m": m},
+                s=sc,
+                kappa=kc,
+                m=m,
             )
         )
 
@@ -211,7 +202,8 @@ def check_prop32(samples: int, seed: int) -> VerificationReport:
             (s_kappa(sd, kd) / sd).real,
             seed=seed,
             tol=SUITE_TOL,
-            describe=lambda i: {"s": complex(sd[i]), "kappa": float(kd[i])},
+            s=sd,
+            kappa=kd,
         )
     )
     return combine_reports("prop32", parts)
@@ -234,7 +226,8 @@ def check_lemma32(samples: int, seed: int) -> VerificationReport:
                 2.0 ** (m / 2.0) * shifted**m,
                 seed=seed,
                 tol=SUITE_TOL,
-                describe=lambda i: {"z": complex(z[i]), "m": m},
+                z=z,
+                m=m,
             )
         )
     return combine_reports("lemma32", parts)
@@ -268,12 +261,7 @@ def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
         norms = value_norm(F(s_kappa(s, k)))
         parts.append(
             pointwise_report(
-                f"prop41:a[kappa={k:g}]",
-                norms,
-                bound_a,
-                seed=seed,
-                tol=SUITE_TOL,
-                describe=lambda i: {"s": complex(s[i]), "kappa": k},
+                f"prop41:a[kappa={k:g}]", norms, bound_a, seed=seed, tol=SUITE_TOL, s=s, kappa=k
             )
         )
 
@@ -291,16 +279,7 @@ def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
         deriv = vals.mean(axis=1) / r[:, None, None]
         grad[lo : lo + chunk] = value_norm(deriv)
     bound_b = theta2(sb.real, mu, cf) * np.abs(sb) ** mu
-    parts.append(
-        pointwise_report(
-            "prop41:b",
-            grad,
-            bound_b,
-            seed=seed,
-            tol=DERIVATIVE_TOL,
-            describe=lambda i: {"s": complex(sb[i])},
-        )
-    )
+    parts.append(pointwise_report("prop41:b", grad, bound_b, seed=seed, tol=DERIVATIVE_TOL, s=sb))
 
     # (c) quadratic-accuracy envelope on |kappa s| < c0
     c0 = solve_c0()
@@ -317,7 +296,8 @@ def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
                 bound_c,
                 seed=seed,
                 tol=DERIVATIVE_TOL,
-                describe=lambda i: {"s": complex(sc[i]), "kappa": k},
+                s=sc,
+                kappa=k,
             )
         )
     return combine_reports(f"prop41:{F.name}", parts)
@@ -329,10 +309,10 @@ def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
 
 
 def _integral_report(suite: str, lhs: float, rhs: float, **point) -> VerificationReport:
-    """One-sample report of the integral estimate ``lhs <= rhs``, described by ``point``."""
+    """One-sample report of the integral estimate ``lhs <= rhs`` at ``point``."""
     return pointwise_report(
         suite, np.array([lhs]), np.array([rhs]), seed=0, tol=QUADRATURE_TOL,
-        describe=lambda i: dict(point, lhs=lhs, rhs=rhs),
+        lhs=lhs, rhs=rhs, **point,
     )
 
 
@@ -416,12 +396,11 @@ def check_lemma33(g: SmoothCausalFunction, sigma: float) -> VerificationReport:
     _require_finite(sigma=sigma)
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    if g.max_order < 2:
-        raise ValueError("the estimate needs two derivatives")
     if g.laplace is None:
         raise ValueError("this check needs an input with a closed-form transform")
     if g.laplace_decay is None or g.laplace_decay[1] <= 1.0:
         raise ValueError("need a transform decay certificate with exponent > 1")
+    g.require(2, "lemma33")
 
     with named_integral("lemma33 time integral int_0^inf |g''|"):
         rhs = math.pi / sigma * _time_l1(lambda t: abs(g.deriv(t, 2)))
@@ -461,10 +440,9 @@ def check_prop34a(
         raise ValueError("need sigma > 0 and kappa in (0, 1]")
     if g.laplace is None:
         raise ValueError("this check needs an input with a closed-form transform")
-    if g.max_order < 2 * m + 4:
-        raise ValueError(f"{g.name} supports orders up to {g.max_order}; need {2 * m + 4}")
     if g.laplace_decay is None or g.laplace_decay[1] <= m + 1:
         raise ValueError("need a transform decay certificate with exponent > m+1")
+    g.require(2 * m + 4, f"prop34a at m = {m}")
 
     transform = g.laplace
     c_g, p = g.laplace_decay

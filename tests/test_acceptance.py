@@ -275,7 +275,7 @@ class TestParameterTable:
             3.0: (3, 5, 10, 4.0),
         }
         for mu, (m, alpha, beta, eps) in table.items():
-            p = derive_params(mu, with_constants=False)
+            p = derive_params(mu)
             assert (p.m, p.alpha, p.beta) == (m, alpha, beta), f"mu={mu}"
             assert p.epsilon == eps, f"mu={mu}"
 

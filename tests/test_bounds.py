@@ -6,6 +6,7 @@ at 1e-30 bracket width) and rounded to double; the package must match to
 ~5e-14 relative.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -28,8 +29,8 @@ from trcq_kit.bounds import (
     theta2,
     theta3,
 )
-from trcq_kit.functions import poly_exp
-from trcq_kit.symbols import CFModel, make_delay
+from trcq_kit.functions import monomial, poly_exp, zero
+from trcq_kit.symbols import CFModel, make_delay, make_power
 
 D_AT_ONE = 0.09260497968758102
 
@@ -122,11 +123,28 @@ class TestSmoothCausalFunction:
         assert float(g(-0.1)) == 0.0
 
     def test_order_validation(self):
-        g = poly_exp(3, max_order=8)
+        g = dataclasses.replace(poly_exp(3), max_order=8)
         with pytest.raises(ValueError):
             g.deriv(1.0, 9)
         with pytest.raises(ValueError):
             g.deriv(1.0, -1)
+
+    def test_require_admits_derivatives_vanishing_at_the_origin(self):
+        poly_exp(6).require(6, "the bound")
+        zero().require(64, "the bound")
+
+    def test_require_names_a_missing_order(self):
+        g = dataclasses.replace(poly_exp(6), max_order=5)
+        with pytest.raises(ValueError) as err:
+            g.require(6, "the bound")
+        assert str(err.value) == "poly6exp supports orders up to 5; the bound needs 6"
+
+    def test_require_names_a_nonzero_derivative_at_the_origin(self):
+        with pytest.raises(ValueError) as err:
+            monomial(2).require(6, "the bound")
+        assert str(err.value) == (
+            "mono:2 has g^(2)(0) = 2; the bound needs g^(k)(0) = 0 for k < 6"
+        )
 
 
 class TestApplyPm:
@@ -136,7 +154,7 @@ class TestApplyPm:
         np.testing.assert_allclose(apply_Pm(g, 0, 0.7, 5), g.deriv(0.7, 5), rtol=0, atol=0)
 
     def test_overshift_rejected(self):
-        g = poly_exp(5, max_order=6)
+        g = dataclasses.replace(poly_exp(5), max_order=6)
         with pytest.raises(ValueError):
             apply_Pm(g, 0, 1.0, 7)
 
@@ -160,7 +178,7 @@ class TestApplyPm:
         np.testing.assert_allclose(apply_Pm(g, 0, 0.9).real, g.deriv(0.9, 0), rtol=0)
 
     def test_validation(self):
-        g = poly_exp(3, max_order=4)
+        g = dataclasses.replace(poly_exp(3), max_order=4)
         with pytest.raises(ValueError):
             apply_Pm(g, -1, 1.0)
         with pytest.raises(ValueError, match="orders up to 4"):
@@ -176,7 +194,7 @@ class TestDeriveParams:
     def test_parameter_table(self):
         """(m, alpha, beta, epsilon) across representative mu."""
         for mu, (m, alpha, beta, eps) in PARAM_TABLE.items():
-            p = derive_params(mu, with_constants=False)
+            p = derive_params(mu)
             assert (p.m, p.alpha, p.beta) == (m, alpha, beta), f"mu={mu}"
             assert p.epsilon == pytest.approx(eps, rel=0, abs=0), f"mu={mu}"
 
@@ -184,18 +202,18 @@ class TestDeriveParams:
         """epsilon always lies in [1 + max(m,1), 2 + max(m,1)]."""
         rng = np.random.default_rng(20260814)
         for mu in 6.0 * rng.random(200):
-            p = derive_params(float(mu), with_constants=False)
+            p = derive_params(float(mu))
             lo = 1.0 + max(p.m, 1)
             hi = 2.0 + max(p.m, 1)
             assert lo - 1e-12 <= p.epsilon <= hi + 1e-12, f"mu={mu}"
 
     def test_integer_mu_gives_alpha_five(self):
         for mu in (0.0, 1.0, 2.0, 5.0):
-            assert derive_params(mu, with_constants=False).alpha == 5
+            assert derive_params(mu).alpha == 5
 
     def test_fractional_mu_gives_alpha_four(self):
         for mu in (0.1, 0.9, 1.5, 3.25):
-            assert derive_params(mu, with_constants=False).alpha == 4
+            assert derive_params(mu).alpha == 4
 
     def test_alpha_just_below_an_integer(self):
         """mu = 3 - 2^-51 is fractional: alpha 4, and a Cmu1 minimised with
@@ -216,7 +234,6 @@ class TestDeriveParams:
         for mu in (MAX_MU + 0.5, 100.0, 1e6):
             with pytest.raises(ValueError, match="constant chain"):
                 derive_params(mu)
-        assert derive_params(100.0, with_constants=False).m == 100
 
     def test_bad_constants_rejected(self):
         with pytest.raises(ValueError, match="finite and non-negative"):
@@ -365,9 +382,14 @@ class TestBoundRhs:
             bound_rhs(make_delay(1.0), poly_exp(5), 0.1, 0.0)
 
     def test_insufficient_smoothness_rejected(self):
-        g = poly_exp(5, max_order=4)
+        g = dataclasses.replace(poly_exp(5), max_order=4)
         with pytest.raises(ValueError, match="orders up to 4"):
             bound_rhs(make_delay(1.0), g, 0.1, 1.0)
+
+    def test_input_nonzero_at_the_origin_rejected(self):
+        """power:1 needs beta = 6 derivatives vanishing at 0; poly5exp has g^(5)(0) = 120."""
+        with pytest.raises(ValueError, match=r"^poly5exp has g\^\(5\)\(0\) = 120; the bound"):
+            bound_rhs(make_power(1.0), poly_exp(5), 0.1, 1.0)
 
     def test_non_finite_integrand_names_its_integral(self):
         """A derivative that is inf past t = 1 fails I1, and the error says so."""

@@ -611,10 +611,32 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    # the whole stderr of refusals whose cause must be named
+    NAMED_REFUSALS = {
+        "lemma33-mono0": "need a transform decay certificate with exponent > 1",
+        "bound-t-inf": f"t_final/kappa = inf is not finite; the step budget is {cli.MAX_STEPS}",
+        "longtime-t-min-nan": "--t-min = nan is not finite",
+        "longtime-t-min-inf": "--t-min = inf is not finite",
+        "bound-t-nan": "--t-list times must be positive, got nan",
+        "bound-power0.5-mono2": "mono:2 has g^(2)(0) = 2; the bound needs g^(k)(0) = 0 for k < 6",
+        "bound-power0.5-mono4": "mono:4 has g^(4)(0) = 24; the bound needs g^(k)(0) = 0 for k < 6",
+        "bound-power1-mono3": "mono:3 has g^(3)(0) = 6; the bound needs g^(k)(0) = 0 for k < 6",
+        "bound-power1-poly1exp":
+            "poly1exp has g^(1)(0) = 1; the bound needs g^(k)(0) = 0 for k < 6",
+        "bound-delay-poly1exp":
+            "poly1exp has g^(1)(0) = 1; the bound needs g^(k)(0) = 0 for k < 5",
+        **{f"prop34a-poly{m + 1}exp-m{m}":
+           f"poly{m + 1}exp has g^({m + 1})(0) = {math.factorial(m + 1)}; "
+           f"prop34a at m = {m} needs g^(k)(0) = 0 for k < {2 * m + 4}" for m in range(1, 6)},
+    }
+
     @pytest.mark.parametrize("case", list(SNAPSHOT.OUT_OF_RANGE))
     def test_out_of_range_input_is_a_usage_error(self, case, capsys):
         assert main(SNAPSHOT.OUT_OF_RANGE[case]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if case in self.NAMED_REFUSALS:
+            assert err == f"error: {self.NAMED_REFUSALS[case]}\n"
 
     # poly170exp overflows in the time integral of |P_1 g^(5)|, not in the
     # frequency integral, and the message says which.

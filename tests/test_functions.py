@@ -47,7 +47,7 @@ class TestPolyExp:
             np.testing.assert_array_equal(g.deriv(-0.5, k), np.zeros(1))
 
     def test_order_cap_enforced(self):
-        g = poly_exp(5, max_order=16)
+        g = poly_exp(5)
         g.deriv(1.0, 16)
         with pytest.raises(ValueError, match="orders 0..16"):
             g.deriv(1.0, 17)

@@ -59,8 +59,8 @@ class TestAdaptiveSimpson:
 
     def test_depth_exhaustion_raises(self):
         """An unresolved panel is an error, not a silently truncated value."""
-        with pytest.raises(RuntimeError, match="unresolved after 2 bisections"):
-            adaptive_simpson(lambda t: 1.0 / (t + 1e-6), 0.0, 1.0, max_depth=2)
+        with pytest.raises(RuntimeError, match="unresolved after 48 bisections"):
+            adaptive_simpson(lambda t: 1.0 / t if t > 0.0 else 0.0, 0.0, 1.0)
 
     def test_kinked_integrand_g5(self):
         """|g^(5)| for g = t^5 e^-t has interior kinks; the panels resolve them."""

@@ -33,14 +33,19 @@ class TestPointwiseReport:
         np.testing.assert_allclose(rep.worst_margin, 0.1)
         assert rep.worst_point["index"] == 1
 
-    def test_describe_merged_into_worst_point(self):
-        q = np.array([0.0, 0.9])
-        b = np.array([1.0, 1.0])
-        rep = pointwise_report(
-            "demo", q, b, seed=7, tol=1e-12, describe=lambda i: {"z": complex(1, i)}
-        )
-        assert rep.worst_point["z"] == complex(1, 1)
+    def test_named_coordinates_of_the_worst_point(self):
+        """An array is read at the worst sample; any other value is kept as given."""
+        q = np.array([0.0, 0.9, 0.2])
+        b = np.array([1.0, 1.0, 1.0])
+        z = np.array([1 + 0j, 1 + 1j, 1 + 2j])
+        rep = pointwise_report("demo", q, b, seed=7, tol=1e-12, z=z, kappa=0.1, g="poly6exp")
+        assert rep.worst_point == {
+            "index": 1, "z": 1 + 1j, "kappa": 0.1, "g": "poly6exp", "quantity": 0.9, "bound": 1.0
+        }
+        assert type(rep.worst_point["z"]) is complex
         assert rep.seed == 7
+        blob = rep.csv_row().split(",", 5)[5]
+        assert json.loads(blob[1:-1].replace('""', '"'))["z"] == {"re": 1.0, "im": 1.0}
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -65,7 +70,8 @@ class TestCsvRow:
             np.array([1.0]),
             seed=3,
             tol=1e-12,
-            describe=lambda i: {"z": 1 + 2j, "note": 'say "hi"'},
+            z=1 + 2j,
+            note='say "hi"',
         )
         row = rep.csv_row()
         fields = row.split(",", 5)
@@ -83,7 +89,8 @@ class TestCsvRow:
             np.array([0.5]),
             np.array([1.0]),
             seed=0,
-            describe=lambda i: {"x": np.float64(1.5), "n": np.int64(7)},
+            x=np.float64(1.5),
+            n=np.int64(7),
         )
         blob = rep.csv_row().split(",", 5)[5]
         decoded = json.loads(blob[1:-1].replace('""', '"'))

@@ -6,6 +6,7 @@ when handed a symbol whose declared growth certificate is false.  The latter
 guards against the suites being vacuous.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -179,9 +180,16 @@ class TestTransformMass:
             check_lemma33(strip_transform(poly_exp(5)), 1.0)
 
     def test_closed_form_route_handles_slow_decay_certificate(self):
-        """poly1exp keeps its closed transform, so the check still runs."""
-        rep = check_lemma33(poly_exp(1), 1.0)
+        """|2/(s+1)^3| <= 2/|s|^2 on Re s >= 0: with that slow certificate
+        the closed transform still carries the check."""
+        g = dataclasses.replace(poly_exp(2), laplace_decay=(2.0, 2.0))
+        rep = check_lemma33(g, 1.0)
         assert rep.violations == 0
+
+    def test_input_outside_the_hypothesis_refused(self):
+        """lemma33 integrates g'' against G, which needs g(0) = g'(0) = 0."""
+        with pytest.raises(ValueError, match=r"^poly1exp has g\^\(1\)\(0\) = 1; lemma33 needs"):
+            check_lemma33(poly_exp(1), 1.0)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError, match="^sigma = nan is not finite"):
@@ -189,7 +197,7 @@ class TestTransformMass:
         with pytest.raises(ValueError):
             check_lemma33(poly_exp(5), 0.0)
         with pytest.raises(ValueError):
-            check_lemma33(poly_exp(5, max_order=1), 1.0)
+            check_lemma33(dataclasses.replace(poly_exp(5), max_order=1), 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -199,9 +207,14 @@ class TestTransformMass:
 
 class TestPowerDefect:
     def test_first_order_clean(self):
-        rep = check_prop34a(poly_exp(5), 1.0, 1, 0.1)
+        rep = check_prop34a(poly_exp(6), 1.0, 1, 0.1)
         assert rep.violations == 0
         assert rep.worst_margin > 0.0
+
+    def test_input_outside_the_hypothesis_refused(self):
+        """At m = 1 the estimate needs g^(k)(0) = 0 for k < 6; poly5exp has g^(5)(0) = 120."""
+        with pytest.raises(ValueError, match=r"^poly5exp has g\^\(5\)\(0\) = 120; prop34a"):
+            check_prop34a(poly_exp(5), 1.0, 1, 0.1)
 
     def test_guards(self):
         with pytest.raises(ValueError, match="at least 1"):
@@ -209,7 +222,7 @@ class TestPowerDefect:
         with pytest.raises(ValueError, match="closed-form transform"):
             check_prop34a(strip_transform(poly_exp(5)), 1.0, 1, 0.1)
         with pytest.raises(ValueError, match="orders up to 5"):
-            check_prop34a(poly_exp(5, max_order=5), 1.0, 1, 0.1)
+            check_prop34a(dataclasses.replace(poly_exp(5), max_order=5), 1.0, 1, 0.1)
         with pytest.raises(ValueError, match="exponent > m\\+1"):
             check_prop34a(poly_exp(1), 1.0, 1, 0.1)
         with pytest.raises(ValueError, match="^sigma = inf is not finite"):

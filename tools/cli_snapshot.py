@@ -58,6 +58,20 @@ OUT_OF_RANGE = {
     "lemma42-c-inf": ["verify", "--suite", "lemma42", "--c", "inf"],
     "lemma42-sigma-inf": ["verify", "--suite", "lemma42", "--sigma", "inf"],
     "lemma33-sigma-nan": ["verify", "--suite", "lemma33", "--sigma", "nan"],
+    # non-finite times name their option
+    "longtime-t-min-nan": ["longtime", "--symbol", "delay:1.0", "--g", "poly5exp",
+                           "--t-min", "nan"],
+    "longtime-t-min-inf": ["longtime", "--symbol", "delay:1.0", "--g", "poly5exp",
+                           "--t-min", "inf"],
+    "bound-t-nan": ["bound", "--symbol", "power:1", "--g", "poly6exp", "--t-list", "nan,1"],
+    # inputs outside a theorem's hypothesis: some g^(k)(0) != 0 below the order it needs
+    "bound-power0.5-mono2": ["bound", "--symbol", "power:0.5", "--g", "mono:2"],
+    "bound-power0.5-mono4": ["bound", "--symbol", "power:0.5", "--g", "mono:4"],
+    "bound-power1-mono3": ["bound", "--symbol", "power:1", "--g", "mono:3"],
+    "bound-power1-poly1exp": ["bound", "--symbol", "power:1", "--g", "poly1exp"],
+    "bound-delay-poly1exp": ["bound", "--symbol", "delay:1.0", "--g", "poly1exp"],
+    **{f"prop34a-poly{m + 1}exp-m{m}": ["verify", "--suite", "prop34a", "--g", f"poly{m + 1}exp",
+                                       "--m", str(m)] for m in range(1, 6)},
 }
 
 NON_FINITE = {
