@@ -323,16 +323,19 @@ def const_chain(mu: float) -> dict:
 def bound_rhs(
     F: Symbol,
     g: SmoothCausalFunction,
-    kappa: float,
+    kappa,
     t: float,
     params: "TheoremParams | None" = None,
-) -> float:
+):
     """Evaluate ``kappa^2 * C(1/t) * (I1 + I2)`` by adaptive quadrature.
 
     The two time integrals run at 1e-9 relative tolerance with a 1e-14
-    absolute floor (g may vanish identically near 0).
+    absolute floor (g may vanish identically near 0).  They do not depend on
+    ``kappa``, which may be an array: the integrals then run once for all its
+    steps, and the bound comes back elementwise.
     """
-    if not (0.0 < kappa <= 1.0):
+    kap = np.asarray(kappa, dtype=float)
+    if not np.all((kap > 0.0) & (kap <= 1.0)):
         raise ValueError("kappa must lie in (0, 1]")
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -354,7 +357,8 @@ def bound_rhs(
 
     x = 1.0 / t
     c_of_x = F.cf(min(x, 1.0) / 4.0) * params.constants["Cmu"] / min(x**params.epsilon, 1.0)
-    return kappa * kappa * c_of_x * (i1 + i2)
+    rhs = kap * kap * c_of_x * (i1 + i2)
+    return float(rhs) if kap.ndim == 0 else rhs
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,7 @@ substitution:
   which control |delta(exp(-z))**m - z**m|,
 * ``solve_c0`` finds the unique root of sigma**2 * D(sigma) = 1 in (0, pi),
 * ``delta_power_diff`` evaluates delta(exp(-z))**m - z**m without cancellation,
+  for one order m or for several from one evaluation of the defect,
 * ``sample_cplus`` draws the standard right-half-plane sample cloud used by
   every randomized check in the package.
 
@@ -171,30 +172,56 @@ def q_ratio(z):
     return out[0] if was_scalar else out
 
 
-def delta_power_diff(z, m: int):
+def _orders(m) -> "list[int]":
+    """The orders asked for by ``m``: one order, or a sequence of them."""
+    orders = [m] if np.ndim(m) == 0 else list(m)
+    if not orders or min(orders) < 1:
+        raise ValueError("m must be >= 1")
+    return orders
+
+
+# Samples per block of delta_power_diff: every order's powers of one block
+# stay in cache, and memory does not grow with the number of orders.
+_POWER_BLOCK = 1 << 11
+
+
+def delta_power_diff(z, m):
     """delta(exp(-z))**m - z**m evaluated without cancellation, for Re z > 0.
 
     Uses the telescoping a**m - b**m = (a - b) * sum_j a**j b**(m-1-j) with the
     difference a - b = z**3 * q(z) taken from the series branch when |z| is
     small.  Unlike the majorant bound, the value itself is defined on all of
     the right half-plane, so no |z| < pi restriction applies here.
+
+    ``m`` may also be a sequence of orders; the values are then stacked along
+    a new first axis.  The difference and the powers a**j, b**k are computed
+    once for all orders, block by block, and each order sums its terms in the
+    same order as a call for that order alone, so the bits agree.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    orders = _orders(m)
     z, was_scalar = _as1d(z, complex)
     if np.any(np.real(z) <= 0.0):
         raise ValueError("delta_power_diff requires Re z > 0")
-    small = np.abs(z) <= _Q_CROSSOVER
-    diff = np.empty_like(z)
-    zs = z[small]
-    diff[small] = zs**3 * _q_series(zs)
-    diff[~small] = delta_char(np.exp(-z[~small])) - z[~small]
-    delta = z + diff
-    acc = np.zeros_like(z)
-    for j in range(m):
-        acc += delta**j * z ** (m - 1 - j)
-    out = diff * acc
-    return out[0] if was_scalar else out
+    flat = z.ravel()
+    out = np.empty((len(orders), flat.size), dtype=complex)
+    top = max(orders)
+    for lo in range(0, flat.size, _POWER_BLOCK):
+        zb = flat[lo : lo + _POWER_BLOCK]
+        small = np.abs(zb) <= _Q_CROSSOVER
+        diff = np.empty_like(zb)
+        zs = zb[small]
+        diff[small] = zs**3 * _q_series(zs)
+        diff[~small] = delta_char(np.exp(-zb[~small])) - zb[~small]
+        delta = zb + diff
+        delta_pow = [delta**j for j in range(top)]
+        z_pow = [zb**k for k in range(top)]
+        for i, order in enumerate(orders):
+            acc = np.zeros_like(zb)
+            for j in range(order):
+                acc += delta_pow[j] * z_pow[order - 1 - j]
+            out[i, lo : lo + _POWER_BLOCK] = diff * acc
+    out = out[:, 0] if was_scalar else out.reshape((len(orders),) + z.shape)
+    return out[0] if np.ndim(m) == 0 else out
 
 
 # ----------------------------------------------------------------------------
@@ -222,26 +249,27 @@ def D_eval(sigma):
     return out[0] if was_scalar else out
 
 
-def E_m_eval(sigma, m: int):
+def E_m_eval(sigma, m):
     """E_m(sigma) = max{D**j : j=1..m} * ((1+sigma**2)**m - 1)/sigma**2.
 
     At sigma = 0 the second factor is taken by its limit m.  Requires m >= 1
-    and 0 <= sigma < pi.
+    and 0 <= sigma < pi.  ``m`` may also be a sequence of orders; the values
+    are then stacked along a new first axis, from one evaluation of D.
     """
-    if m < 1:
-        raise ValueError("E_m is defined for m >= 1")
+    orders = _orders(m)
     sig, was_scalar = _as1d(sigma, float)
     d = np.atleast_1d(D_eval(sig))
-    out = np.maximum(d, d**m) * _power_ratio(sig * sig, m)
-    return out[0] if was_scalar else out
-
-
-def _power_ratio(x: np.ndarray, m: int) -> np.ndarray:
-    """((1 + x)**m - 1)/x, continuously extended to m at x = 0."""
-    out = np.full_like(x, float(m))
+    x = sig * sig
     nz = x > 0.0
-    out[nz] = np.expm1(m * np.log1p(x[nz])) / x[nz]
-    return out
+    log1p_x = np.log1p(x)
+    out = np.empty((len(orders),) + sig.shape)
+    for row, order in zip(out, orders):
+        # ((1 + x)**m - 1)/x, continuously extended to m at x = 0
+        row.fill(order)
+        np.divide(np.expm1(order * log1p_x), x, out=row, where=nz)
+        row *= np.maximum(d, d**order)
+    out = out[:, 0] if was_scalar else out
+    return out[0] if np.ndim(m) == 0 else out
 
 
 # Residual tolerance |c0**2 D(c0) - 1| of the root returned by solve_c0.

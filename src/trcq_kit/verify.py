@@ -97,6 +97,32 @@ def check_hyperbolic(samples: int, seed: int) -> VerificationReport:
     return combine_reports("hyperbolic", parts)
 
 
+def _power_defect_parts(
+    suite: str, z: np.ndarray, kappa, s: np.ndarray, seed: int, /, **point
+) -> "list[VerificationReport]":
+    """Part (c) of lemma31 (kappa = 1, s = z) and of prop32, one report per m:
+
+        |delta(exp(-z))^m - z^m| / kappa^m <= E_m(|z|) kappa^2 |s|^(m+2),  z = kappa s.
+
+    The defect and E_m are evaluated once for all orders in _DEFECT_ORDERS.
+    """
+    defects = np.abs(delta_power_diff(z, _DEFECT_ORDERS))
+    envelopes = E_m_eval(np.abs(z), _DEFECT_ORDERS)
+    mod = np.abs(s)
+    return [
+        pointwise_report(
+            f"{suite}:c[m={m}]",
+            defect / kappa**m,
+            e_m * kappa * kappa * mod ** (m + 2),
+            seed=seed,
+            tol=SUITE_TOL,
+            **point,
+            m=m,
+        )
+        for m, defect, e_m in zip(_DEFECT_ORDERS, defects, envelopes)
+    ]
+
+
 def check_lemma31(samples: int, seed: int) -> VerificationReport:
     """Half-plane estimates for w = delta(exp(-z)).
 
@@ -116,15 +142,7 @@ def check_lemma31(samples: int, seed: int) -> VerificationReport:
     parts.append(pointwise_report("lemma31:b", np.abs(w), 8.0 / mn, seed=seed, tol=SUITE_TOL, z=z))
 
     zc = sample_cplus(samples, rng, max_modulus=np.pi * _INSET)
-    mod = np.abs(zc)
-    for m in _DEFECT_ORDERS:
-        quantity = np.abs(delta_power_diff(zc, m))
-        bound = E_m_eval(mod, m) * mod ** (m + 2)
-        parts.append(
-            pointwise_report(
-                f"lemma31:c[m={m}]", quantity, bound, seed=seed, tol=SUITE_TOL, z=zc, m=m
-            )
-        )
+    parts += _power_defect_parts("lemma31", zc, 1.0, zc, seed, z=zc)
 
     c0 = solve_c0()
     zd = sample_cplus(samples, rng, max_modulus=c0 * _INSET)
@@ -172,23 +190,7 @@ def check_prop32(samples: int, seed: int) -> VerificationReport:
 
     kc = 1.0 - rng.random(samples)
     sc = sample_cplus(samples, rng, max_modulus=np.minimum(1e3, np.pi * _INSET / kc))
-    zc = kc * sc
-    modc = np.abs(zc)
-    for m in _DEFECT_ORDERS:
-        quantity = np.abs(delta_power_diff(zc, m)) / kc**m
-        bound = E_m_eval(modc, m) * kc * kc * np.abs(sc) ** (m + 2)
-        parts.append(
-            pointwise_report(
-                f"prop32:c[m={m}]",
-                quantity,
-                bound,
-                seed=seed,
-                tol=SUITE_TOL,
-                s=sc,
-                kappa=kc,
-                m=m,
-            )
-        )
+    parts += _power_defect_parts("prop32", kc * sc, kc, sc, seed, s=sc, kappa=kc)
 
     c0 = solve_c0()
     kd = 1.0 - rng.random(samples)
@@ -233,6 +235,27 @@ def check_lemma32(samples: int, seed: int) -> VerificationReport:
     return combine_reports("lemma32", parts)
 
 
+# Samples per block of prop41's Cauchy ring: one block's 64 ring nodes and the
+# symbol's values on them stay near cache size, whatever the sample count.
+_RING_BLOCK = 1 << 11
+
+
+def _cauchy_derivative_norms(F: Symbol, s: np.ndarray) -> np.ndarray:
+    """||F'(s)|| per sample, by the 64-node trapezoid rule on the circle of
+    radius Re(s)/2 about s, evaluated ``_RING_BLOCK`` samples at a time."""
+    theta = 2.0 * np.pi * np.arange(64) / 64.0
+    phase = np.exp(1j * theta)
+    weight = np.exp(-1j * theta)[None, :, None, None]
+    grad = np.empty(s.size)
+    for lo in range(0, s.size, _RING_BLOCK):
+        blk = s[lo : lo + _RING_BLOCK]
+        r = 0.5 * blk.real
+        ring = blk[:, None] + r[:, None] * phase[None, :]
+        deriv = (F(ring) * weight).mean(axis=1) / r[:, None, None]
+        grad[lo : lo + _RING_BLOCK] = value_norm(deriv)
+    return grad
+
+
 def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
     """Envelope bounds for a mu <= 0 symbol under the frequency substitution.
 
@@ -267,17 +290,7 @@ def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
 
     # (b) Cauchy-circle derivative bound (kappa-independent)
     sb = sample_cplus(samples, rng)
-    theta = 2.0 * np.pi * np.arange(64) / 64.0
-    phase = np.exp(1j * theta)
-    grad = np.empty(samples)
-    chunk = 1 << 14
-    for lo in range(0, samples, chunk):
-        blk = sb[lo : lo + chunk]
-        r = 0.5 * blk.real
-        ring = blk[:, None] + r[:, None] * phase[None, :]
-        vals = F(ring) * np.exp(-1j * theta)[None, :, None, None]
-        deriv = vals.mean(axis=1) / r[:, None, None]
-        grad[lo : lo + chunk] = value_norm(deriv)
+    grad = _cauchy_derivative_norms(F, sb)
     bound_b = theta2(sb.real, mu, cf) * np.abs(sb) ** mu
     parts.append(pointwise_report("prop41:b", grad, bound_b, seed=seed, tol=DERIVATIVE_TOL, s=sb))
 
@@ -447,13 +460,14 @@ def check_prop34a(
     transform = g.laplace
     c_g, p = g.laplace_decay
 
-    def f(omega: float) -> float:
-        s = complex(sigma, omega)
-        defect = complex(delta_power_diff(kappa * s, m)) / kappa**m
-        return abs(defect) * abs(transform(s))
-
     def f_both(omega: float) -> float:
-        return f(omega) + f(-omega)
+        # |(s_k^m - s^m) G(s)| at s = sigma +- i omega, one defect call for the pair
+        pair = (complex(sigma, omega), complex(sigma, -omega))
+        defects = delta_power_diff(np.array([kappa * s for s in pair]), m)
+        up, down = [
+            abs(complex(defect) / kappa**m) * abs(transform(s)) for defect, s in zip(defects, pair)
+        ]
+        return up + down
 
     s_inf = 8.0 / (kappa * kappa * min(sigma, 1.0))
 

@@ -367,6 +367,17 @@ class TestBoundRhs:
         b = bound_rhs(make_delay(1.0), poly_exp(5), 0.05, 2.0)
         assert a / b == pytest.approx(4.0, rel=1e-15)
 
+    def test_kappa_array_matches_scalar_calls(self):
+        """An array of steps runs the time integrals once and equals one call
+        per step bit for bit."""
+        kappas = np.array([0.1, 0.05, 0.025])
+        for F, g in ((make_delay(1.0), poly_exp(5)), (make_power(0.5), monomial(7))):
+            rhs = bound_rhs(F, g, kappas, 2.0)
+            assert rhs.shape == kappas.shape
+            assert rhs.tolist() == [bound_rhs(F, g, float(k), 2.0) for k in kappas]
+        with pytest.raises(ValueError, match="kappa must lie in"):
+            bound_rhs(make_delay(1.0), poly_exp(5), np.array([0.1, 1.5]), 1.0)
+
     def test_explicit_params_match_default(self):
         p = derive_params(0.0)
         a = bound_rhs(make_delay(1.0), poly_exp(5), 0.1, 1.0, params=p)

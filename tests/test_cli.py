@@ -5,6 +5,7 @@ failure, 2 usage error, 3 degenerate data, 4 internal error), config-file mergin
 flags-win precedence, and byte-identical determinism of repeated runs.
 """
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -429,6 +430,48 @@ class TestBound:
         assert main(["bound", "--symbol", "power:1", "--g", "poly6exp", "--out", str(out)]) == EXIT_OK
         assert built == [(0.05, 320), (0.1, 160)]
         assert len(data_rows(read_lines(out))) == 10
+
+    def test_time_integrals_once_per_t(self, monkeypatch, tmp_path):
+        """I1 and I2 do not depend on kappa, so at the default lists (five
+        times, two steps) the bound's integrands are evaluated half as often
+        as one ``bound_rhs`` per (t, kappa) would evaluate them."""
+        evaluations = [0]
+        parse_input = cli._parse_input
+
+        def counting_input(spec):
+            g = parse_input(spec)
+
+            def derivative(t, k):
+                evaluations[0] += 1
+                return g.derivative(t, k)
+
+            return dataclasses.replace(g, derivative=derivative)
+
+        in_bound = []
+        bound_rhs = cli.bound_rhs
+
+        def measured(*args):
+            before = evaluations[0]
+            rhs = bound_rhs(*args)
+            in_bound.append(evaluations[0] - before)
+            return rhs
+
+        monkeypatch.setattr(cli, "_parse_input", counting_input)
+        monkeypatch.setattr(cli, "bound_rhs", measured)
+        out = tmp_path / "bound.csv"
+        assert main(["bound", "--symbol", "power:0.5", "--g", "mono:7", "--out", str(out)]) == EXIT_OK
+        assert len(data_rows(read_lines(out))) == 10
+
+        defaults = {opt.name: opt.default for opt in cli._COMMANDS["bound"].options}
+        F, g = from_spec("power:0.5"), counting_input("mono:7")
+        per_pair = 0
+        for t in defaults["t_list"]:
+            for kappa in defaults["kappa_list"]:
+                before = evaluations[0]
+                bound_rhs(F, g, kappa, t)
+                per_pair += evaluations[0] - before
+        assert len(in_bound) == len(defaults["t_list"])
+        assert 2 * sum(in_bound) == per_pair
 
     def test_negative_mu_symbol_refused(self, capsys):
         code = main(["bound", "--symbol", "decay:1.0", "--g", "poly5exp"])

@@ -235,6 +235,49 @@ class TestDeltaPowerDiff:
             delta_power_diff(np.array([0.1 + 0j]), 0)
 
 
+class TestSharedOrders:
+    """One call for several orders returns, bit for bit, what one call per
+    order returns: the defect, its powers and D are shared, not rounded
+    differently."""
+
+    ORDERS = range(1, 7)
+
+    @staticmethod
+    def points():
+        """10^4 seeded points of the right half-plane, half of them with
+        |z| <= 0.5 (the series branch) and half above (the closed form)."""
+        rng = np.random.default_rng(31)
+        half = 5000
+        modulus = np.concatenate([rng.uniform(1e-3, 0.5, half), rng.uniform(0.5, 3.1, half)])
+        angle = rng.uniform(-0.5 * np.pi + 1e-6, 0.5 * np.pi - 1e-6, 2 * half)
+        return modulus * np.exp(1j * angle)
+
+    def test_delta_power_diff(self):
+        z = self.points()
+        shared = delta_power_diff(z, self.ORDERS)
+        assert shared.shape == (len(self.ORDERS),) + z.shape
+        for row, m in zip(shared, self.ORDERS):
+            assert np.all(row == delta_power_diff(z, m))
+        # a point's value does not depend on where it sits in the array
+        for k in range(0, z.size, 397):
+            assert [delta_power_diff(complex(z[k]), m) for m in self.ORDERS] == list(shared[:, k])
+
+    def test_E_m_eval(self):
+        sigma = np.append(np.abs(self.points()), 0.0)
+        shared = E_m_eval(sigma, self.ORDERS)
+        assert shared.shape == (len(self.ORDERS),) + sigma.shape
+        for row, m in zip(shared, self.ORDERS):
+            assert np.all(row == E_m_eval(sigma, m))
+        assert [E_m_eval(0.7, m) for m in self.ORDERS] == list(E_m_eval(0.7, self.ORDERS))
+
+    def test_rejects_bad_orders(self):
+        for orders in ([], [1, 0]):
+            with pytest.raises(ValueError):
+                delta_power_diff(0.1 + 0j, orders)
+            with pytest.raises(ValueError):
+                E_m_eval(0.1, orders)
+
+
 class TestSampleCplus:
     """Seeded half-plane sampler used by every verification suite."""
 

@@ -136,6 +136,7 @@ ARGVS: "list[list[str]]" = [
     ["bound", "--symbol", "power:1", "--g", "poly6exp"],
     ["bound", "--symbol", "power:1", "--g", "mono:170"],
     ["bound", "--symbol", "power:1", "--g", "mono:20"],
+    ["bound", "--symbol", "power:0.5", "--g", "mono:7", "--kappa-list", "0.1,0.05,0.025"],
     # longtime
     ["longtime", "--symbol", "delay:1.0", "--g", "poly5exp", "--kappa", "0.1",
      "--t-final", "16", "--t-min", "1"],
@@ -147,6 +148,7 @@ ARGVS: "list[list[str]]" = [
     # verify: every suite at seeds 1-3, then edge inputs
     *[["verify", "--suite", suite, "--seed", str(seed)] for suite in _SUITES for seed in (1, 2, 3)],
     ["verify", "--suite", "prop41", "--symbol", "resolvent:skew2.txt", "--samples", "2000"],
+    ["verify", "--suite", "prop41", "--symbol", "resolvent:damped2.txt", "--seed", "1"],
     ["verify", "--suite", "lemma33", "--g", "poly12exp", "--sigma", "0.3"],
     ["verify", "--suite", "prop34a", "--g", "poly9exp", "--m", "2"],
     ["verify", "--suite", "lemma33", "--g", "mono:3"],
