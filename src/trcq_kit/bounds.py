@@ -33,13 +33,16 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .quadrature import integrate_segmented, named_integral
 from .symbols import CFModel, Symbol
 from .trmap import D_eval, E_m_eval, solve_c0
+
+if TYPE_CHECKING:
+    from .functions import PolyExp
 
 __all__ = [
     "SmoothCausalFunction",
@@ -71,7 +74,10 @@ class SmoothCausalFunction:
     (the wrapper :meth:`deriv` supplies the causal zero for ``t < 0``).  The
     optional ``laplace`` callback gives the closed-form transform; the
     optional ``laplace_decay = (C, p)`` certifies ``|G(s)| <= C/|s|**p``
-    on the half-plane, which frequency integrals use as a tail bound.
+    on the half-plane, which frequency integrals use as a tail bound.  A
+    shipped input also carries the ``data`` its callbacks are derived from
+    (:class:`trcq_kit.functions.PolyExp`), whose ``values(t, k)`` takes an
+    array of times as well, so :meth:`on_grid` needs no call per time.
     """
 
     name: str
@@ -79,15 +85,34 @@ class SmoothCausalFunction:
     derivative: Callable[[float, int], float] = field(repr=False)
     laplace: "Callable[[np.ndarray], np.ndarray] | None" = field(default=None, repr=False)
     laplace_decay: "tuple[float, float] | None" = None
+    data: "PolyExp | None" = field(default=None, repr=False)
 
-    def deriv(self, t: float, k: int = 0) -> float:
+    def _check_order(self, k: int) -> None:
         if not (0 <= k <= self.max_order):
             raise ValueError(
                 f"{self.name} supports derivative orders 0..{self.max_order}, got {k}"
             )
+
+    def deriv(self, t: float, k: int = 0) -> float:
+        self._check_order(k)
         if t < 0.0:
             return 0.0
         return self.derivative(float(t), int(k))
+
+    def on_grid(self, t: np.ndarray, k: int = 0) -> "np.ndarray | None":
+        """:meth:`deriv` at every entry of the float array ``t`` at once, bit
+        for bit, from ``data``; ``None`` for an input with callbacks only.
+        ``OverflowError`` propagates where ``data`` raises it, and the
+        per-time :meth:`deriv` names the first such time."""
+        self._check_order(k)
+        if self.data is None:
+            return None
+        out = np.zeros(t.shape)
+        ahead = ~(t < 0.0)
+        # inf and nan entries are the caller's to report, not numpy's to warn about
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[ahead] = self.data.values(t[ahead], int(k))
+        return out
 
     def __call__(self, t: float) -> float:
         return self.deriv(t, 0)

@@ -15,8 +15,10 @@ engines' real cores through the same real-block embedding
 imaginary parts that are exactly 0.  The engines must agree
 to ~1e-12 relative; tests enforce it.
 
-Inputs and references reach the grid through :func:`sample` alone, one scalar
-call per node; :func:`signal_to_csv` writes each row from one ``%`` template.
+Inputs and references reach the grid through :func:`sample` alone: shipped
+inputs and the closed-form references without a series branch are evaluated
+on the whole grid at once, any other function with one scalar call per node;
+:func:`signal_to_csv` writes each row from one ``%`` template.
 """
 
 from __future__ import annotations
@@ -91,14 +93,27 @@ class CausalSignal:
 
 
 def sample(fn: Callable[[float], "complex | np.ndarray"], grid: Grid) -> CausalSignal:
-    """Evaluate ``fn`` once at each grid node; scalar results become 1-vectors.
+    """Evaluate ``fn`` at the grid nodes; scalar results become 1-vectors.
 
     ``fn`` must return the same shape at every node: a scalar, or a vector
-    of one fixed length.  A non-finite sample raises ``ValueError`` naming
-    the input and the first node where it occurs.
+    of one fixed length.  A shipped input and a closed-form reference
+    without a series branch have ``on_grid(nodes)``, which returns the
+    values at all nodes at once, bit for bit those of one call per node;
+    where it returns ``None``, or a power overflows (``OverflowError``),
+    ``fn`` is called once per node instead, and any error it raises names
+    its node.  A non-finite sample raises ``ValueError`` naming the input
+    and the first node where it occurs.
     """
-    samples = np.array([fn(t) for t in grid.nodes.tolist()], dtype=complex)
-    samples = samples.reshape(grid.steps + 1, -1)
+    nodes = grid.nodes
+    values = None
+    if hasattr(fn, "on_grid"):
+        try:
+            values = fn.on_grid(nodes)
+        except OverflowError:
+            pass  # one call per node names the node that overflows
+    if values is None:
+        values = [fn(t) for t in nodes.tolist()]
+    samples = np.array(values, dtype=complex).reshape(grid.steps + 1, -1)
     bad = ~np.isfinite(samples).all(axis=1)
     if bad.any():
         n = int(np.argmax(bad))

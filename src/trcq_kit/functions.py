@@ -5,33 +5,44 @@ order ~10 are available *analytically* (the bound's right-hand side
 integrates high derivatives, and finite differences would pollute exactly
 the quantity under study), and whose Laplace transform is known in closed
 form with a decay certificate (the frequency-integral checks integrate it).
-Three scalar families cover every experiment; derivatives are floats:
+Every shipped input is ``g(t) = t**p * exp(-rate*t)``, held as data
+(:class:`PolyExp`): the integer coefficients of its derivatives
+``g^(k) = P_k(t) exp(-rate*t)``.  Three families cover every experiment;
+derivatives are floats:
 
-* ``poly_exp(p)`` -- ``t**p * exp(-t)``: derivatives stay in the ring
-  ``polynomial * exp(-t)`` and are generated exactly by the recurrence
-  ``P_{k+1} = P_k' - P_k`` on integer coefficient vectors; the transform is
-  ``p! / (s+1)**(p+1)``.
+* ``poly_exp(p)`` -- ``t**p * exp(-t)``: ``P_{k+1} = P_k' - P_k`` on integer
+  coefficient vectors; the transform is ``p! / (s+1)**(p+1)``.
 * ``monomial(p)`` -- ``t**p`` with falling-factorial derivatives and
   transform ``p!/s**(p+1)``.
 * ``zero()`` -- the zero input (degenerate edge cases).
 
+The derivative callback, the transform and its decay certificate all come
+from that data, and so do the values on a whole array of times
+(:meth:`~trcq_kit.bounds.SmoothCausalFunction.on_grid`), bit for bit the
+callback's: Horner runs in the same order on an array, and ``exp`` and
+``pow`` are libm's, mapped over the array's entries, because numpy's own
+differ from libm's in the last bit at some points.
+
 ``exact_solution`` returns the closed-form time action of a built-in symbol
 applied to one of these inputs, when one is known, as a 1-vector comparable
 with a signal row; convergence and bound experiments refuse to run without
-one.
+one.  The closed forms without a series branch also evaluate a whole grid
+at once, by the same rules.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
 from .bounds import SmoothCausalFunction
 
-__all__ = ["poly_exp", "monomial", "zero", "parse_g", "exact_solution"]
+__all__ = ["PolyExp", "poly_exp", "monomial", "zero", "parse_g", "exact_solution"]
 
 # the largest p whose p! (the transform numerator) is a finite double
 MAX_POWER = 170
@@ -47,77 +58,128 @@ def _check_power(p: int) -> None:
 # --------------------------------------------------------------------------
 
 
-def _horner_ascending(coeffs: "list[float]", t: float) -> float:
+def _horner_ascending(coeffs: "list[float]", t):
+    """The polynomial with ascending ``coeffs`` at a float or an array ``t``."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
 
 
+# libm's exp and pow at a float, or at each entry of an array: numpy's own
+# exp and power differ from libm's in the last bit at some points
+
+
+def _exp(x):
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.exp, x.tolist()), float, x.size)
+    return math.exp(x)
+
+
+def _pow(t, e):
+    if isinstance(t, np.ndarray):
+        return np.fromiter(map(pow, t.tolist(), repeat(e)), float, t.size)
+    return t ** e
+
+
+@dataclass(frozen=True)
+class PolyExp:
+    """A shipped input as data: ``g^(k)(t) = P_k(t) exp(-rate*t)`` for
+    ``k = 0..len(table)-1``, where ``table[k]`` lists the integer coefficients
+    of ``P_k`` in ascending order.
+
+    The family fixes the rate and the evaluation rule:
+
+    * ``poly`` -- ``P_0 = t**p``, rate 1: Horner on ``P_k`` times ``exp(-t)``;
+    * ``mono`` -- ``P_0 = t**p``, rate 0: ``P_k`` is the one term
+      ``p!/(p-k)! t**(p-k)``, evaluated with ``pow`` (not Horner, whose
+      repeated products are not ``pow``'s bits), and 0 past order p;
+    * ``zero`` -- every ``P_k`` is 0.
+    """
+
+    family: str
+    p: int
+    max_order: int
+    table: "tuple[tuple[int, ...], ...]" = field(init=False, repr=False, compare=False)
+    _coeffs: "list[list[float]]" = field(init=False, repr=False, compare=False)
+    _fact: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        row = [0] * self.p + [1] if self.family != "zero" else []
+        table = [row]
+        for _ in range(self.max_order):
+            deriv = [i * c for i, c in enumerate(row)][1:]
+            row = [d - c for d, c in zip(deriv + [0], row)] if self.family == "poly" else deriv
+            table.append(row)
+        object.__setattr__(self, "table", tuple(map(tuple, table)))
+        object.__setattr__(self, "_coeffs", [list(map(float, row)) for row in table])
+        object.__setattr__(self, "_fact", float(math.factorial(self.p)))
+
+    @property
+    def name(self) -> str:
+        return {"poly": f"poly{self.p}exp", "mono": f"mono:{self.p}", "zero": "zero"}[self.family]
+
+    def values(self, t, k: int):
+        """``g^(k)`` at a float ``t >= 0``, or at each entry of an array of them.
+        ``pow`` raises ``OverflowError`` where ``t**(p-k)`` leaves the double range."""
+        coeffs = self._coeffs[k]
+        if self.family == "poly":
+            return _horner_ascending(coeffs, t) * _exp(-t)
+        if not coeffs:
+            return np.zeros(t.shape) if isinstance(t, np.ndarray) else 0.0
+        return coeffs[-1] * _pow(t, len(coeffs) - 1)
+
+    def derivative(self, t: float, k: int) -> float:
+        """``g^(k)(t)`` at one time, the input's derivative callback."""
+        try:
+            return self.values(t, k)
+        except OverflowError:
+            raise ValueError(f"{self.name} overflows a double at t = {t:.17g}") from None
+
+    def laplace(self, s):
+        """``G(s) = p!/(s + rate)**(p+1)``, 0 for the zero input."""
+        if self.family == "zero":
+            return np.zeros_like(np.asarray(s, dtype=complex))
+        return self._fact / (s + 1.0 if self.family == "poly" else s) ** (self.p + 1)
+
+    @property
+    def laplace_decay(self) -> "tuple[float, float]":
+        """``(C, q)`` with ``|G(s)| <= C/|s|**q`` on the half-plane."""
+        if self.family == "zero":
+            return (0.0, 2.0)
+        return (self._fact, float(self.p + 1))
+
+    def as_input(self) -> SmoothCausalFunction:
+        return SmoothCausalFunction(
+            name=self.name,
+            max_order=self.max_order,
+            derivative=self.derivative,
+            laplace=self.laplace,
+            laplace_decay=self.laplace_decay,
+            data=self,
+        )
+
+
 def poly_exp(p: int) -> SmoothCausalFunction:
     """``g(t) = t**p * exp(-t)`` with exact derivatives of orders 0..16.
 
     Writing ``g^(k) = P_k(t) exp(-t)``, the polynomials obey
-    ``P_{k+1} = P_k' - P_k`` starting from ``P_0 = t**p``; the integer
-    coefficients stay far below 2**53 for the shipped orders, so float
-    evaluation is exact.
+    ``P_{k+1} = P_k' - P_k`` starting from ``P_0 = t**p``; their integer
+    coefficients are rounded once to doubles.
     """
     _check_power(p)
-    cur = [0] * p + [1]
-    table = [cur]
-    for _ in range(16):
-        deriv = [cur[i] * i for i in range(1, len(cur))]
-        deriv.append(0)
-        cur = [d - c for d, c in zip(deriv, cur)]
-        table.append(cur)
-    coeff_table = [list(map(float, row)) for row in table]
-
-    def derivative(t: float, k: int) -> float:
-        return _horner_ascending(coeff_table[k], t) * math.exp(-t)
-
-    fact = float(math.factorial(p))
-    return SmoothCausalFunction(
-        name=f"poly{p}exp",
-        max_order=len(coeff_table) - 1,
-        derivative=derivative,
-        laplace=lambda s: fact / (s + 1.0) ** (p + 1),
-        laplace_decay=(fact, float(p + 1)),
-    )
+    return PolyExp("poly", p, 16).as_input()
 
 
 def monomial(p: int) -> SmoothCausalFunction:
     """``g(t) = t**p`` with derivatives of orders 0..64: falling factorials,
     zero past order p."""
     _check_power(p)
-
-    def derivative(t: float, k: int) -> float:
-        if k > p:
-            return 0.0
-        coeff = math.factorial(p) / math.factorial(p - k)
-        try:
-            power = t ** (p - k)
-        except OverflowError:
-            raise ValueError(f"mono:{p} overflows a double at t = {t:.17g}") from None
-        return coeff * power
-
-    fact = float(math.factorial(p))
-    return SmoothCausalFunction(
-        name=f"mono:{p}",
-        max_order=64,
-        derivative=derivative,
-        laplace=lambda s: fact / s ** (p + 1),
-        laplace_decay=(fact, float(p + 1)),
-    )
+    return PolyExp("mono", p, 64).as_input()
 
 
 def zero() -> SmoothCausalFunction:
-    return SmoothCausalFunction(
-        name="zero",
-        max_order=64,
-        derivative=lambda t, k: 0.0,
-        laplace=lambda s: np.zeros_like(np.asarray(s, dtype=complex)),
-        laplace_decay=(0.0, 2.0),
-    )
+    return PolyExp("zero", 0, 64).as_input()
 
 
 def parse_g(spec: str) -> SmoothCausalFunction:
@@ -199,49 +261,61 @@ def _decay_monomial(a: float, p: int) -> Callable[[float], float]:
     return action
 
 
-def _exact_action(symbol_spec: str, g_spec: str) -> "Callable[[float], float] | None":
+def _at_positive(rule: Callable) -> "tuple[Callable, Callable]":
+    """A closed form that is ``rule(t)`` at ``t > 0`` and 0 elsewhere, as the
+    pair ``(at one time, on an array of times)``; ``rule`` takes both and
+    never sees a time that is not positive."""
+
+    def action(t: float) -> float:
+        return rule(t) if t > 0.0 else 0.0
+
+    def on_grid(t: np.ndarray) -> np.ndarray:
+        out = np.zeros(t.shape)
+        positive = t > 0.0
+        out[positive] = rule(t[positive])
+        return out
+
+    return action, on_grid
+
+
+def _exact_action(symbol_spec: str, g_spec: str) -> "tuple[Callable, Callable | None] | None":
+    """The closed form as ``(at one time, on an array of times)``; the second
+    is ``None`` where the closed form sums a series, which runs per time."""
     kind, _, arg = symbol_spec.strip().partition(":")
     kind = kind.strip().lower()
     g = parse_g(g_spec)
+    family, p = g.data.family, g.data.p
 
-    if g.name == "zero":
-        return lambda t: 0.0
+    if family == "zero":
+        return (lambda t: 0.0), np.zeros_like
 
     if kind == "delay":
         d = float(arg)
-        return lambda t: g.deriv(t - d, 0)
-
-    poly_match = re.fullmatch(r"poly(\d+)exp", g.name)
-    mono_match = re.fullmatch(r"mono:(\d+)", g.name)
+        return (lambda t: g.deriv(t - d, 0)), (lambda t: g.on_grid(t - d, 0))
 
     if kind == "power":
         mu = float(arg)
-        if mono_match:
-            p = int(mono_match.group(1))
+        if family == "mono":
             if p - mu <= -1.0:
                 return None
             try:
                 coeff = math.gamma(p + 1) / math.gamma(p + 1 - mu)
             except OverflowError:  # the ratio itself may still fit a double
                 coeff = math.exp(math.lgamma(p + 1) - math.lgamma(p + 1 - mu))
-            return lambda t: coeff * t ** (p - mu) if t > 0.0 else 0.0
-        if poly_match:
-            p = int(poly_match.group(1))
-            if mu == 0.0:
-                return lambda t: g.deriv(t, 0)
-            if mu == 1.0:
-                return lambda t: g.deriv(t, 1)
-            if mu == -1.0:
-                return _poly_exp_integral(p)
+            return _at_positive(lambda t: coeff * _pow(t, p - mu))
+        if mu in (0.0, 1.0):
+            k = int(mu)
+            return (lambda t: g.deriv(t, k)), (lambda t: g.on_grid(t, k))
+        if mu == -1.0:
+            return _poly_exp_integral(p), None
 
     if kind == "decay":
         a = float(arg)
-        if mono_match:
-            return _decay_monomial(a, int(mono_match.group(1)))
-        if poly_match and a == 1.0:
-            p = int(poly_match.group(1))
+        if family == "mono":
+            return _decay_monomial(a, p), None
+        if a == 1.0:
             # e^{-t} * t^p e^{-t} = e^{-t} int_0^t tau^p dtau
-            return lambda t: math.exp(-t) * t ** (p + 1) / (p + 1) if t > 0.0 else 0.0
+            return _at_positive(lambda t: _exp(-t) * _pow(t, p + 1) / (p + 1))
 
     return None
 
@@ -255,14 +329,23 @@ def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], tuple] |
     t^(p-mu)``); ``power:{-1,0,1}`` on ``poly<p>exp``; ``decay:a`` on
     ``mono:p``; ``decay:1`` on ``poly<p>exp``.  Returns ``None`` otherwise.
     A reference that is not finite (it overflows) raises ``ValueError`` naming the pair.
+
+    The returned function also has ``on_grid(nodes)``, its values at an
+    array of times at once, bit for bit, for
+    :func:`~trcq_kit.convolution.sample`.  It raises the same ``ValueError``
+    at the first time that is not finite, and ``OverflowError`` where a power
+    overflows (the per-time function names that time).  It returns ``None``
+    for ``power:-1`` on ``poly<p>exp`` and ``decay:a`` on ``mono:p``, whose
+    closed forms sum a series per time.
     """
     reference = f"the closed-form reference for symbol {symbol_spec!r} on input {g_spec!r}"
     try:
-        action = _exact_action(symbol_spec, g_spec)
+        actions = _exact_action(symbol_spec, g_spec)
     except OverflowError:
         raise ValueError(f"{reference} overflows a double") from None
-    if action is None:
+    if actions is None:
         return None
+    action, grid_action = actions
 
     def exact(t: float) -> tuple:
         try:
@@ -273,4 +356,17 @@ def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], tuple] |
             raise ValueError(f"{reference} overflows a double at t = {t:.17g}")
         return (value,)
 
+    def on_grid(nodes: np.ndarray) -> "np.ndarray | None":
+        if grid_action is None:
+            return None
+        # inf and nan entries are reported below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = grid_action(nodes)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            t = nodes[int(np.argmax(bad))]
+            raise ValueError(f"{reference} overflows a double at t = {t:.17g}")
+        return values
+
+    exact.on_grid = on_grid
     return exact

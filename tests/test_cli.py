@@ -689,6 +689,9 @@ class TestParser:
                            "range, first at w_53",
         "weights-power79-contour": "error: weights of power:79 at kappa = 0.001 leave the "
                                    "double range, first at w_",
+        **{f"reference-{symbol.replace(':', '')}-poly170exp":
+           f"error: the closed-form reference for symbol '{symbol}' on input 'poly170exp' "
+           f"overflows a double at t = {t}" for symbol, t in (("decay:1", 64), ("power:1", 65))},
     }
 
     @pytest.mark.parametrize("case", list(SNAPSHOT.NON_FINITE))

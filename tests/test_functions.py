@@ -5,12 +5,15 @@ explicit polynomial-times-exponential form and are pinned to ~5e-15
 relative; the transform spot is exact in rational arithmetic.
 """
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from trcq_kit.bounds import SmoothCausalFunction
+from trcq_kit.convolution import Grid, sample
 from trcq_kit.functions import exact_solution, monomial, parse_g, poly_exp, zero
 from trcq_kit.quadrature import adaptive_simpson
 
@@ -211,3 +214,136 @@ class TestExactSolution:
         below = float(u(4.0)[0])
         above = float(u(4.0 + 1e-12)[0])
         assert above == pytest.approx(below, rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# one array of times at once, bit for bit
+# --------------------------------------------------------------------------
+
+GRID_POWERS = (0, 1, 5, 7, 20, 170)
+GRID_INPUTS = [f"poly{p}exp" for p in GRID_POWERS] + [f"mono:{p}" for p in GRID_POWERS] + ["zero"]
+# e^-t underflows past t = 745 and t**p overflows (p >= 5) at the far end,
+# mono:170 already at t = 65.25
+GRID_TIMES = np.concatenate([0.25 * np.arange(3201), [1e62, 1e200, 1e300]])
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestGridValues:
+    """An input's values on an array of times are its per-time values, bit
+    for bit, and a reference's values on a grid are its per-node values."""
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("spec", GRID_INPUTS)
+    def test_input_on_grid_equals_per_time(self, spec, k):
+        g = parse_g(spec)
+        evaluated, raising = [], []
+        for t in GRID_TIMES.tolist():
+            try:
+                evaluated.append((t, g.deriv(t, k)))
+            except ValueError as exc:
+                assert str(exc) == f"{spec} overflows a double at t = {t:.17g}"
+                raising.append(t)
+        times, values = (np.array(column) for column in zip(*evaluated))
+        assert _bits(g.on_grid(times, k)) == _bits(values)
+        # t**p overflows for mono:p, p >= 5; its OverflowError hands a grid back
+        # to the per-time route, which names the time
+        assert bool(raising) == (spec.startswith("mono:") and spec not in ("mono:0", "mono:1"))
+        if raising:
+            with pytest.raises(OverflowError):
+                g.on_grid(GRID_TIMES, k)
+
+    @pytest.mark.parametrize("spec", GRID_INPUTS)
+    def test_sample_takes_the_grid_route_without_callbacks(self, spec):
+        """A shipped input is sampled from its data: its derivative callback,
+        which a tracer may replace to count calls, is not called."""
+        g = parse_g(spec)
+        calls = []
+
+        def derivative(t, k):
+            calls.append(t)
+            return g.derivative(t, k)
+
+        counted = dataclasses.replace(g, derivative=derivative)
+        grid = Grid(kappa=1.0, steps=59)
+        per_node = np.array([g(t) for t in grid.nodes.tolist()], dtype=complex)
+        assert sample(counted, grid).samples.tobytes() == per_node.reshape(-1, 1).tobytes()
+        assert calls == []
+
+    def test_mono_overflow_names_the_first_node(self):
+        """mono:170 overflows at t = 66 on the unit grid: the grid hands over to
+        the per-node route, whose message names that node, as before."""
+        with pytest.raises(ValueError, match=r"^mono:170 overflows a double at t = 66$"):
+            sample(monomial(170), Grid(kappa=1.0, steps=100))
+
+    def test_callback_only_input_is_sampled_per_node(self):
+        g = SmoothCausalFunction(name="ramp", max_order=0, derivative=lambda t, k: 2.0 * t)
+        grid = Grid(kappa=0.5, steps=4)
+        assert g.on_grid(grid.nodes) is None
+        np.testing.assert_array_equal(sample(g, grid).samples[:, 0], 2.0 * grid.nodes)
+
+    def test_on_grid_checks_the_order(self):
+        with pytest.raises(ValueError, match="orders 0..16"):
+            poly_exp(5).on_grid(np.ones(3), 17)
+
+    def test_monomial_coefficients_are_falling_factorials(self):
+        """The callback reads p!/(p-k)! from the data; the bits are those of
+        math.factorial(p) / math.factorial(p - k)."""
+        for p in GRID_POWERS:
+            g = monomial(p)
+            for k in range(min(p, 64) + 1):
+                row = g.data.table[k]
+                assert row == (0,) * (p - k) + (math.factorial(p) // math.factorial(p - k),)
+                coeff = math.factorial(p) / math.factorial(p - k)
+                for t in (0.0, 0.3, 1.7, 9.0):
+                    assert _bits(g.deriv(t, k)) == _bits(coeff * t ** (p - k))
+            assert all(row == () for row in g.data.table[p + 1:])
+
+    @pytest.mark.parametrize("symbol", ["power:0", "power:1", "power:-1", "power:0.5",
+                                        "power:7.5", "power:2", "decay:1", "decay:0.5",
+                                        "delay:1", "delay:0.3", "delay:1000"])
+    @pytest.mark.parametrize("spec", ["poly5exp", "poly170exp", "mono:7", "mono:170", "zero"])
+    def test_reference_on_grid_equals_per_node(self, symbol, spec):
+        exact = exact_solution(symbol, spec)
+        if exact is None:
+            return
+        grid = Grid(kappa=0.25, steps=400)
+        try:
+            per_node = np.array([exact(t) for t in grid.nodes.tolist()], dtype=complex)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as grid_exc:
+                sample(exact, grid)
+            assert str(grid_exc.value) == str(exc)
+            return
+        assert sample(exact, grid).samples.tobytes() == per_node.tobytes()
+
+    @pytest.mark.parametrize("symbol, spec, kappa, steps", [
+        ("power:7.5", "mono:7", 0.5, 8),      # t**-0.5, never evaluated at t = 0
+        ("power:-1", "mono:170", 1.0, 2),     # Gamma(172) overflows: the lgamma coefficient
+        ("delay:1", "mono:7", 0.25, 12),      # shifted nodes below 0
+        ("decay:1", "poly170exp", 1.0, 63),   # t**171 just below the double range
+    ])
+    def test_grid_routed_reference_equals_per_node(self, symbol, spec, kappa, steps):
+        exact = exact_solution(symbol, spec)
+        nodes = Grid(kappa, steps).nodes
+        values = exact.on_grid(nodes)
+        assert values is not None
+        assert all(a == b for a, b in zip(values.tolist(), (exact(t)[0] for t in nodes.tolist())))
+        assert values[0] == 0.0
+
+    def test_reference_overflow_names_the_first_node(self):
+        """decay:1 on poly170exp: t**171 overflows at t = 64, where the grid
+        hands over to the per-node route and its message, as before."""
+        exact = exact_solution("decay:1", "poly170exp")
+        with pytest.raises(OverflowError):
+            exact.on_grid(Grid(1.0, 65).nodes)
+        message = (r"^the closed-form reference for symbol 'decay:1' on input 'poly170exp' "
+                   r"overflows a double at t = 64$")
+        with pytest.raises(ValueError, match=message):
+            sample(exact, Grid(1.0, 65))
+
+    def test_series_references_stay_per_node(self):
+        for symbol, spec in (("power:-1", "poly5exp"), ("decay:0.5", "mono:3")):
+            assert exact_solution(symbol, spec).on_grid(np.ones(2)) is None

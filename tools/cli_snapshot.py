@@ -86,6 +86,11 @@ NON_FINITE = {
                            "--t-final", "64", "--kappa-list", "1,0.5"],
     "reference-decay-mono170": ["converge", "--symbol", "decay:1", "--g", "mono:170",
                                 "--t-final", "64", "--kappa-list", "1,0.5"],
+    # the grid route of a reference: pow overflows at t = 64, Horner reaches inf at t = 65
+    "reference-decay1-poly170exp": ["converge", "--symbol", "decay:1", "--g", "poly170exp",
+                                    "--t-final", "65", "--kappa-list", "1,0.5"],
+    "reference-power1-poly170exp": ["converge", "--symbol", "power:1", "--g", "poly170exp",
+                                    "--t-final", "65", "--kappa-list", "1,0.5"],
     "weights-power79": ["weights", "--symbol", "power:79", "--kappa", "0.001", "--n", "300"],
     "weights-power79-contour": ["weights", "--symbol", "power:79", "--kappa", "0.001",
                                 "--n", "300", "--fft-size", "4096"],
