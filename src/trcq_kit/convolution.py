@@ -16,9 +16,10 @@ imaginary parts that are exactly 0.  The engines must agree
 to ~1e-12 relative; tests enforce it.
 
 Inputs and references reach the grid through :func:`sample` alone: shipped
-inputs and the closed-form references without a series branch are evaluated
-on the whole grid at once, any other function with one scalar call per node;
-:func:`signal_to_csv` writes each row from one ``%`` template.
+inputs and the closed-form references are evaluated on the whole grid at
+once, any other function with one scalar call per node;
+:func:`signal_to_csv` formats 1024 rows at a time with one ``%`` template
+(:func:`trcq_kit.weights.write_rows`), the bytes of one ``%`` per row.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .kernels import causal_convolve, real_embedding
-from .weights import WeightTable
+from .weights import WeightTable, write_rows
 
 __all__ = [
     "Grid",
@@ -96,10 +97,10 @@ def sample(fn: Callable[[float], "complex | np.ndarray"], grid: Grid) -> CausalS
     """Evaluate ``fn`` at the grid nodes; scalar results become 1-vectors.
 
     ``fn`` must return the same shape at every node: a scalar, or a vector
-    of one fixed length.  A shipped input and a closed-form reference
-    without a series branch have ``on_grid(nodes)``, which returns the
-    values at all nodes at once, bit for bit those of one call per node;
-    where it returns ``None``, or a power overflows (``OverflowError``),
+    of one fixed length.  A shipped input and a closed-form reference have
+    ``on_grid(nodes)``, which returns the values at all nodes at once, bit
+    for bit those of one call per node; where it returns ``None`` (an input
+    with callbacks only), or a power overflows (``OverflowError``),
     ``fn`` is called once per node instead, and any error it raises names
     its node.  A non-finite sample raises ``ValueError`` naming the input
     and the first node where it occurs.
@@ -230,7 +231,8 @@ def error_vs_exact(computed: CausalSignal, reference: CausalSignal) -> np.ndarra
 
 
 def signal_to_csv(signal: CausalSignal, stream: IO[str]) -> None:
-    """Write rows ``n,t,re_0,im_0,...`` with 17 significant digits."""
+    """Write rows ``n,t,re_0,im_0,...`` with 17 significant digits, 1024 at a
+    time (:func:`~trcq_kit.weights.write_rows`)."""
     dim = signal.dim
     cols = ",".join(f"re_{j},im_{j}" for j in range(dim))
     stream.write(f"n,t,{cols}\n")
@@ -239,4 +241,4 @@ def signal_to_csv(signal: CausalSignal, stream: IO[str]) -> None:
     columns = [range(len(samples)), signal.grid.nodes.tolist()]
     for j in range(dim):
         columns += [samples[:, j].real.tolist(), samples[:, j].imag.tolist()]
-    stream.writelines(row % values for values in zip(*columns))
+    write_rows(stream, row, columns)

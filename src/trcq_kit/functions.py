@@ -26,8 +26,9 @@ differ from libm's in the last bit at some points.
 ``exact_solution`` returns the closed-form time action of a built-in symbol
 applied to one of these inputs, when one is known, as a 1-vector comparable
 with a signal row; convergence and bound experiments refuse to run without
-one.  The closed forms without a series branch also evaluate a whole grid
-at once, by the same rules.
+one.  The closed forms also evaluate a whole grid at once, by the same
+rules; a series branch runs on all its nodes at once, each node stopping
+where its own loop would.
 """
 
 from __future__ import annotations
@@ -201,7 +202,29 @@ def parse_g(spec: str) -> SmoothCausalFunction:
 # --------------------------------------------------------------------------
 
 
-def _poly_exp_integral(p: int) -> Callable[[float], float]:
+def _series_on_grid(x: np.ndarray, term: float, acc: float, grow: Callable, add: Callable):
+    """The scalar series loops below at every entry of the 1-d array ``x`` at
+    once: for ``j = 1, 2, ...``, ``term = grow(term, x, j)`` and ``acc +=
+    add(term, j)``, each entry stopping at its own first ``add(term, j) <
+    1e-17 * acc``.  Every entry is summed in its scalar loop's order, so it
+    gets that loop's bits."""
+    out = np.empty(x.shape)
+    live = np.arange(x.size)
+    term, acc = np.full(x.shape, term), np.full(x.shape, acc)
+    j = 1
+    while live.size:
+        term = grow(term, x, j)
+        contrib = add(term, j)
+        acc = acc + contrib
+        stop = contrib < 1e-17 * acc
+        out[live[stop]] = acc[stop]
+        keep = ~stop
+        live, x, term, acc = live[keep], x[keep], term[keep], acc[keep]
+        j += 1
+    return out
+
+
+def _poly_exp_integral(p: int) -> "tuple[Callable, Callable]":
     # int_0^t tau^p e^-tau dtau.  The textbook form p! - e^-t sum p!/k! t^k
     # cancels catastrophically for small t, so below t = p+1 we sum the
     # all-positive series t^{p+1} e^{-t} sum_k t^k p!/(p+1+k)! instead.
@@ -224,10 +247,21 @@ def _poly_exp_integral(p: int) -> Callable[[float], float]:
             k += 1
         return t ** (p + 1) * math.exp(-t) * acc
 
-    return action
+    def rule(t: np.ndarray) -> np.ndarray:
+        out = np.empty(t.shape)
+        high = t > p + 1.0
+        th, tl = t[high], t[~high]
+        out[high] = fact - _exp(-th) * _horner_ascending(coeffs, th)
+        acc = _series_on_grid(tl, 1.0 / (p + 1), 1.0 / (p + 1),
+                              lambda term, x, k: term * (x / (p + 1 + k)),
+                              lambda term, k: term)
+        out[~high] = _pow(tl, p + 1) * _exp(-tl) * acc
+        return out
+
+    return action, _on_positive(rule)
 
 
-def _decay_monomial(a: float, p: int) -> Callable[[float], float]:
+def _decay_monomial(a: float, p: int) -> "tuple[Callable, Callable]":
     # (e^{-a .} * tau^p)(t) = e^{-a t} int_0^t e^{a tau} tau^p dtau = M(a t)/a^{p+1}
     # with M(x) = sum_{k<=p} (-1)^k p!/(p-k)! x^{p-k} - (-1)^p p! e^{-x}, computed
     # as t^{p+1} M(x)/x^{p+1}: a^{p+1} underflows to 0 for small a.  The
@@ -235,6 +269,7 @@ def _decay_monomial(a: float, p: int) -> Callable[[float], float]:
     # the all-positive series M(x)/x^{p+1} = e^{-x} sum_j x^j/(j! (p+1+j)) is
     # summed instead; above it, in powers of 1/x < 1, nothing overflows.
     fact = math.factorial(p)
+    signed = [(-1.0) ** k * (fact / math.factorial(p - k)) for k in range(p + 1)]
 
     def action(t: float) -> float:
         if t <= 0.0:
@@ -244,7 +279,7 @@ def _decay_monomial(a: float, p: int) -> Callable[[float], float]:
             y = 1.0 / x
             acc = -((-1.0) ** p) * fact * math.exp(-x) * y ** (p + 1)
             for k in range(p + 1):
-                acc += (-1.0) ** k * (fact / math.factorial(p - k)) * y ** (k + 1)
+                acc += signed[k] * y ** (k + 1)
             return t ** (p + 1) * acc
         term = 1.0  # x**j / j!
         acc = 1.0 / (p + 1)
@@ -258,16 +293,28 @@ def _decay_monomial(a: float, p: int) -> Callable[[float], float]:
             j += 1
         return t ** (p + 1) * math.exp(-x) * acc
 
-    return action
+    def rule(t: np.ndarray) -> np.ndarray:
+        out = np.empty(t.shape)
+        x = a * t
+        high = x > p + 1.0
+        y = 1.0 / x[high]
+        acc = -((-1.0) ** p) * fact * _exp(-x[high]) * _pow(y, p + 1)
+        for k in range(p + 1):
+            acc += signed[k] * _pow(y, k + 1)
+        out[high] = _pow(t[high], p + 1) * acc
+        xl, tl = x[~high], t[~high]
+        acc = _series_on_grid(xl, 1.0, 1.0 / (p + 1),
+                              lambda term, x, j: term * (x / j),
+                              lambda term, j: term / (p + 1 + j))
+        out[~high] = _pow(tl, p + 1) * _exp(-xl) * acc
+        return out
+
+    return action, _on_positive(rule)
 
 
-def _at_positive(rule: Callable) -> "tuple[Callable, Callable]":
-    """A closed form that is ``rule(t)`` at ``t > 0`` and 0 elsewhere, as the
-    pair ``(at one time, on an array of times)``; ``rule`` takes both and
-    never sees a time that is not positive."""
-
-    def action(t: float) -> float:
-        return rule(t) if t > 0.0 else 0.0
+def _on_positive(rule: Callable) -> Callable:
+    """``rule`` on the positive entries of an array of times, 0 elsewhere;
+    ``rule`` never sees a time that is not positive."""
 
     def on_grid(t: np.ndarray) -> np.ndarray:
         out = np.zeros(t.shape)
@@ -275,12 +322,21 @@ def _at_positive(rule: Callable) -> "tuple[Callable, Callable]":
         out[positive] = rule(t[positive])
         return out
 
-    return action, on_grid
+    return on_grid
 
 
-def _exact_action(symbol_spec: str, g_spec: str) -> "tuple[Callable, Callable | None] | None":
-    """The closed form as ``(at one time, on an array of times)``; the second
-    is ``None`` where the closed form sums a series, which runs per time."""
+def _at_positive(rule: Callable) -> "tuple[Callable, Callable]":
+    """A closed form that is ``rule(t)`` at ``t > 0`` and 0 elsewhere, as the
+    pair ``(at one time, on an array of times)``; ``rule`` takes both."""
+
+    def action(t: float) -> float:
+        return rule(t) if t > 0.0 else 0.0
+
+    return action, _on_positive(rule)
+
+
+def _exact_action(symbol_spec: str, g_spec: str) -> "tuple[Callable, Callable] | None":
+    """The closed form as ``(at one time, on an array of times)``."""
     kind, _, arg = symbol_spec.strip().partition(":")
     kind = kind.strip().lower()
     g = parse_g(g_spec)
@@ -307,12 +363,12 @@ def _exact_action(symbol_spec: str, g_spec: str) -> "tuple[Callable, Callable | 
             k = int(mu)
             return (lambda t: g.deriv(t, k)), (lambda t: g.on_grid(t, k))
         if mu == -1.0:
-            return _poly_exp_integral(p), None
+            return _poly_exp_integral(p)
 
     if kind == "decay":
         a = float(arg)
         if family == "mono":
-            return _decay_monomial(a, p), None
+            return _decay_monomial(a, p)
         if a == 1.0:
             # e^{-t} * t^p e^{-t} = e^{-t} int_0^t tau^p dtau
             return _at_positive(lambda t: _exp(-t) * _pow(t, p + 1) / (p + 1))
@@ -334,9 +390,10 @@ def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], tuple] |
     array of times at once, bit for bit, for
     :func:`~trcq_kit.convolution.sample`.  It raises the same ``ValueError``
     at the first time that is not finite, and ``OverflowError`` where a power
-    overflows (the per-time function names that time).  It returns ``None``
-    for ``power:-1`` on ``poly<p>exp`` and ``decay:a`` on ``mono:p``, whose
-    closed forms sum a series per time.
+    overflows (the per-time function names that time).  ``power:-1`` on
+    ``poly<p>exp`` and ``decay:a`` on ``mono:p`` sum a series below their
+    switch point (``t = p+1``, resp. ``a*t = p+1``); on a grid, each node
+    stops its series where its own loop would.
     """
     reference = f"the closed-form reference for symbol {symbol_spec!r} on input {g_spec!r}"
     try:
@@ -356,9 +413,7 @@ def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], tuple] |
             raise ValueError(f"{reference} overflows a double at t = {t:.17g}")
         return (value,)
 
-    def on_grid(nodes: np.ndarray) -> "np.ndarray | None":
-        if grid_action is None:
-            return None
+    def on_grid(nodes: np.ndarray) -> np.ndarray:
         # inf and nan entries are reported below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             values = grid_action(nodes)

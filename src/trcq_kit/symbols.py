@@ -25,6 +25,7 @@ formula rather than a contour (see :mod:`trcq_kit.weights`).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -180,23 +181,73 @@ def _scalarize(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], 
 # --------------------------------------------------------------------------
 
 
+# the least block length of the recurrence runner: a table of up to this many
+# steps is one block, the sequential recurrence itself
+_MIN_BLOCK = 16
+
+
+def _linear_recurrence(step: Callable, a0, a1, count: int, real: type) -> np.ndarray:
+    """``a_0 .. a_{count-1}`` of ``a_{n+1} = step(n, a_{n-1}, a_n)`` in the dtype ``real``.
+
+    ``step`` must be linear in ``(a_{n-1}, a_n)`` and take ``n`` as an array
+    of ``real``.  The steps ``n = 1 .. count-2`` are cut into ``B`` blocks of
+    ``K ~ sqrt(count)`` steps, at least ``_MIN_BLOCK`` (fewer steps are one
+    block), the blocked scheme of Kogge and Stone (IEEE Trans. Comput. C-22,
+    1973): every block runs once from the basis states ``(1, 0)`` and
+    ``(0, 1)``, all blocks at once; the B 2x2 block maps are chained in
+    scalar code from ``(a_0, a_1)``; and every block reruns from its chained
+    start state, all at once, straight into the result.  Block 0 starts from
+    the true ``(a_0, a_1)``, so it is the sequential recurrence bit for bit.
+    """
+    steps = max(count - 2, 0)
+    K = max(_MIN_BLOCK, math.isqrt(count))
+    B = max(1, -(-steps // K))
+    one = real(1)
+    first = 1 + K * np.arange(B, dtype=real)  # the first n of each block
+    # the maps of blocks 0 .. B-2; row r starts from basis state r
+    basis_prev, basis_cur = np.eye(2, dtype=real)[:, :, None].repeat(B - 1, axis=2)
+    n = first[:-1].copy()
+    for _ in range(K):
+        basis_prev, basis_cur = basis_cur, step(n, basis_prev, basis_cur)
+        n += one
+    a = np.empty(2 + B * K, dtype=real)
+    a[0], a[1] = a0, a1
+    prev, cur = np.empty(B, dtype=real), np.empty(B, dtype=real)
+    x, y = prev[0], cur[0] = a[0], a[1]
+    # block b maps (x, y) to x * (p0, c0) + y * (p1, c1)
+    maps = zip(basis_prev[0], basis_prev[1], basis_cur[0], basis_cur[1])
+    for b, (p0, p1, c0, c1) in enumerate(maps, start=1):
+        x, y = prev[b], cur[b] = x * p0 + y * p1, x * c0 + y * c1
+    n = first
+    blocks = a[2:].reshape(B, K)
+    for j in range(K):
+        prev, cur = cur, step(n, prev, cur)
+        blocks[:, j] = cur
+        n += one
+    return a[:count]
+
+
 def _power_weights(mu: float) -> Callable[[float, int, bool], np.ndarray]:
     """Weights of ``s**mu``: ``w_n = (2/kappa)**mu a_n``.
 
     ``a_n`` are the Taylor coefficients of ``f = ((1 - z)/(1 + z))**mu``;
     ``(1 - z**2) f' = -2 mu f`` gives ``a_0 = 1``, ``a_1 = -2 mu`` and
     ``(n+1) a_{n+1} = -2 mu a_n + (n-1) a_{n-1}`` (Lubich, "Discretized
-    fractional calculus", SIAM J. Math. Anal. 17, 1986).
+    fractional calculus", SIAM J. Math. Anal. 17, 1986), run in blocks by
+    :func:`_linear_recurrence`.
     """
 
     def weights(kappa: float, N: int, extended: bool = True) -> np.ndarray:
         real = np.longdouble if extended else np.float64
-        two_mu = real(2.0 * mu)
-        a = [real(1.0), -two_mu + 0]  # + 0: power:0's zeros print as 0, not -0
-        for n in range(1, N):
-            a.append((-two_mu * a[n] + (n - 1) * a[n - 1]) / (n + 1))
+        two_mu, one = real(2.0 * mu), real(1)
+
+        def step(n, prev, cur):
+            return (-two_mu * cur + (n - one) * prev) / (n + one)
+
+        # + 0: power:0's zeros print as 0, not -0
+        a = _linear_recurrence(step, real(1.0), -two_mu + 0, N + 1, real)
         scale = (real(2.0) / real(kappa)) ** real(mu)
-        return (scale * np.array(a[: N + 1], dtype=real))[:, None, None]
+        return (scale * a)[:, None, None]
 
     return weights
 

@@ -6,11 +6,12 @@ about ``zeta = 0``.  :func:`cq_weights_fft` has two routes to them.
 
 *Exact route.*  Power, decay and resolvent symbols carry
 ``Symbol.exact_weights``, an O(N) formula for the coefficients (a
-three-term recurrence for ``s**mu``, the Cayley transform for
-``(sI - A)**-1``).  It runs in long double and is rounded once to
-complex128, so real symbols get imaginary parts that are exactly 0.  The
-table's accuracy estimate is measured: the gap between a double-precision
-rerun and the long-double result, plus the rounding to complex128.
+three-term recurrence for ``s**mu``, run in blocks of about ``sqrt(N)``
+steps, the Cayley transform for ``(sI - A)**-1``).  It runs in long double
+and is rounded once to complex128, so real symbols get imaginary parts that
+are exactly 0.  The table's accuracy estimate is measured: the gap between a
+double-precision rerun and the long-double result, plus the rounding to
+complex128; it is never NaN.
 
 *Contour route.*  Any other symbol, and any call that names ``fft_size``,
 reads the coefficients off a circle of radius ``rho < 1``:
@@ -28,12 +29,15 @@ tested against.
 
 Both routes refuse a weight beyond the double range before rounding to
 complex128, naming the symbol, ``kappa`` and the first such index.
+:func:`weights_to_csv` formats 1024 rows at a time with one ``%`` template
+(:func:`write_rows`), the bytes of one ``%`` per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
+from itertools import chain, islice
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -46,6 +50,7 @@ __all__ = [
     "cq_weights_fft",
     "compare_weight_tables",
     "weights_to_csv",
+    "write_rows",
 ]
 
 
@@ -79,8 +84,8 @@ class WeightTable:
         if self.fft_size != 0:
             if self.fft_size < self.count or self.fft_size & (self.fft_size - 1):
                 raise ValueError("fft_size must be 0 or a power of two >= count")
-        if self.accuracy_estimate < 0.0:
-            raise ValueError("accuracy_estimate must be non-negative")
+        if not self.accuracy_estimate >= 0.0:
+            raise ValueError("accuracy_estimate must be non-negative, not NaN")
 
     @property
     def count(self) -> int:
@@ -160,11 +165,13 @@ def _exact_table(F: Symbol, kappa: float, N: int) -> WeightTable:
     """The exact route, with its accuracy measured (see :func:`cq_weights_fft`)."""
     precise = F.exact_weights(kappa, N, True)
     weights = _to_double(F, kappa, precise)
-    # the double-precision rerun may overflow where long double does not;
-    # its gap then reads inf, which is what it measured
+    # the double-precision rerun may overflow where long double does not, and
+    # a blocked run may then meet inf * 0; its gap then reads inf, never NaN
     with np.errstate(over="ignore", invalid="ignore"):
         rough = F.exact_weights(kappa, N, False)
         gap = np.max(value_norm(rough - precise))
+    if not np.isfinite(gap):
+        gap = np.inf
     rounding = np.max(value_norm(weights - precise))
     half_ulp = 0.5 * np.spacing(np.max(value_norm(weights)))
     return WeightTable(
@@ -202,13 +209,35 @@ def compare_weight_tables(a: WeightTable, b: WeightTable) -> float:
 # --------------------------------------------------------------------------
 
 
+# rows formatted by one ``%`` call
+_CHUNK_ROWS = 1024
+
+
+def write_rows(stream: IO[str], row: str, columns: Sequence[Sequence]) -> None:
+    """Write ``row % values`` for each ``values`` in ``zip(*columns)``.
+
+    ``row`` is a ``%`` template with one conversion per column.  The values of
+    ``_CHUNK_ROWS`` rows at a time go through the one template ``row *
+    _CHUNK_ROWS`` and the rest through ``row * rest``: the same conversions,
+    so the same bytes as one ``%`` per row, without a tuple and a template
+    parse per row.
+    """
+    width = len(columns)
+    values = chain.from_iterable(zip(*columns))
+    full = width * _CHUNK_ROWS
+    template = row * _CHUNK_ROWS
+    while len(chunk := tuple(islice(values, full))) == full:
+        stream.write(template % chunk)
+    if chunk:
+        stream.write(row * (len(chunk) // width) % chunk)
+
+
 def weights_to_csv(table: WeightTable, stream: IO[str]) -> None:
-    """Write ``m,re,im`` rows, one commented block per matrix entry."""
+    """Write ``m,re,im`` rows, one commented block per matrix entry, each row
+    from one ``%`` template (:func:`write_rows`)."""
     stream.write("m,re,im\n")
     rows = range(table.count)
     for i, j in np.ndindex(table.dims):
         stream.write(f"# entry {i},{j}\n")
         entry = np.asarray(table.values)[:, i, j]
-        stream.writelines(
-            "%d,%.17g,%.17g\n" % row for row in zip(rows, entry.real.tolist(), entry.imag.tolist())
-        )
+        write_rows(stream, "%d,%.17g,%.17g\n", (rows, entry.real.tolist(), entry.imag.tolist()))

@@ -385,3 +385,24 @@ class TestErrorAndExport:
             for n, (t, row) in enumerate(zip(grid.nodes, samples))
         ]
         assert buf.getvalue() == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
+    def test_signal_csv_rows_in_chunks(self, rows, dim):
+        """Rows go through one ``%`` template 1024 at a time, with the bytes
+        of one ``%`` per row, extremes, subnormals and -0.0 included."""
+        rng = np.random.default_rng(rows + dim)
+        extremes = [1e300, -1e300, 1e-300, -1e-300, 5e-324, -2.5e-310, -0.0, 0.0]
+        parts = rng.normal(size=2 * rows * dim) * 10.0 ** rng.integers(-20, 20, 2 * rows * dim)
+        parts[: len(extremes)] = extremes[: parts.size]
+        rng.shuffle(parts)
+        samples = parts[0::2] + 1j * parts[1::2]
+        sig = CausalSignal(grid=Grid(kappa=0.01, steps=rows - 1), samples=samples.reshape(rows, dim))
+        buf = io.StringIO()
+        signal_to_csv(sig, buf)
+        row = "%d,%.17g" + ",%.17g,%.17g" * dim + "\n"
+        expected = "".join(
+            row % (n, t, *(x for z in values for x in (z.real, z.imag)))
+            for n, (t, values) in enumerate(zip(sig.grid.nodes.tolist(), sig.samples.tolist()))
+        )
+        assert buf.getvalue().split("\n", 1)[1] == expected

@@ -344,6 +344,21 @@ class TestGridValues:
         with pytest.raises(ValueError, match=message):
             sample(exact, Grid(1.0, 65))
 
-    def test_series_references_stay_per_node(self):
-        for symbol, spec in (("power:-1", "poly5exp"), ("decay:0.5", "mono:3")):
-            assert exact_solution(symbol, spec).on_grid(np.ones(2)) is None
+    @pytest.mark.parametrize("p", [0, 5, 6, 20])
+    @pytest.mark.parametrize("symbol, family, rate", [
+        ("power:-1", "poly", 1.0),
+        ("decay:1e-3", "mono", 1e-3),
+        ("decay:0.5", "mono", 0.5),
+        ("decay:2", "mono", 2.0),
+    ])
+    def test_series_reference_on_grid_equals_per_node(self, symbol, family, rate, p):
+        """The series references run on the grid too: below the switch point
+        (t = p+1 for power:-1, a*t = p+1 for decay:a) every node sums its own
+        series and stops where its scalar loop stops, bit for bit."""
+        exact = exact_solution(symbol, f"poly{p}exp" if family == "poly" else f"mono:{p}")
+        switch = (p + 1) / rate
+        around = [switch, np.nextafter(switch, 0.0), np.nextafter(switch, np.inf)]
+        for nodes in (np.concatenate([switch * np.linspace(0.0, 3.0, 301), around]),
+                      Grid(kappa=0.25, steps=400).nodes):
+            per_node = np.array([exact(t)[0] for t in nodes.tolist()])
+            assert _bits(exact.on_grid(nodes)) == _bits(per_node)

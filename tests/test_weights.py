@@ -1,7 +1,9 @@
 """Tests for CQ weight generation: the exact routes (against 50-digit mpmath
 references), the FFT contour route, and the WeightTable container."""
 
+import dataclasses
 import io
+import math
 
 import mpmath
 import numpy as np
@@ -21,7 +23,8 @@ from trcq_kit import (
     symbol_product,
     value_norm,
 )
-from trcq_kit.weights import weights_to_csv
+from trcq_kit.symbols import _MIN_BLOCK
+from trcq_kit.weights import weights_to_csv, write_rows
 
 
 def damped_matrix(seed: int) -> np.ndarray:
@@ -142,6 +145,85 @@ class TestExactRoutes:
             assert table.fft_size > 0, F.name
 
 
+def _sequential_power(mu, kappa, N, real):
+    """The power weights from the plain sequential recurrence, one step per entry."""
+    two_mu = real(2.0 * mu)
+    a = [real(1.0), -two_mu + 0]
+    for n in range(1, N):
+        a.append((-two_mu * a[n] + (n - 1) * a[n - 1]) / (n + 1))
+    scale = (real(2.0) / real(kappa)) ** real(mu)
+    return (scale * np.array(a[: N + 1], dtype=real))[:, None, None]
+
+
+def _same(x, y):
+    """Equal entries with equal signs: the bits that matter of a long double,
+    whose padding bytes ``tobytes`` would compare too."""
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+class TestBlockedRecurrence:
+    """The power recurrence runs in blocks of about sqrt(N) steps; block 0 is
+    the sequential recurrence, and the chained blocks stay within the gates."""
+
+    N = 1 << 14
+    KAPPA = 0.05
+
+    @pytest.mark.parametrize("mu", [-2.5, -0.5, 0.3, 0.5, 2.5, 5.0])
+    def test_many_blocks_against_mpmath(self, mu):
+        # a 40-digit sequential run of the same recurrence
+        N, kappa = self.N, self.KAPPA
+        with mpmath.workdps(40):
+            m = mpmath.mpf(mu)
+            a = [mpmath.mpf(1), -2 * m]
+            for n in range(1, N):
+                a.append((-2 * m * a[n] + (n - 1) * a[n - 1]) / (n + 1))
+            scale = (2 / mpmath.mpf(kappa)) ** m
+            ref = [[[scale * x]] for x in a]
+            table = cq_weights_fft(make_power(mu), kappa, N)
+            _assert_matches(table, ref)
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, 1.0, 2.0])
+    def test_integer_powers_are_exact(self, mu):
+        """a_n of ((1-z)/(1+z))**mu is 1, 2, 2, ... (mu = -1), 1, 0, 0, ...,
+        1, -2, 2, ... and 1, -4, 8, -12, ... (4n(-1)**n); with kappa = 2**-13
+        the scale 2**(14 mu) is exact, so every weight is."""
+        N, kappa = 1 << 16, 2.0**-13
+        n = np.arange(N + 1, dtype=float)
+        sign = np.where(n % 2 == 0, 1.0, -1.0)
+        a = {-1.0: np.full(N + 1, 2.0), 0.0: np.zeros(N + 1),
+             1.0: 2.0 * sign, 2.0: 4.0 * n * sign}[mu]
+        a[0] = 1.0
+        table = cq_weights_fft(make_power(mu), kappa, N)
+        np.testing.assert_array_equal(table.values[:, 0, 0], 2.0 ** (14 * mu) * a)
+
+    @pytest.mark.parametrize("extended", [True, False])
+    def test_one_block_is_the_sequential_recurrence(self, extended):
+        """A table of at most one block, and block 0 of a long table, are the
+        sequential recurrence bit for bit, in both precisions."""
+        real = np.longdouble if extended else np.float64
+        for mu in (-2.5, 0.0, 0.5, 1.0, 5.0):
+            F = make_power(mu)
+            for N in range(_MIN_BLOCK + 2):
+                blocked = F.exact_weights(0.1, N, extended)
+                assert _same(blocked, _sequential_power(mu, 0.1, N, real)), (mu, N)
+            N = 1 << 16
+            head = 2 + math.isqrt(N + 1)  # a_0, a_1 and the steps of block 0
+            blocked = F.exact_weights(0.1, N, extended)[:head]
+            assert _same(blocked, _sequential_power(mu, 0.1, head - 1, real)), mu
+
+    def test_nan_from_the_double_rerun_reads_inf(self):
+        """A rerun that meets inf * 0 gives NaN entries; the estimate is inf."""
+        F = make_power(0.5)
+
+        def weights(kappa, N, extended=True):
+            w = F.exact_weights(kappa, N, extended)
+            return w if extended else np.full_like(w, np.nan)
+
+        table = cq_weights_fft(dataclasses.replace(F, exact_weights=weights), 0.1, 8)
+        assert table.accuracy_estimate == np.inf
+        np.testing.assert_array_equal(table.values, cq_weights_fft(F, 0.1, 8).values)
+
+
 class TestFftRoute:
     """Contour weights must agree with every closed form available."""
 
@@ -232,6 +314,10 @@ class TestWeightTable:
             WeightTable(kappa=0.0, values=vals, fft_size=0, accuracy_estimate=0.0)
         with pytest.raises(ValueError):
             WeightTable(kappa=0.1, values=vals, fft_size=0, accuracy_estimate=-1.0)
+        with pytest.raises(ValueError, match="not NaN"):
+            WeightTable(kappa=0.1, values=vals, fft_size=0, accuracy_estimate=float("nan"))
+        inf = WeightTable(kappa=0.1, values=vals, fft_size=0, accuracy_estimate=float("inf"))
+        assert inf.accuracy_estimate == float("inf")
 
     def test_compare_requires_matching_shape(self):
         a = cq_weights_fft(make_power(-1.0), 0.1, 4)
@@ -269,6 +355,48 @@ class TestWeightTable:
                 expected += [f"{m},{z.real:.17g},{z.imag:.17g}"
                              for m, z in enumerate(vals[:, i, j])]
         assert buf.getvalue() == "\n".join(expected) + "\n"
+
+
+# extremes that %.17g must write as it writes them one row at a time
+CSV_EXTREMES = [1e300, -1e300, 1e-300, -1e-300, 5e-324, -2.5e-310, -0.0, 0.0, 1.0 / 3.0]
+
+
+def csv_values(rng, shape):
+    """Random doubles with every entry of ``CSV_EXTREMES`` among them."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+    flat = values.reshape(-1)
+    flat[: len(CSV_EXTREMES)] = CSV_EXTREMES[: flat.size]
+    rng.shuffle(flat)
+    return values
+
+
+class TestCsvRows:
+    """Rows go through one ``%`` template 1024 at a time, with the bytes of
+    one ``%`` per row."""
+
+    ROWS = [0, 1, 1023, 1024, 1025, 2049]
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_write_rows(self, rows):
+        rng = np.random.default_rng(rows)
+        columns = [range(rows), *csv_values(rng, (2, rows)).tolist()]
+        buf = io.StringIO()
+        write_rows(buf, "%d,%.17g,%.17g\n", columns)
+        assert buf.getvalue() == "".join("%d,%.17g,%.17g\n" % row for row in zip(*columns))
+
+    @pytest.mark.parametrize("rows", ROWS[1:])
+    def test_weights_csv(self, rows):
+        rng = np.random.default_rng(rows)
+        vals = csv_values(rng, (rows, 2, 2)) + 1j * csv_values(rng, (rows, 2, 2))
+        table = WeightTable(kappa=0.5, values=vals, fft_size=0, accuracy_estimate=0.0)
+        buf = io.StringIO()
+        weights_to_csv(table, buf)
+        expected = "m,re,im\n"
+        for i, j in np.ndindex(2, 2):
+            expected += f"# entry {i},{j}\n" + "".join(
+                "%d,%.17g,%.17g\n" % (m, z.real, z.imag) for m, z in enumerate(vals[:, i, j])
+            )
+        assert buf.getvalue() == expected
 
 
 class TestZooSmoke:

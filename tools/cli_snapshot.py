@@ -119,12 +119,16 @@ ARGVS: "list[list[str]]" = [
     ["weights", "--symbol", "power:2.5", "--kappa", "0.05", "--n", "64"],
     ["weights", "--symbol", "decay:2", "--kappa", "0.05", "--n", "64"],
     ["weights", "--symbol", "resolvent:damped2.txt", "--kappa", "0.05", "--n", "64"],
+    # tables of many recurrence blocks and many 1024-row CSV chunks
+    ["weights", "--symbol", "power:0.5", "--kappa", "0.001", "--n", "20000"],
+    ["weights", "--symbol", "power:1", "--kappa", "0.001", "--n", "20000"],
     # convolve
     ["convolve", "--symbol", "power:0.5", "--g", "mono:3", "--kappa", "0.1", "--t-final", "1"],
     ["convolve", "--symbol", "decay:1.0", "--g", "poly5exp", "--kappa", "0.05",
      "--t-final", "4", "--engine", "naive"],
     ["convolve", "--symbol", "resolvent:skew2.txt", "--g", "poly5exp", "--kappa", "0.1",
      "--t-final", "3"],
+    ["convolve", "--symbol", "power:0.5", "--g", "mono:7", "--kappa", "0.0005", "--t-final", "8"],
     # converge
     ["converge", "--symbol", "power:0.5", "--g", "mono:7"],
     ["converge", "--symbol", "decay:1", "--g", "poly5exp"],
