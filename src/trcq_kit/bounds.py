@@ -9,9 +9,10 @@ the quadrature reads
         I1    = int_0^t |g^(m+alpha)|,
         I2    = int_0^t |P_m g^(m+4)|,
 
-with integer parameters ``m = ceil(mu)``, ``alpha``, ``beta`` (the smoothness
-order required of g), ``epsilon`` (the polynomial-in-time exponent), and a
-constant ``C_mu`` assembled from two one-dimensional minimizations:
+with ``P_m h = exp(-t) d^m/dt^m [exp(t) h]``, integer parameters ``m =
+ceil(mu)``, ``alpha``, ``beta`` (the smoothness order required of g),
+``epsilon`` (the polynomial-in-time exponent), and a constant ``C_mu``
+assembled from two one-dimensional minimizations:
 
     Cm1  = pi * 2^(m/2) * min_c max{ E_m(c) + 1/c^2,  8^m / c^(2m+2) },
     Cmu1 = min_c ( e1 * Theta3(c) + e2 * c^(1-alpha') ),
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .quadrature import integrate_segmented, named_integral
+from .quadrature import named_integral
 from .symbols import CFModel, Symbol
 from .trmap import D_eval, E_m_eval, solve_c0
 
@@ -46,7 +47,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SmoothCausalFunction",
-    "apply_Pm",
     "TheoremParams",
     "derive_params",
     "theta1",
@@ -119,9 +119,10 @@ class SmoothCausalFunction:
 
     def require(self, order: int, purpose: str) -> None:
         """Refuse this input for an estimate built on its derivatives up to
-        ``order``: the callbacks must reach that order, and ``g^(k)(0) = 0``
-        for ``k < order``, without which ``s^k G`` is not the transform of
-        ``g^(k)`` (the compatibility condition of convolution quadrature).
+        ``order``: the callbacks must reach that order, ``g^(k)(0) = 0`` for
+        ``k < order`` (without which ``s^k G`` is not the transform of ``g^(k)``:
+        the compatibility condition of convolution quadrature), and ``data``
+        must be there, for the estimates' time integrals are exact sums on it.
         """
         if self.max_order < order:
             raise ValueError(
@@ -134,19 +135,8 @@ class SmoothCausalFunction:
                     f"{self.name} has g^({k})(0) = {value:g}; "
                     f"{purpose} needs g^(k)(0) = 0 for k < {order}"
                 )
-
-
-def apply_Pm(g: SmoothCausalFunction, m: int, t: float, k: int = 0) -> float:
-    """Evaluate ``(P_m g^(k))(t)`` as a float, where ``P_m h = exp(-t) d^m/dt^m [exp(t) h]``.
-
-    By the Leibniz rule this equals ``sum_l binom(m, l) g^(k+l)(t)``, which
-    is how it is computed, one ``g.deriv`` call per term.
-    """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    if k + m > g.max_order:
-        raise ValueError(f"{g.name} supports orders up to {g.max_order}, P_{m} needs {k + m}")
-    return sum(math.comb(m, ell) * g.deriv(t, k + ell) for ell in range(m + 1))
+        if self.data is None:
+            raise ValueError(f"{self.name} has no coefficient data; {purpose} needs it")
 
 
 # --------------------------------------------------------------------------
@@ -352,33 +342,27 @@ def bound_rhs(
     t: float,
     params: "TheoremParams | None" = None,
 ):
-    """Evaluate ``kappa^2 * C(1/t) * (I1 + I2)`` by adaptive quadrature.
+    """Evaluate ``kappa^2 * C(1/t) * (I1 + I2)`` at a finite ``t > 0``.
 
-    The two time integrals run at 1e-9 relative tolerance with a 1e-14
-    absolute floor (g may vanish identically near 0).  They do not depend on
-    ``kappa``, which may be an array: the integrals then run once for all its
-    steps, and the bound comes back elementwise.
+    The two time integrals are exact sums on the input's coefficient data
+    (:meth:`trcq_kit.functions.PolyExp.time_l1`).  They do not depend on ``kappa``,
+    which may be an array: the integrals then run once for all its steps,
+    and the bound comes back elementwise.
     """
     kap = np.asarray(kappa, dtype=float)
     if not np.all((kap > 0.0) & (kap <= 1.0)):
         raise ValueError("kappa must lie in (0, 1]")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:  # NaN too
+        raise ValueError(f"t must be finite and positive, got {t:g}")
     if params is None:
         params = derive_params(F.mu)
     m, alpha = params.m, params.alpha
     g.require(params.beta, "the bound")
 
-    def i1_integrand(tau: float) -> float:
-        return abs(g.deriv(tau, m + alpha))
-
-    def i2_integrand(tau: float) -> float:
-        return abs(apply_Pm(g, m, tau, m + 4))
-
     with named_integral(f"I1 = int_0^{t:g} |g^({m + alpha})|"):
-        i1 = integrate_segmented(i1_integrand, 0.0, t, rel_tol=1e-9, abs_floor=1e-14)
+        i1 = g.data.time_l1(m + alpha, 0, t)
     with named_integral(f"I2 = int_0^{t:g} |P_{m} g^({m + 4})|"):
-        i2 = integrate_segmented(i2_integrand, 0.0, t, rel_tol=1e-9, abs_floor=1e-14)
+        i2 = g.data.time_l1(m + 4, m, t)
 
     x = 1.0 / t
     c_of_x = F.cf(min(x, 1.0) / 4.0) * params.constants["Cmu"] / min(x**params.epsilon, 1.0)

@@ -21,7 +21,8 @@ from that data, and so do the values on a whole array of times
 (:meth:`~trcq_kit.bounds.SmoothCausalFunction.on_grid`), bit for bit the
 callback's: Horner runs in the same order on an array, and ``exp`` and
 ``pow`` are libm's, mapped over the array's entries, because numpy's own
-differ from libm's in the last bit at some points.
+differ from libm's in the last bit at some points.  So do the time integrals
+of the error analysis, as exact sums (:meth:`PolyExp.time_l1`).
 
 ``exact_solution`` returns the closed-form time action of a built-in symbol
 applied to one of these inputs, when one is known, as a 1-vector comparable
@@ -36,7 +37,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import lru_cache
+from itertools import repeat, zip_longest
 from typing import Callable
 
 import numpy as np
@@ -81,6 +83,42 @@ def _pow(t, e):
     if isinstance(t, np.ndarray):
         return np.fromiter(map(pow, t.tolist(), repeat(e)), float, t.size)
     return t ** e
+
+
+def _exact_at(row: "list[int] | tuple[int, ...]", x: float) -> "tuple[int, int]":
+    """``(d**deg * row(x), d**deg)`` on ints for the double ``x = n/d``, by Horner."""
+    n, d = x.as_integer_ratio()
+    acc, d_pow = row[-1], 1
+    for c in reversed(row[:-1]):
+        d_pow *= d
+        acc = acc * n + c * d_pow
+    return acc, d_pow
+
+
+@lru_cache(maxsize=None)
+def _sign_changes(row: "tuple[int, ...]") -> "tuple[float, ...]":
+    """Ascending doubles in ``(0, inf)``, each within one ulp of a root, between which
+    the integer polynomial ``row`` keeps one sign: ``row`` is monotone between the
+    sign changes of its derivative (Collins & Loos, SYMSAC 1976), so each such
+    interval holds at most one root, bisected on exact signs."""
+
+    def nonneg(x: float) -> bool:  # a root that is a double joins the positive side
+        return _exact_at(row, x)[0] >= 0
+
+    while row and row[0] == 0:  # a factor t**j keeps the sign on t > 0
+        row = row[1:]
+    if len(row) < 2:
+        return ()
+    # every root lies below 1 + max|c/lead| (Cauchy); doubled against rounding
+    bound = 2.0 * (2 + max(abs(c) // abs(row[-1]) for c in row[:-1]))
+    points = [0.0, *_sign_changes(tuple(i * c for i, c in enumerate(row))[1:]), bound]
+    cuts = []
+    for a, b in zip(points, points[1:]):
+        if (sa := nonneg(a)) != nonneg(b):
+            while (mid := 0.5 * (a + b)) not in (a, b):
+                a, b = (mid, b) if nonneg(mid) == sa else (a, mid)
+            cuts.append(b)
+    return tuple(cuts)
 
 
 @dataclass(frozen=True)
@@ -149,6 +187,47 @@ class PolyExp:
         if self.family == "zero":
             return (0.0, 2.0)
         return (self._fact, float(self.p + 1))
+
+    def leibniz_row(self, k: int, m: int) -> "tuple[int, ...]":
+        """The integer coefficients, ascending, of ``R`` with ``P_m g^(k) = R
+        exp(-rate*t)``: by Leibniz, ``P_m h = exp(-t) d^m/dt^m [exp(t) h] = sum_l
+        C(m, l) h^(l)``, so ``R = sum_l C(m, l) P_{k+l}``, whose top powers cancel."""
+        terms = [[math.comb(m, ell) * c for c in self.table[k + ell]] for ell in range(m + 1)]
+        row = list(map(sum, zip_longest(*terms, fillvalue=0)))
+        while row and row[-1] == 0:
+            row.pop()
+        return tuple(row)
+
+    def time_l1(self, k: int, m: int, t_end: float) -> float:
+        """``int_0^t_end |P_m g^(k)|``, ``0 < t_end <= inf``: the sign changes of ``R``
+        (:meth:`leibniz_row`) cut it into pieces, each adding ``|A(b) - A(a)|`` for
+        ``A = -S exp(-t)``, ``S = R + R' + R'' + ...`` (poly), or ``A = int R`` (mono),
+        whose integer coefficients over one denominator round ``A`` once, by int/int.
+        ``ValueError`` where ``A`` leaves the double range; ``RuntimeError`` for a
+        nonzero ``mono`` integrand to inf."""
+        row = self.leibniz_row(k, m)
+        if self.family == "poly":
+            den, anti = 1, [sum(c * math.perm(i, i - j) for i, c in enumerate(row[j:], j))
+                            for j in range(len(row))]
+        elif row and t_end == math.inf:
+            raise RuntimeError("time integrand does not decay; integral did not localize")
+        else:
+            den = math.lcm(*range(1, len(row) + 1))
+            anti = [0] + [den // (i + 1) * c for i, c in enumerate(row)]
+
+        def value(x: float) -> float:
+            if x == math.inf:  # poly: S exp(-t) -> 0; mono: only a zero row gets here
+                return 0.0
+            num, d_pow = _exact_at(anti, x)
+            try:
+                a = num / (den * d_pow)
+            except OverflowError:
+                raise ValueError(f"{self.name} overflows a double at t = {x:.17g}") from None
+            return -a * math.exp(-x) if self.family == "poly" else a
+
+        cuts = [x for x in _sign_changes(row) if x < t_end]
+        values = [value(x) for x in [0.0, *cuts, t_end]]
+        return math.fsum(abs(b - a) for a, b in zip(values, values[1:]))
 
     def as_input(self) -> SmoothCausalFunction:
         return SmoothCausalFunction(

@@ -1,11 +1,9 @@
-"""Adaptive quadrature used by the bound evaluator and the integral checks.
+"""Adaptive quadrature for the frequency-axis integrals of the checks.
 
-Three building blocks:
+Two building blocks:
 
 * :func:`adaptive_simpson` — classic adaptive Simpson with Richardson
   acceptance (the /15 estimate) on a finite interval.
-* :func:`integrate_segmented` — the finite-interval panel loop: adaptive
-  Simpson on geometrically growing panels.
 * :func:`integrate_semi_infinite` — for frequency-axis integrals
   ``int_start^inf f``: the head ``[start, start + first_width]`` plus
   segments up to a doubling cutoff, stopping once a caller-supplied
@@ -21,7 +19,7 @@ import math
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
-__all__ = ["adaptive_simpson", "integrate_segmented", "integrate_semi_infinite", "named_integral"]
+__all__ = ["adaptive_simpson", "integrate_semi_infinite", "named_integral"]
 
 # cutoff doublings before a semi-infinite integral is declared non-localizing
 _MAX_DOUBLINGS = 200
@@ -87,33 +85,6 @@ def adaptive_simpson(
         )
 
     return recurse(a, b, fa, fm, fb, whole, _MAX_DEPTH)
-
-
-def integrate_segmented(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-9,
-    abs_floor: float = 1e-14,
-) -> float:
-    """Integrate over the finite interval ``[a, b]`` panel by panel.
-
-    The first panel is ``min(1, (b - a)/8)`` wide and each next one twice as
-    wide, so integrand features near ``a`` are resolved even when ``b - a``
-    spans many orders of magnitude (one huge Simpson panel would step right
-    over them).
-    """
-    if b <= a:
-        return 0.0
-    width = min(1.0, (b - a) / 8.0)
-    total = 0.0
-    lo = a
-    while lo < b:
-        hi = min(b, lo + width)
-        total += adaptive_simpson(f, lo, hi, rel_tol, abs_floor)
-        lo = hi
-        width *= 2.0
-    return total
 
 
 def integrate_semi_infinite(

@@ -13,25 +13,25 @@ Conventions shared by the sampled suites:
 * open-domain constraints (``|z| < pi``, ``|z| < c0``) are enforced by
   insetting the boundary by a relative 1e-3;
 * frequency integrals are truncated at a cutoff and the *certified* tail
-  bound is added to the computed side, keeping every check one-sided.
+  bound is added to the computed side, keeping every check one-sided; time
+  integrals are exact sums (:meth:`trcq_kit.functions.PolyExp.time_l1`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 from .bounds import (
     SmoothCausalFunction,
-    apply_Pm,
     const_Cm1,
     theta1,
     theta2,
     theta3,
 )
-from .quadrature import adaptive_simpson, integrate_semi_infinite, named_integral
+from .quadrature import adaptive_simpson  # noqa: F401
+from .quadrature import integrate_semi_infinite, named_integral
 from .report import VerificationReport, combine_reports, pointwise_report
 from .symbols import Symbol, value_norm
 from .trmap import (
@@ -380,25 +380,6 @@ def check_lemma42(sigma: float, alpha: float, c: float, kappa: float) -> Verific
     return combine_reports("lemma42", parts)
 
 
-def _time_l1(fn: Callable[[float], float]) -> float:
-    """L1 norm over [0, inf) of a decaying function, by doubling windows.
-
-    Stopping the doubling truncates the integral, so the result can only
-    underestimate.  That is safe because it feeds only the dominating
-    (right-hand) side of a check, where a smaller value makes it stricter.
-    """
-    total = adaptive_simpson(fn, 0.0, 1.0, rel_tol=1e-9)
-    t = 1.0
-    while True:
-        seg = adaptive_simpson(fn, t, 2.0 * t, rel_tol=1e-9)
-        total += seg
-        t *= 2.0
-        if seg <= max(1e-14, 1e-9 * total) and fn(t) <= 1e-14:
-            return total
-        if t > 2.0**40:
-            raise RuntimeError("time integrand does not decay; integral did not localize")
-
-
 def check_lemma33(g: SmoothCausalFunction, sigma: float) -> VerificationReport:
     """Transform-line mass bound: int |G(sigma+i omega)| domega <= (pi/sigma) int |g''|.
 
@@ -416,7 +397,7 @@ def check_lemma33(g: SmoothCausalFunction, sigma: float) -> VerificationReport:
     g.require(2, "lemma33")
 
     with named_integral("lemma33 time integral int_0^inf |g''|"):
-        rhs = math.pi / sigma * _time_l1(lambda t: abs(g.deriv(t, 2)))
+        rhs = math.pi / sigma * g.data.time_l1(2, 0, math.inf)
 
     transform = g.laplace
     c_decay, p_decay = g.laplace_decay
@@ -457,6 +438,10 @@ def check_prop34a(
         raise ValueError("need a transform decay certificate with exponent > m+1")
     g.require(2 * m + 4, f"prop34a at m = {m}")
 
+    with named_integral(f"prop34a time integral int_0^inf |P_{m} g^({m + 4})|"):
+        time_mass = g.data.time_l1(m + 4, m, math.inf)
+    rhs = kappa * kappa * const_Cm1(m) / (sigma * min(sigma**m, 1.0)) * time_mass
+
     transform = g.laplace
     c_g, p = g.laplace_decay
 
@@ -482,10 +467,6 @@ def check_prop34a(
         head, tail_val, cutoff = integrate_semi_infinite(
             f_both, tail, first_width=max(sigma, 1.0 / kappa)
         )
-
-    with named_integral(f"prop34a time integral int_0^inf |P_{m} g^({m + 4})|"):
-        time_mass = _time_l1(lambda t: abs(apply_Pm(g, m, t, m + 4)))
-    rhs = kappa * kappa * const_Cm1(m) / (sigma * min(sigma**m, 1.0)) * time_mass
 
     return _integral_report(
         f"prop34a:{g.name}[m={m}]", head + tail_val, rhs,

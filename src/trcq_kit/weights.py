@@ -172,7 +172,8 @@ def _exact_table(F: Symbol, kappa: float, N: int) -> WeightTable:
         gap = np.max(value_norm(rough - precise))
     if not np.isfinite(gap):
         gap = np.inf
-    rounding = np.max(value_norm(weights - precise))
+    # a real table is rounded on its real parts, not promoted to complex long double
+    rounding = np.max(value_norm((weights if np.iscomplexobj(precise) else weights.real) - precise))
     half_ulp = 0.5 * np.spacing(np.max(value_norm(weights)))
     return WeightTable(
         kappa=float(kappa),

@@ -18,7 +18,6 @@ from trcq_kit.bounds import (
     MAX_MU,
     SmoothCausalFunction,
     TheoremParams,
-    apply_Pm,
     bound_rhs,
     const_Cm1,
     const_Cmu1,
@@ -33,6 +32,13 @@ from trcq_kit.functions import monomial, poly_exp, zero
 from trcq_kit.symbols import CFModel, make_delay, make_power
 
 D_AT_ONE = 0.09260497968758102
+
+
+def _horner(row, t):
+    acc = 0.0
+    for c in reversed(row):
+        acc = acc * t + c
+    return acc
 
 # mu -> (m, alpha, beta, epsilon)
 PARAM_TABLE = {
@@ -147,42 +153,40 @@ class TestSmoothCausalFunction:
         )
 
 
-class TestApplyPm:
+class TestLeibnizRow:
+    """``P_m g^(k) = sum_l C(m, l) g^(k+l)`` as one integer row times exp(-t)."""
+
+    @staticmethod
+    def at(g, k, m, t):
+        return _horner(g.data.leibniz_row(k, m), t) * math.exp(-t)
+
     def test_shift_semantics(self):
         """With m = 0 the k-shift is the plain derivative g^(k)."""
         g = poly_exp(5)
-        np.testing.assert_allclose(apply_Pm(g, 0, 0.7, 5), g.deriv(0.7, 5), rtol=0, atol=0)
-
-    def test_overshift_rejected(self):
-        g = dataclasses.replace(poly_exp(5), max_order=6)
-        with pytest.raises(ValueError):
-            apply_Pm(g, 0, 1.0, 7)
+        assert g.data.leibniz_row(5, 0) == g.data.table[5]
+        assert self.at(g, 5, 0, 0.7) == g.deriv(0.7, 5)
 
     def test_leibniz_identity_order_one(self):
         """P_1 h = h + h' pinned on the 5-shift of t^5 e^-t at t = 0.7."""
-        val = apply_Pm(poly_exp(5), 1, 0.7, 5)
-        assert complex(val).real == pytest.approx(
-            -10.37888114189235456209, rel=5e-15
-        )
-        assert complex(val).imag == 0.0
+        assert self.at(poly_exp(5), 5, 1, 0.7) == pytest.approx(-10.37888114189235456209, rel=5e-15)
 
     def test_leibniz_identity_order_two(self):
         """P_2 g = g + 2 g' + g'' from the binomial expansion."""
         g = poly_exp(3)
-        val = apply_Pm(g, 2, 1.3)
         ref = g.deriv(1.3, 0) + 2.0 * g.deriv(1.3, 1) + g.deriv(1.3, 2)
-        np.testing.assert_allclose(val.real, ref, rtol=1e-15)
+        np.testing.assert_allclose(self.at(g, 0, 2, 1.3), ref, rtol=1e-15)
 
     def test_order_zero_is_identity(self):
         g = poly_exp(4)
-        np.testing.assert_allclose(apply_Pm(g, 0, 0.9).real, g.deriv(0.9, 0), rtol=0)
+        assert g.data.leibniz_row(0, 0) == (0, 0, 0, 0, 1)
 
-    def test_validation(self):
-        g = dataclasses.replace(poly_exp(3), max_order=4)
-        with pytest.raises(ValueError):
-            apply_Pm(g, -1, 1.0)
-        with pytest.raises(ValueError, match="orders up to 4"):
-            apply_Pm(g, 5, 1.0)
+    def test_top_powers_cancel(self):
+        """P_m cancels the top m powers of a poly row (worked by hand: P_5 + P_6
+        of t^6 e^-t); a mono row is the sum of its falling-factorial terms."""
+        assert poly_exp(6).data.leibniz_row(5, 1) == (720, -3600, 3600, -1200, 150, -6)
+        assert monomial(7).data.leibniz_row(5, 1) == (0, 5040, 2520)
+        assert zero().data.leibniz_row(3, 2) == ()
+
 
 
 # --------------------------------------------------------------------------
@@ -389,7 +393,7 @@ class TestBoundRhs:
             bound_rhs(make_delay(1.0), poly_exp(5), 0.0, 1.0)
         with pytest.raises(ValueError):
             bound_rhs(make_delay(1.0), poly_exp(5), 1.5, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^t must be finite and positive, got 0$"):
             bound_rhs(make_delay(1.0), poly_exp(5), 0.1, 0.0)
 
     def test_insufficient_smoothness_rejected(self):
@@ -402,16 +406,20 @@ class TestBoundRhs:
         with pytest.raises(ValueError, match=r"^poly5exp has g\^\(5\)\(0\) = 120; the bound"):
             bound_rhs(make_power(1.0), poly_exp(5), 0.1, 1.0)
 
-    def test_non_finite_integrand_names_its_integral(self):
-        """A derivative that is inf past t = 1 fails I1, and the error says so."""
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_time_not_finite_refused(self, t):
+        """Both would reach C(1/t) and the integrals: nan as a NaN bound, inf as
+        a division by min(0**epsilon, 1) = 0."""
+        with pytest.raises(ValueError, match=f"^t must be finite and positive, got {t:g}$"):
+            bound_rhs(make_delay(1.0), poly_exp(5), 0.1, t)
+
+    def test_input_without_data_refused(self):
+        """The time integrals are sums on the input's integer coefficients; an
+        input with callbacks only has none."""
         g = poly_exp(5)
-        blown = SmoothCausalFunction(
-            name="blown",
-            max_order=g.max_order,
-            derivative=lambda t, k: math.inf if t > 1.0 else g.derivative(t, k),
-        )
-        with pytest.raises(ValueError, match=r"^I1 = int_0\^2 \|g\^\(5\)\|: integrand value inf"):
-            bound_rhs(make_delay(1.0), blown, 0.1, 2.0)
+        bare = SmoothCausalFunction(name="bare", max_order=g.max_order, derivative=g.derivative)
+        with pytest.raises(ValueError, match="^bare has no coefficient data; the bound needs it$"):
+            bound_rhs(make_delay(1.0), bare, 0.1, 2.0)
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from trcq_kit.bounds import derive_params, params_csv_row
 from trcq_kit import cli
 from trcq_kit.cli import EXIT_DEGENERATE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from trcq_kit.convolution import Grid, convolve_naive, error_vs_exact, sample
-from trcq_kit.functions import exact_solution, parse_g
+from trcq_kit.functions import PolyExp, exact_solution, parse_g
 from trcq_kit.symbols import from_spec
 from trcq_kit.weights import cq_weights_fft
 
@@ -433,45 +433,38 @@ class TestBound:
 
     def test_time_integrals_once_per_t(self, monkeypatch, tmp_path):
         """I1 and I2 do not depend on kappa, so at the default lists (five
-        times, two steps) the bound's integrands are evaluated half as often
-        as one ``bound_rhs`` per (t, kappa) would evaluate them."""
-        evaluations = [0]
+        times, two steps) the exact time integral runs twice per t, not twice
+        per (t, kappa); and being a sum on the input's coefficients, it never
+        calls the derivative callback, which only the hypothesis check reads,
+        at t = 0."""
+        called_at = []
         parse_input = cli._parse_input
 
         def counting_input(spec):
             g = parse_input(spec)
 
             def derivative(t, k):
-                evaluations[0] += 1
+                called_at.append(t)
                 return g.derivative(t, k)
 
             return dataclasses.replace(g, derivative=derivative)
 
-        in_bound = []
-        bound_rhs = cli.bound_rhs
+        integrals = []
+        time_l1 = PolyExp.time_l1
 
-        def measured(*args):
-            before = evaluations[0]
-            rhs = bound_rhs(*args)
-            in_bound.append(evaluations[0] - before)
-            return rhs
+        def counted(data, k, m, t_end):
+            integrals.append(t_end)
+            return time_l1(data, k, m, t_end)
 
         monkeypatch.setattr(cli, "_parse_input", counting_input)
-        monkeypatch.setattr(cli, "bound_rhs", measured)
+        monkeypatch.setattr(PolyExp, "time_l1", counted)
         out = tmp_path / "bound.csv"
         assert main(["bound", "--symbol", "power:0.5", "--g", "mono:7", "--out", str(out)]) == EXIT_OK
         assert len(data_rows(read_lines(out))) == 10
 
-        defaults = {opt.name: opt.default for opt in cli._COMMANDS["bound"].options}
-        F, g = from_spec("power:0.5"), counting_input("mono:7")
-        per_pair = 0
-        for t in defaults["t_list"]:
-            for kappa in defaults["kappa_list"]:
-                before = evaluations[0]
-                bound_rhs(F, g, kappa, t)
-                per_pair += evaluations[0] - before
-        assert len(in_bound) == len(defaults["t_list"])
-        assert 2 * sum(in_bound) == per_pair
+        t_list = {opt.name: opt.default for opt in cli._COMMANDS["bound"].options}["t_list"]
+        assert sorted(integrals) == sorted(2 * t_list)
+        assert called_at and set(called_at) == {0.0}
 
     def test_negative_mu_symbol_refused(self, capsys):
         code = main(["bound", "--symbol", "decay:1.0", "--g", "poly5exp"])
@@ -615,6 +608,26 @@ class TestVerify:
         out = tmp_path / "v.csv"
         main(["verify", "--suite", "lemma32", "--samples", "1000", "--out", str(out)])
         assert "violations=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_prop34a_at_high_order(self, m, capsys):
+        """P_m g^(m+4) of poly15exp changes sign on [8, 16], where adaptive
+        Simpson bisected the kinks of its modulus for minutes; the exact time
+        integral cuts at the roots instead."""
+        start = time.monotonic()
+        assert main(["verify", "--suite", "prop34a", "--g", "poly15exp", "--m", str(m)]) == EXIT_OK
+        assert time.monotonic() - start < 10.0
+
+    @pytest.mark.parametrize("suite, g, integral", [
+        ("lemma33", "mono:3", "lemma33 time integral int_0^inf |g''|"),
+        ("prop34a", "mono:7", "prop34a time integral int_0^inf |P_1 g^(5)|"),
+    ])
+    def test_growing_input_has_no_time_integral(self, suite, g, integral, capsys):
+        """A monomial's time integrand does not decay: exit 3, naming the integral."""
+        assert main(["verify", "--suite", suite, "--g", g]) == EXIT_DEGENERATE
+        assert capsys.readouterr().err == (
+            f"error: {integral}: time integrand does not decay; integral did not localize\n"
+        )
 
 
 # --------------------------------------------------------------------------

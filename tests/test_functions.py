@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from trcq_kit import functions
 from trcq_kit.bounds import SmoothCausalFunction
 from trcq_kit.convolution import Grid, sample
 from trcq_kit.functions import exact_solution, monomial, parse_g, poly_exp, zero
@@ -362,3 +363,93 @@ class TestGridValues:
                       Grid(kappa=0.25, steps=400).nodes):
             per_node = np.array([exact(t)[0] for t in nodes.tolist()])
             assert _bits(exact.on_grid(nodes)) == _bits(per_node)
+
+
+# --------------------------------------------------------------------------
+# exact time integrals
+# --------------------------------------------------------------------------
+
+
+def _reference_time_l1(data, k: int, m: int, t_end: float):
+    """``int_0^t_end |P_m g^(k)|`` in 50 digits: mpmath's roots of the Leibniz
+    row, and each piece of one sign summed from incomplete gamma functions
+    (``poly``) or powers (``mono``)."""
+    row = data.leibniz_row(k, m)
+    with mpmath.workdps(50):
+        core = list(row)
+        while core and core[0] == 0:
+            core.pop(0)
+        roots = []
+        if len(core) > 1:
+            found = mpmath.polyroots(core[::-1], maxsteps=200, extraprec=500)
+            roots = sorted(r.real for r in found if abs(r.imag) < 1e-30 and r.real > 0)
+        end = mpmath.inf if t_end == math.inf else mpmath.mpf(t_end)
+        points = [mpmath.mpf(0)] + [r for r in roots if r < end] + [end]
+
+        def piece(a, b):
+            if data.family == "poly":
+                return sum(c * mpmath.gammainc(j + 1, a, b) for j, c in enumerate(row) if c)
+            return sum(c * (b ** (j + 1) - a ** (j + 1)) / (j + 1) for j, c in enumerate(row) if c)
+
+        return sum(abs(piece(a, b)) for a, b in zip(points, points[1:]))
+
+
+def _assert_matches_reference(data, k, m, t_end):
+    ref = _reference_time_l1(data, k, m, t_end)
+    assert ref > 0
+    assert abs(data.time_l1(k, m, t_end) - ref) <= 1e-13 * ref, (data.name, k, m, t_end)
+
+
+class TestTimeIntegrals:
+    @pytest.mark.parametrize("p, m", [
+        (p, m) for p in (6, 9, 12, 15) for m in range(1, 5) if p >= 2 * m + 4
+    ])
+    def test_to_infinity_against_mpmath(self, p, m):
+        """prop34a's int |P_m g^(m+4)| and lemma33's int |g''|."""
+        data = poly_exp(p).data
+        _assert_matches_reference(data, m + 4, m, math.inf)
+        _assert_matches_reference(data, 2, 0, math.inf)
+
+    @pytest.mark.parametrize("t", [1.0, 2.0, 4.0, 8.0, 16.0])
+    @pytest.mark.parametrize("spec", ["poly6exp", "mono:7", "mono:20", "mono:170"])
+    def test_to_finite_time_against_mpmath(self, spec, t):
+        """The bound's I1 and I2 for mu = 0, 0.5 and 1: (k, m) = (5, 0), (4, 0),
+        (5, 1) and (6, 0)."""
+        data = parse_g(spec).data
+        for k, m in ((5, 0), (4, 0), (5, 1), (6, 0)):
+            _assert_matches_reference(data, k, m, t)
+
+    @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1])
+    @pytest.mark.parametrize("p, k, m", [(12, 5, 0), (12, 4, 0), (15, 6, 1), (9, 5, 0)])
+    def test_small_time_against_mpmath(self, p, k, m, t):
+        """Integrals down to 1e-24 keep their relative accuracy: here -S exp(-t)
+        is sum_l C(m, l) g^(k+l-1), small near 0, so no piece is a difference
+        of large values (adaptive Simpson's absolute floor cost 3e-4 here)."""
+        _assert_matches_reference(poly_exp(p).data, k, m, t)
+
+    def test_cuts_are_sign_changes(self):
+        """P_4 g^(8) of poly15exp has eight positive roots; each cut is within
+        one ulp of mpmath's root, and the row's sign changes across it."""
+        row = poly_exp(15).data.leibniz_row(8, 4)
+        cuts = functions._sign_changes(row)
+        with mpmath.workdps(50):
+            found = mpmath.polyroots(row[3:][::-1], maxsteps=200, extraprec=500)
+            roots = sorted(r.real for r in found if abs(r.imag) < 1e-30 and r.real > 0)
+            assert len(cuts) == len(roots) == 8
+            for x, root in zip(cuts, roots):
+                assert abs(x - root) <= math.ulp(x)
+                below = mpmath.polyval(row[::-1], math.nextafter(x, 0.0))
+                assert below * mpmath.polyval(row[::-1], x) <= 0
+
+    def test_zero_rows(self):
+        assert zero().data.time_l1(2, 0, math.inf) == 0.0
+        assert monomial(3).data.time_l1(4, 0, math.inf) == 0.0  # g^(4) of t^3
+
+    def test_growing_integrand_to_infinity_refused(self):
+        with pytest.raises(RuntimeError, match="^time integrand does not decay"):
+            monomial(7).data.time_l1(2, 0, math.inf)
+
+    def test_overflow_names_the_time(self):
+        """t^170 e^-t: S(t) leaves the double range near its largest roots."""
+        with pytest.raises(ValueError, match=r"^poly170exp overflows a double at t = 1\d\d\."):
+            poly_exp(170).data.time_l1(5, 1, math.inf)

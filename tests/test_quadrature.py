@@ -1,8 +1,8 @@
 """Tests for the adaptive quadrature helpers.
 
-Includes hard cases: absolute-value integrands with interior kinks (the
-time integrals of the error bound), panels spanning orders of magnitude,
-and semi-infinite frequency integrals with certified tails.
+Includes hard cases: absolute-value integrands with interior kinks,
+panels spanning orders of magnitude, and semi-infinite frequency integrals
+with certified tails.
 """
 
 import math
@@ -13,7 +13,6 @@ import pytest
 from trcq_kit.functions import poly_exp
 from trcq_kit.quadrature import (
     adaptive_simpson,
-    integrate_segmented,
     integrate_semi_infinite,
 )
 
@@ -84,23 +83,6 @@ class TestAdaptiveSimpson:
         assert val == pytest.approx(INT_ABS_G4_0_2, rel=1e-8)
         val1 = adaptive_simpson(f, 0.0, 1.0, rel_tol=1e-10)
         assert val1 == pytest.approx(INT_ABS_G4_0_1, rel=1e-8)
-
-
-class TestIntegrateSegmented:
-    def test_matches_single_panel_on_smooth(self):
-        """Segmenting does not change the value of a smooth integral."""
-        a = adaptive_simpson(lambda t: math.exp(-t), 0.0, 8.0, rel_tol=1e-11)
-        b = integrate_segmented(lambda t: math.exp(-t), 0.0, 8.0, rel_tol=1e-11)
-        assert b == pytest.approx(a, rel=1e-10)
-
-    def test_long_interval_with_features_near_origin(self):
-        """int_0^50 e^-t = 1 - e^-50; one Simpson panel would miss the mass."""
-        val = integrate_segmented(lambda t: math.exp(-t), 0.0, 50.0, rel_tol=1e-10)
-        assert val == pytest.approx(1.0 - math.exp(-50.0), rel=1e-9)
-
-    def test_empty_interval(self):
-        assert integrate_segmented(lambda t: 1.0, 3.0, 3.0) == 0.0
-        assert integrate_segmented(lambda t: 1.0, 3.0, 2.0) == 0.0
 
 
 class TestIntegrateSemiInfinite:

@@ -211,6 +211,25 @@ class TestBlockedRecurrence:
             blocked = F.exact_weights(0.1, N, extended)[:head]
             assert _same(blocked, _sequential_power(mu, 0.1, head - 1, real)), mu
 
+    @pytest.mark.parametrize("F, kappa, N", [
+        (make_power(0.5), 2.0**-13, 1 << 16),
+        (make_power(1.0), 2.0**-13, 1 << 16),
+        (make_decay(2.0), 0.05, 4000),
+        (make_resolvent(DAMPED), 0.05, 4000),
+        (make_resolvent(np.array([[-1.0, 2.0j], [0.5j, -0.5]])), 0.05, 400),
+    ], ids=["power0.5", "power1", "decay2", "resolvent-real", "resolvent-complex"])
+    def test_rounding_measured_as_in_complex_long_double(self, F, kappa, N):
+        """The estimate measures a real table's rounding on its real parts; it
+        has the bits of the difference taken in complex long double."""
+        precise = F.exact_weights(kappa, N, True)
+        rough = F.exact_weights(kappa, N, False)
+        weights = precise.astype(np.complex128)
+        gap = np.max(value_norm(rough - precise))
+        rounding = np.max(value_norm(weights - precise.astype(np.clongdouble)))
+        half_ulp = 0.5 * np.spacing(np.max(value_norm(weights)))
+        table = cq_weights_fft(F, kappa, N)
+        assert table.accuracy_estimate == max(float(gap + rounding), float(half_ulp))
+
     def test_nan_from_the_double_rerun_reads_inf(self):
         """A rerun that meets inf * 0 gives NaN entries; the estimate is inf."""
         F = make_power(0.5)

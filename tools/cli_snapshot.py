@@ -146,6 +146,7 @@ ARGVS: "list[list[str]]" = [
     ["bound", "--symbol", "power:1", "--g", "mono:170"],
     ["bound", "--symbol", "power:1", "--g", "mono:20"],
     ["bound", "--symbol", "power:0.5", "--g", "mono:7", "--kappa-list", "0.1,0.05,0.025"],
+    ["bound", "--symbol", "delay:1.0", "--g", "poly6exp"],
     # longtime
     ["longtime", "--symbol", "delay:1.0", "--g", "poly5exp", "--kappa", "0.1",
      "--t-final", "16", "--t-min", "1"],
@@ -160,6 +161,8 @@ ARGVS: "list[list[str]]" = [
     ["verify", "--suite", "prop41", "--symbol", "resolvent:damped2.txt", "--seed", "1"],
     ["verify", "--suite", "lemma33", "--g", "poly12exp", "--sigma", "0.3"],
     ["verify", "--suite", "prop34a", "--g", "poly9exp", "--m", "2"],
+    ["verify", "--suite", "prop34a", "--g", "poly12exp", "--m", "3"],
+    ["verify", "--suite", "lemma33", "--g", "mono:7"],
     ["verify", "--suite", "lemma33", "--g", "mono:3"],
     ["verify", "--suite", "lemma33", "--g", "zero"],
     # constants
