@@ -68,24 +68,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SmoothCausalFunction:
-    """A scalar causal input with analytic derivative callbacks.
+    """A scalar causal input: its coefficient ``data``
+    (:class:`trcq_kit.functions.PolyExp`) and its derivative callback.
 
-    ``derivative(t, k)`` returns the k-th derivative at ``t >= 0`` as a float
-    (the wrapper :meth:`deriv` supplies the causal zero for ``t < 0``).  The
-    optional ``laplace`` callback gives the closed-form transform; the
-    optional ``laplace_decay = (C, p)`` certifies ``|G(s)| <= C/|s|**p``
-    on the half-plane, which frequency integrals use as a tail bound.  A
-    shipped input also carries the ``data`` its callbacks are derived from
-    (:class:`trcq_kit.functions.PolyExp`), whose ``values(t, k)`` takes an
-    array of times as well, so :meth:`on_grid` needs no call per time.
+    The name, the orders, the closed-form transform ``laplace`` and its decay
+    certificate ``laplace_decay = (C, p)``, ``|G(s)| <= C/|s|**p`` on the
+    half-plane, are read from ``data``.  ``derivative(t, k)`` returns the k-th
+    derivative at ``t >= 0`` as a float (the wrapper :meth:`deriv` supplies
+    the causal zero for ``t < 0``); it is a field, so a copy may count its
+    calls.  :meth:`on_grid` evaluates ``data`` on an array of times and never
+    calls it.
     """
 
-    name: str
-    max_order: int
+    data: "PolyExp"
     derivative: Callable[[float, int], float] = field(repr=False)
-    laplace: "Callable[[np.ndarray], np.ndarray] | None" = field(default=None, repr=False)
-    laplace_decay: "tuple[float, float] | None" = None
-    data: "PolyExp | None" = field(default=None, repr=False)
+
+    @property
+    def name(self) -> str:
+        return self.data.name
+
+    @property
+    def max_order(self) -> int:
+        return self.data.max_order
+
+    @property
+    def laplace(self) -> "Callable[[np.ndarray], np.ndarray]":
+        return self.data.laplace
+
+    @property
+    def laplace_decay(self) -> "tuple[float, float]":
+        return self.data.laplace_decay
 
     def _check_order(self, k: int) -> None:
         if not (0 <= k <= self.max_order):
@@ -99,19 +111,14 @@ class SmoothCausalFunction:
             return 0.0
         return self.derivative(float(t), int(k))
 
-    def on_grid(self, t: np.ndarray, k: int = 0) -> "np.ndarray | None":
-        """:meth:`deriv` at every entry of the float array ``t`` at once, bit
-        for bit, from ``data``; ``None`` for an input with callbacks only.
-        ``OverflowError`` propagates where ``data`` raises it, and the
-        per-time :meth:`deriv` names the first such time."""
+    def on_grid(self, t: np.ndarray, k: int = 0) -> np.ndarray:
+        """:meth:`deriv` at every entry of the float array ``t`` at once, from
+        ``data``: ``ValueError`` where :meth:`~trcq_kit.functions.PolyExp.values`
+        names a time that overflows."""
         self._check_order(k)
-        if self.data is None:
-            return None
         out = np.zeros(t.shape)
         ahead = ~(t < 0.0)
-        # inf and nan entries are the caller's to report, not numpy's to warn about
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[ahead] = self.data.values(t[ahead], int(k))
+        out[ahead] = self.data.values(t[ahead], int(k))
         return out
 
     def __call__(self, t: float) -> float:
@@ -119,10 +126,9 @@ class SmoothCausalFunction:
 
     def require(self, order: int, purpose: str) -> None:
         """Refuse this input for an estimate built on its derivatives up to
-        ``order``: the callbacks must reach that order, ``g^(k)(0) = 0`` for
+        ``order``: the data must reach that order, and ``g^(k)(0) = 0`` for
         ``k < order`` (without which ``s^k G`` is not the transform of ``g^(k)``:
-        the compatibility condition of convolution quadrature), and ``data``
-        must be there, for the estimates' time integrals are exact sums on it.
+        the compatibility condition of convolution quadrature).
         """
         if self.max_order < order:
             raise ValueError(
@@ -135,8 +141,6 @@ class SmoothCausalFunction:
                     f"{self.name} has g^({k})(0) = {value:g}; "
                     f"{purpose} needs g^(k)(0) = 0 for k < {order}"
                 )
-        if self.data is None:
-            raise ValueError(f"{self.name} has no coefficient data; {purpose} needs it")
 
 
 # --------------------------------------------------------------------------

@@ -326,9 +326,9 @@ def cmd_convolve(eff: "dict[str, object]") -> int:
 
 def cmd_converge(eff: "dict[str, object]") -> int:
     kappas = _check_kappa_list(eff["kappa_list"])
-    exact = _exact_or_die(eff["symbol"], eff["g"])
     F = _parse_symbol(eff["symbol"])
     g = _parse_input(eff["g"])
+    exact = _exact_or_die(eff["symbol"], eff["g"])
 
     errors = [float(_errors(F, g, exact, kappa, [eff["t_final"]])[0].max()) for kappa in kappas]
 
@@ -355,8 +355,8 @@ def cmd_bound(eff: "dict[str, object]") -> int:
     F = _parse_symbol(eff["symbol"])
     if F.mu < 0.0:
         raise ValueError("the a-priori bound applies to mu >= 0 symbols only")
-    exact = _exact_or_die(eff["symbol"], eff["g"])
     g = _parse_input(eff["g"])
+    exact = _exact_or_die(eff["symbol"], eff["g"])
     params = derive_params(F.mu)
     g.require(params.beta, "the bound")
     certificate = validate_growth(F, samples=20000, seed=int(eff["seed"]))
@@ -384,9 +384,9 @@ def cmd_bound(eff: "dict[str, object]") -> int:
 
 def cmd_longtime(eff: "dict[str, object]") -> int:
     kappa, t_final, t_min = eff["kappa"], eff["t_final"], eff["t_min"]
-    exact = _exact_or_die(eff["symbol"], eff["g"])
     F = _parse_symbol(eff["symbol"])
     g = _parse_input(eff["g"])
+    exact = _exact_or_die(eff["symbol"], eff["g"])
     _steps_for(t_final, kappa)  # refuse a run it cannot size before halving t_final
     if not math.isfinite(t_min):
         raise ValueError(f"--t-min = {t_min:g} is not finite")

@@ -17,7 +17,7 @@ to ~1e-12 relative; tests enforce it.
 
 Inputs and references reach the grid through :func:`sample` alone: shipped
 inputs and the closed-form references are evaluated on the whole grid at
-once, any other function with one scalar call per node;
+once, a plain callable with one call per node;
 :func:`signal_to_csv` formats 1024 rows at a time with one ``%`` template
 (:func:`trcq_kit.weights.write_rows`), the bytes of one ``%`` per row.
 """
@@ -98,21 +98,14 @@ def sample(fn: Callable[[float], "complex | np.ndarray"], grid: Grid) -> CausalS
 
     ``fn`` must return the same shape at every node: a scalar, or a vector
     of one fixed length.  A shipped input and a closed-form reference have
-    ``on_grid(nodes)``, which returns the values at all nodes at once, bit
-    for bit those of one call per node; where it returns ``None`` (an input
-    with callbacks only), or a power overflows (``OverflowError``),
-    ``fn`` is called once per node instead, and any error it raises names
-    its node.  A non-finite sample raises ``ValueError`` naming the input
-    and the first node where it occurs.
+    ``on_grid(nodes)``, their values at all nodes at once; any other
+    callable is called once per node.  A non-finite sample raises
+    ``ValueError`` naming the input and the first node where it occurs.
     """
     nodes = grid.nodes
-    values = None
     if hasattr(fn, "on_grid"):
-        try:
-            values = fn.on_grid(nodes)
-        except OverflowError:
-            pass  # one call per node names the node that overflows
-    if values is None:
+        values = fn.on_grid(nodes)
+    else:
         values = [fn(t) for t in nodes.tolist()]
     samples = np.array(values, dtype=complex).reshape(grid.steps + 1, -1)
     bad = ~np.isfinite(samples).all(axis=1)

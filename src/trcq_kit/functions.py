@@ -16,20 +16,22 @@ derivatives are floats:
   transform ``p!/s**(p+1)``.
 * ``zero()`` -- the zero input (degenerate edge cases).
 
-The derivative callback, the transform and its decay certificate all come
-from that data, and so do the values on a whole array of times
-(:meth:`~trcq_kit.bounds.SmoothCausalFunction.on_grid`), bit for bit the
-callback's: Horner runs in the same order on an array, and ``exp`` and
-``pow`` are libm's, mapped over the array's entries, because numpy's own
-differ from libm's in the last bit at some points.  So do the time integrals
-of the error analysis, as exact sums (:meth:`PolyExp.time_l1`).
+The input is that data: its name, orders, transform and decay certificate
+come from it, and its values are evaluated on arrays of times only
+(:meth:`PolyExp.values`); the derivative callback is that rule at one time.
+Horner runs on the array, and ``exp`` and ``pow`` are libm's, mapped over
+the array's entries, because numpy's own differ from libm's in the last bit
+at some points.  A ``pow`` that overflows gives ``inf`` for its entry, and
+the caller's one non-finite check names the first such time.  The time
+integrals of the error analysis are exact sums on the same data
+(:meth:`PolyExp.time_l1`).
 
 ``exact_solution`` returns the closed-form time action of a built-in symbol
-applied to one of these inputs, when one is known, as a 1-vector comparable
+applied to one of these inputs, when one is known, as a 1-tuple comparable
 with a signal row; convergence and bound experiments refuse to run without
-one.  The closed forms also evaluate a whole grid at once, by the same
-rules; a series branch runs on all its nodes at once, each node stopping
-where its own loop would.
+one.  Each closed form is written once, as a rule on an array of times; a
+series branch runs on all its nodes at once, each node stopping where its
+own series does.
 """
 
 from __future__ import annotations
@@ -62,27 +64,31 @@ def _check_power(p: int) -> None:
 
 
 def _horner_ascending(coeffs: "list[float]", t):
-    """The polynomial with ascending ``coeffs`` at a float or an array ``t``."""
+    """The polynomial with ascending ``coeffs`` at each entry of the array ``t``."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
 
 
-# libm's exp and pow at a float, or at each entry of an array: numpy's own
-# exp and power differ from libm's in the last bit at some points
+# libm's exp and pow at each entry of an array: numpy's own exp and power
+# differ from libm's in the last bit at some points
 
 
-def _exp(x):
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(math.exp, x.tolist()), float, x.size)
-    return math.exp(x)
+def _exp(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.exp, x.tolist()), float, x.size)
 
 
-def _pow(t, e):
-    if isinstance(t, np.ndarray):
-        return np.fromiter(map(pow, t.tolist(), repeat(e)), float, t.size)
-    return t ** e
+def _pow_or_inf(t: float, e: float) -> float:
+    try:
+        return t ** e
+    except OverflowError:  # Python's pow raises where C's gives inf
+        return math.inf
+
+
+def _pow(t: np.ndarray, e: float) -> np.ndarray:
+    """``t**e`` at each entry, ``inf`` where it overflows."""
+    return np.fromiter(map(_pow_or_inf, t.tolist(), repeat(e)), float, t.size)
 
 
 def _exact_at(row: "list[int] | tuple[int, ...]", x: float) -> "tuple[int, int]":
@@ -158,22 +164,27 @@ class PolyExp:
     def name(self) -> str:
         return {"poly": f"poly{self.p}exp", "mono": f"mono:{self.p}", "zero": "zero"}[self.family]
 
-    def values(self, t, k: int):
-        """``g^(k)`` at a float ``t >= 0``, or at each entry of an array of them.
-        ``pow`` raises ``OverflowError`` where ``t**(p-k)`` leaves the double range."""
+    def values(self, t: np.ndarray, k: int) -> np.ndarray:
+        """``g^(k)`` at each entry ``t >= 0`` of a float array.  ``ValueError`` names
+        the first entry where ``mono``'s ``t**(p-k)`` leaves the double range; a
+        Horner value that does is left ``inf`` or ``nan`` for the caller to report."""
         coeffs = self._coeffs[k]
-        if self.family == "poly":
-            return _horner_ascending(coeffs, t) * _exp(-t)
-        if not coeffs:
-            return np.zeros(t.shape) if isinstance(t, np.ndarray) else 0.0
-        return coeffs[-1] * _pow(t, len(coeffs) - 1)
+        # inf and nan entries are the caller's to report, not numpy's to warn about
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.family == "poly":
+                return _horner_ascending(coeffs, t) * _exp(-t)
+            if not coeffs:
+                return np.zeros(t.shape)
+            power = _pow(t, len(coeffs) - 1)
+            over = np.isinf(power)
+            if over.any():
+                at = t[int(np.argmax(over))]
+                raise ValueError(f"{self.name} overflows a double at t = {at:.17g}")
+            return coeffs[-1] * power
 
     def derivative(self, t: float, k: int) -> float:
         """``g^(k)(t)`` at one time, the input's derivative callback."""
-        try:
-            return self.values(t, k)
-        except OverflowError:
-            raise ValueError(f"{self.name} overflows a double at t = {t:.17g}") from None
+        return float(self.values(np.array([t], dtype=float), k)[0])
 
     def laplace(self, s):
         """``G(s) = p!/(s + rate)**(p+1)``, 0 for the zero input."""
@@ -191,7 +202,12 @@ class PolyExp:
     def leibniz_row(self, k: int, m: int) -> "tuple[int, ...]":
         """The integer coefficients, ascending, of ``R`` with ``P_m g^(k) = R
         exp(-rate*t)``: by Leibniz, ``P_m h = exp(-t) d^m/dt^m [exp(t) h] = sum_l
-        C(m, l) h^(l)``, so ``R = sum_l C(m, l) P_{k+l}``, whose top powers cancel."""
+        C(m, l) h^(l)``, so ``R = sum_l C(m, l) P_{k+l}``, whose top powers cancel.
+        ``ValueError`` where ``k + m`` passes :attr:`max_order`."""
+        if k + m > self.max_order:
+            raise ValueError(
+                f"{self.name} supports orders up to {self.max_order}; P_{m} g^({k}) needs {k + m}"
+            )
         terms = [[math.comb(m, ell) * c for c in self.table[k + ell]] for ell in range(m + 1)]
         row = list(map(sum, zip_longest(*terms, fillvalue=0)))
         while row and row[-1] == 0:
@@ -201,10 +217,12 @@ class PolyExp:
     def time_l1(self, k: int, m: int, t_end: float) -> float:
         """``int_0^t_end |P_m g^(k)|``, ``0 < t_end <= inf``: the sign changes of ``R``
         (:meth:`leibniz_row`) cut it into pieces, each adding ``|A(b) - A(a)|`` for
-        ``A = -S exp(-t)``, ``S = R + R' + R'' + ...`` (poly), or ``A = int R`` (mono),
-        whose integer coefficients over one denominator round ``A`` once, by int/int.
-        ``ValueError`` where ``A`` leaves the double range; ``RuntimeError`` for a
-        nonzero ``mono`` integrand to inf."""
+        ``A = -S exp(-t)``, ``S = R + R' + R'' + ...`` (poly), or ``A = int R`` (mono).
+        ``S`` and ``int R`` are exact on their integer coefficients over one
+        denominator, and ``A`` is rounded once, by int/int: for poly, after the
+        exact ``S`` is multiplied by the double ``exp(-t)``, so a large ``S``
+        with a small product stays finite.  ``ValueError`` where ``A`` leaves the
+        double range; ``RuntimeError`` for a nonzero ``mono`` integrand to inf."""
         row = self.leibniz_row(k, m)
         if self.family == "poly":
             den, anti = 1, [sum(c * math.perm(i, i - j) for i, c in enumerate(row[j:], j))
@@ -219,25 +237,20 @@ class PolyExp:
             if x == math.inf:  # poly: S exp(-t) -> 0; mono: only a zero row gets here
                 return 0.0
             num, d_pow = _exact_at(anti, x)
+            if self.family == "poly":
+                e_num, e_den = math.exp(-x).as_integer_ratio()
+                num, d_pow = -num * e_num, d_pow * e_den
             try:
-                a = num / (den * d_pow)
+                return num / (den * d_pow)
             except OverflowError:
                 raise ValueError(f"{self.name} overflows a double at t = {x:.17g}") from None
-            return -a * math.exp(-x) if self.family == "poly" else a
 
         cuts = [x for x in _sign_changes(row) if x < t_end]
         values = [value(x) for x in [0.0, *cuts, t_end]]
         return math.fsum(abs(b - a) for a, b in zip(values, values[1:]))
 
     def as_input(self) -> SmoothCausalFunction:
-        return SmoothCausalFunction(
-            name=self.name,
-            max_order=self.max_order,
-            derivative=self.derivative,
-            laplace=self.laplace,
-            laplace_decay=self.laplace_decay,
-            data=self,
-        )
+        return SmoothCausalFunction(data=self, derivative=self.derivative)
 
 
 def poly_exp(p: int) -> SmoothCausalFunction:
@@ -282,11 +295,10 @@ def parse_g(spec: str) -> SmoothCausalFunction:
 
 
 def _series_on_grid(x: np.ndarray, term: float, acc: float, grow: Callable, add: Callable):
-    """The scalar series loops below at every entry of the 1-d array ``x`` at
-    once: for ``j = 1, 2, ...``, ``term = grow(term, x, j)`` and ``acc +=
-    add(term, j)``, each entry stopping at its own first ``add(term, j) <
-    1e-17 * acc``.  Every entry is summed in its scalar loop's order, so it
-    gets that loop's bits."""
+    """A series at every entry of the 1-d array ``x`` at once: for ``j = 1, 2,
+    ...``, ``term = grow(term, x, j)`` and ``acc += add(term, j)``, each entry
+    stopping at its own first ``add(term, j) < 1e-17 * acc``, so each entry has
+    the bits of a loop over its own terms."""
     out = np.empty(x.shape)
     live = np.arange(x.size)
     term, acc = np.full(x.shape, term), np.full(x.shape, acc)
@@ -303,28 +315,12 @@ def _series_on_grid(x: np.ndarray, term: float, acc: float, grow: Callable, add:
     return out
 
 
-def _poly_exp_integral(p: int) -> "tuple[Callable, Callable]":
+def _poly_exp_integral(p: int) -> Callable:
     # int_0^t tau^p e^-tau dtau.  The textbook form p! - e^-t sum p!/k! t^k
     # cancels catastrophically for small t, so below t = p+1 we sum the
     # all-positive series t^{p+1} e^{-t} sum_k t^k p!/(p+1+k)! instead.
     fact = math.factorial(p)
     coeffs = [fact / math.factorial(k) for k in range(p + 1)]
-
-    def action(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        if t > p + 1.0:
-            return fact - math.exp(-t) * _horner_ascending(coeffs, t)
-        term = 1.0 / (p + 1)
-        acc = term
-        k = 1
-        while True:
-            term *= t / (p + 1 + k)
-            acc += term
-            if term < 1e-17 * acc:
-                break
-            k += 1
-        return t ** (p + 1) * math.exp(-t) * acc
 
     def rule(t: np.ndarray) -> np.ndarray:
         out = np.empty(t.shape)
@@ -337,10 +333,10 @@ def _poly_exp_integral(p: int) -> "tuple[Callable, Callable]":
         out[~high] = _pow(tl, p + 1) * _exp(-tl) * acc
         return out
 
-    return action, _on_positive(rule)
+    return rule
 
 
-def _decay_monomial(a: float, p: int) -> "tuple[Callable, Callable]":
+def _decay_monomial(a: float, p: int) -> Callable:
     # (e^{-a .} * tau^p)(t) = e^{-a t} int_0^t e^{a tau} tau^p dtau = M(a t)/a^{p+1}
     # with M(x) = sum_{k<=p} (-1)^k p!/(p-k)! x^{p-k} - (-1)^p p! e^{-x}, computed
     # as t^{p+1} M(x)/x^{p+1}: a^{p+1} underflows to 0 for small a.  The
@@ -349,28 +345,6 @@ def _decay_monomial(a: float, p: int) -> "tuple[Callable, Callable]":
     # summed instead; above it, in powers of 1/x < 1, nothing overflows.
     fact = math.factorial(p)
     signed = [(-1.0) ** k * (fact / math.factorial(p - k)) for k in range(p + 1)]
-
-    def action(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        x = a * t
-        if x > p + 1.0:
-            y = 1.0 / x
-            acc = -((-1.0) ** p) * fact * math.exp(-x) * y ** (p + 1)
-            for k in range(p + 1):
-                acc += signed[k] * y ** (k + 1)
-            return t ** (p + 1) * acc
-        term = 1.0  # x**j / j!
-        acc = 1.0 / (p + 1)
-        j = 1
-        while True:
-            term *= x / j
-            contrib = term / (p + 1 + j)
-            acc += contrib
-            if contrib < 1e-17 * acc:
-                break
-            j += 1
-        return t ** (p + 1) * math.exp(-x) * acc
 
     def rule(t: np.ndarray) -> np.ndarray:
         out = np.empty(t.shape)
@@ -388,7 +362,7 @@ def _decay_monomial(a: float, p: int) -> "tuple[Callable, Callable]":
         out[~high] = _pow(tl, p + 1) * _exp(-xl) * acc
         return out
 
-    return action, _on_positive(rule)
+    return rule
 
 
 def _on_positive(rule: Callable) -> Callable:
@@ -404,29 +378,19 @@ def _on_positive(rule: Callable) -> Callable:
     return on_grid
 
 
-def _at_positive(rule: Callable) -> "tuple[Callable, Callable]":
-    """A closed form that is ``rule(t)`` at ``t > 0`` and 0 elsewhere, as the
-    pair ``(at one time, on an array of times)``; ``rule`` takes both."""
-
-    def action(t: float) -> float:
-        return rule(t) if t > 0.0 else 0.0
-
-    return action, _on_positive(rule)
-
-
-def _exact_action(symbol_spec: str, g_spec: str) -> "tuple[Callable, Callable] | None":
-    """The closed form as ``(at one time, on an array of times)``."""
+def _exact_action(symbol_spec: str, g_spec: str) -> "Callable | None":
+    """The closed form on an array of times; a power that overflows gives ``inf``."""
     kind, _, arg = symbol_spec.strip().partition(":")
     kind = kind.strip().lower()
     g = parse_g(g_spec)
     family, p = g.data.family, g.data.p
 
     if family == "zero":
-        return (lambda t: 0.0), np.zeros_like
+        return np.zeros_like
 
     if kind == "delay":
         d = float(arg)
-        return (lambda t: g.deriv(t - d, 0)), (lambda t: g.on_grid(t - d, 0))
+        return lambda t: g.on_grid(t - d, 0)
 
     if kind == "power":
         mu = float(arg)
@@ -437,20 +401,20 @@ def _exact_action(symbol_spec: str, g_spec: str) -> "tuple[Callable, Callable] |
                 coeff = math.gamma(p + 1) / math.gamma(p + 1 - mu)
             except OverflowError:  # the ratio itself may still fit a double
                 coeff = math.exp(math.lgamma(p + 1) - math.lgamma(p + 1 - mu))
-            return _at_positive(lambda t: coeff * _pow(t, p - mu))
+            return _on_positive(lambda t: coeff * _pow(t, p - mu))
         if mu in (0.0, 1.0):
             k = int(mu)
-            return (lambda t: g.deriv(t, k)), (lambda t: g.on_grid(t, k))
+            return lambda t: g.on_grid(t, k)
         if mu == -1.0:
-            return _poly_exp_integral(p)
+            return _on_positive(_poly_exp_integral(p))
 
     if kind == "decay":
         a = float(arg)
         if family == "mono":
-            return _decay_monomial(a, p)
+            return _on_positive(_decay_monomial(a, p))
         if a == 1.0:
             # e^{-t} * t^p e^{-t} = e^{-t} int_0^t tau^p dtau
-            return _at_positive(lambda t: _exp(-t) * _pow(t, p + 1) / (p + 1))
+            return _on_positive(lambda t: _exp(-t) * _pow(t, p + 1) / (p + 1))
 
     return None
 
@@ -463,44 +427,33 @@ def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], tuple] |
     ``power:mu`` on ``mono:p`` (Riemann-Liouville ``Gamma(p+1)/Gamma(p+1-mu)
     t^(p-mu)``); ``power:{-1,0,1}`` on ``poly<p>exp``; ``decay:a`` on
     ``mono:p``; ``decay:1`` on ``poly<p>exp``.  Returns ``None`` otherwise.
-    A reference that is not finite (it overflows) raises ``ValueError`` naming the pair.
 
-    The returned function also has ``on_grid(nodes)``, its values at an
-    array of times at once, bit for bit, for
-    :func:`~trcq_kit.convolution.sample`.  It raises the same ``ValueError``
-    at the first time that is not finite, and ``OverflowError`` where a power
-    overflows (the per-time function names that time).  ``power:-1`` on
+    Each closed form is one rule on an array of times.  The returned function
+    also has ``on_grid(nodes)``, that rule on a whole array, for
+    :func:`~trcq_kit.convolution.sample`; at one time it is the rule on a
+    one-element array.  A value that is not finite (a power overflows) raises
+    ``ValueError`` naming the pair and the first such time.  ``power:-1`` on
     ``poly<p>exp`` and ``decay:a`` on ``mono:p`` sum a series below their
-    switch point (``t = p+1``, resp. ``a*t = p+1``); on a grid, each node
-    stops its series where its own loop would.
+    switch point (``t = p+1``, resp. ``a*t = p+1``), each node stopping its
+    series at its own ``term < 1e-17*acc``.
     """
     reference = f"the closed-form reference for symbol {symbol_spec!r} on input {g_spec!r}"
-    try:
-        actions = _exact_action(symbol_spec, g_spec)
-    except OverflowError:
-        raise ValueError(f"{reference} overflows a double") from None
-    if actions is None:
+    action = _exact_action(symbol_spec, g_spec)
+    if action is None:
         return None
-    action, grid_action = actions
-
-    def exact(t: float) -> tuple:
-        try:
-            value = action(t)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise ValueError(f"{reference} overflows a double at t = {t:.17g}")
-        return (value,)
 
     def on_grid(nodes: np.ndarray) -> np.ndarray:
         # inf and nan entries are reported below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            values = grid_action(nodes)
+            values = action(nodes)
         bad = ~np.isfinite(values)
         if bad.any():
             t = nodes[int(np.argmax(bad))]
             raise ValueError(f"{reference} overflows a double at t = {t:.17g}")
         return values
+
+    def exact(t: float) -> tuple:
+        return (float(on_grid(np.array([t], dtype=float))[0]),)
 
     exact.on_grid = on_grid
     return exact

@@ -390,9 +390,7 @@ def check_lemma33(g: SmoothCausalFunction, sigma: float) -> VerificationReport:
     _require_finite(sigma=sigma)
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    if g.laplace is None:
-        raise ValueError("this check needs an input with a closed-form transform")
-    if g.laplace_decay is None or g.laplace_decay[1] <= 1.0:
+    if g.laplace_decay[1] <= 1.0:
         raise ValueError("need a transform decay certificate with exponent > 1")
     g.require(2, "lemma33")
 
@@ -424,17 +422,15 @@ def check_prop34a(
         int |(s_k^m - s^m) G(s)| domega on Re s = sigma
             <= kappa^2 Cm1(m) / (sigma min(sigma^m, 1)) int |P_m g^(m+4)|.
 
-    Requires a closed-form transform (shipped inputs) so the check isolates
-    the inequality rather than compounding transform error.
+    The input's closed-form transform keeps the check on the inequality
+    rather than compounding transform error.
     """
     _require_finite(sigma=sigma)
     if m < 1:
         raise ValueError("m must be at least 1")
     if sigma <= 0.0 or not (0.0 < kappa <= 1.0):
         raise ValueError("need sigma > 0 and kappa in (0, 1]")
-    if g.laplace is None:
-        raise ValueError("this check needs an input with a closed-form transform")
-    if g.laplace_decay is None or g.laplace_decay[1] <= m + 1:
+    if g.laplace_decay[1] <= m + 1:
         raise ValueError("need a transform decay certificate with exponent > m+1")
     g.require(2 * m + 4, f"prop34a at m = {m}")
 

@@ -669,6 +669,8 @@ class TestParser:
 
     # the whole stderr of refusals whose cause must be named
     NAMED_REFUSALS = {
+        "poly300exp": "bad input spec 'poly300exp': p must lie in 0..170 (p! must fit a double), "
+                      "got 300",
         "lemma33-mono0": "need a transform decay certificate with exponent > 1",
         "bound-t-inf": f"t_final/kappa = inf is not finite; the step budget is {cli.MAX_STEPS}",
         "longtime-t-min-nan": "--t-min = nan is not finite",
@@ -694,10 +696,7 @@ class TestParser:
         if case in self.NAMED_REFUSALS:
             assert err == f"error: {self.NAMED_REFUSALS[case]}\n"
 
-    # poly170exp overflows in the time integral of |P_1 g^(5)|, not in the
-    # frequency integral, and the message says which.
     NAMED_FAILURES = {
-        "prop34a-poly170exp": "error: prop34a time integral int_0^inf |P_1 g^(5)|: ",
         "weights-power79": "error: weights of power:79 at kappa = 0.001 leave the double "
                            "range, first at w_53",
         "weights-power79-contour": "error: weights of power:79 at kappa = 0.001 leave the "
@@ -706,6 +705,31 @@ class TestParser:
            f"error: the closed-form reference for symbol '{symbol}' on input 'poly170exp' "
            f"overflows a double at t = {t}" for symbol, t in (("decay:1", 64), ("power:1", 65))},
     }
+
+    @pytest.mark.parametrize("command", ["converge", "longtime", "bound"])
+    @pytest.mark.parametrize("symbol, g, message", [
+        ("power:abc", "poly5exp", "bad symbol spec 'power:abc': could not convert string to "
+                                  "float: 'abc'"),
+        ("power:0.5", "poly300exp", "bad input spec 'poly300exp': p must lie in 0..170 (p! must "
+                                    "fit a double), got 300"),
+        ("power:1", "mono:2.5", "bad input spec 'mono:2.5': unknown input spec 'mono:2.5' "
+                                "(try poly5exp, mono:7, zero)"),
+    ])
+    def test_bad_spec_is_named_before_the_reference(self, command, symbol, g, message, capsys):
+        """The specs are parsed before the closed-form reference is looked up,
+        so a bad one is refused with its name, as ``convolve`` refuses it."""
+        assert main([command, "--symbol", symbol, "--g", g]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "lemma33", "--g", "poly145exp"],
+        ["verify", "--suite", "prop34a", "--g", "poly170exp"],
+    ])
+    def test_large_finite_time_integrals_run(self, argv, capsys):
+        """int |g''| of poly145exp is 5.39e249 and int |P_1 g^(5)| of poly170exp
+        1.19e302: both finite, so both checks run."""
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("case", list(SNAPSHOT.NON_FINITE))
     def test_non_finite_input_is_a_usage_error(self, case, capsys):

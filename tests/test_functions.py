@@ -6,14 +6,18 @@ relative; the transform spot is exact in rational arithmetic.
 """
 
 import dataclasses
+import functools
+import hashlib
+import json
 import math
+import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 from trcq_kit import functions
-from trcq_kit.bounds import SmoothCausalFunction
 from trcq_kit.convolution import Grid, sample
 from trcq_kit.functions import exact_solution, monomial, parse_g, poly_exp, zero
 from trcq_kit.quadrature import adaptive_simpson
@@ -220,6 +224,14 @@ class TestExactSolution:
 # --------------------------------------------------------------------------
 # one array of times at once, bit for bit
 # --------------------------------------------------------------------------
+# An input or a reference evaluates one array rule, also at one time, so its
+# grid and per-node values agreeing shows only that a node's value does not
+# depend on the other nodes.  The per-node values are therefore also pinned:
+# SCALAR_BITS holds, per case, the sha256 (first 16 hex digits) of the float64
+# bytes at each node in turn, then of "ValueError: <message>" at the first node
+# that raises, recorded from the scalar per-time rules of commit 298f918 (libm
+# exp and pow, as now).
+SCALAR_BITS = json.loads(Path(__file__).with_name("scalar_bits.json").read_text())
 
 GRID_POWERS = (0, 1, 5, 7, 20, 170)
 GRID_INPUTS = [f"poly{p}exp" for p in GRID_POWERS] + [f"mono:{p}" for p in GRID_POWERS] + ["zero"]
@@ -232,28 +244,44 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _per_node(fn, nodes):
+    """``fn`` at each node in turn, up to the first ``ValueError``: the values
+    and that error's message (``None`` if none raised)."""
+    values = []
+    for t in nodes.tolist():
+        try:
+            values.append(fn(t))
+        except ValueError as exc:
+            return np.array(values, dtype=float), str(exc)
+    return np.array(values, dtype=float), None
+
+
+def _digest(values, error) -> str:
+    h = hashlib.sha256(_bits(values))
+    if error is not None:
+        h.update(f"ValueError: {error}".encode())
+    return h.hexdigest()[:16]
+
+
 class TestGridValues:
-    """An input's values on an array of times are its per-time values, bit
-    for bit, and a reference's values on a grid are its per-node values."""
+    """An input's values on an array of times are its per-time values, and a
+    reference's values on a grid its per-node values, bit for bit: no node's
+    value depends on the others.  The per-node values are those of the
+    scalar rules (SCALAR_BITS)."""
 
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("spec", GRID_INPUTS)
     def test_input_on_grid_equals_per_time(self, spec, k):
         g = parse_g(spec)
-        evaluated, raising = [], []
-        for t in GRID_TIMES.tolist():
-            try:
-                evaluated.append((t, g.deriv(t, k)))
-            except ValueError as exc:
-                assert str(exc) == f"{spec} overflows a double at t = {t:.17g}"
-                raising.append(t)
-        times, values = (np.array(column) for column in zip(*evaluated))
-        assert _bits(g.on_grid(times, k)) == _bits(values)
-        # t**p overflows for mono:p, p >= 5; its OverflowError hands a grid back
-        # to the per-time route, which names the time
-        assert bool(raising) == (spec.startswith("mono:") and spec not in ("mono:0", "mono:1"))
-        if raising:
-            with pytest.raises(OverflowError):
+        values, error = _per_node(lambda t: g.deriv(t, k), GRID_TIMES)
+        assert _digest(values, error) == SCALAR_BITS[f"input {spec} k={k}"]
+        assert _bits(g.on_grid(GRID_TIMES[: values.size], k)) == _bits(values)
+        # t**p overflows for mono:p, p >= 5; the grid names the first such time,
+        # as the per-time route does
+        assert (error is not None) == (spec.startswith("mono:") and spec not in ("mono:0", "mono:1"))
+        if error is not None:
+            assert error == f"{spec} overflows a double at t = {GRID_TIMES[values.size]:.17g}"
+            with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
                 g.on_grid(GRID_TIMES, k)
 
     @pytest.mark.parametrize("spec", GRID_INPUTS)
@@ -274,16 +302,50 @@ class TestGridValues:
         assert calls == []
 
     def test_mono_overflow_names_the_first_node(self):
-        """mono:170 overflows at t = 66 on the unit grid: the grid hands over to
-        the per-node route, whose message names that node, as before."""
+        """mono:170 overflows at t = 66 on the unit grid, and the grid's one
+        non-finite check names that node."""
         with pytest.raises(ValueError, match=r"^mono:170 overflows a double at t = 66$"):
             sample(monomial(170), Grid(kappa=1.0, steps=100))
 
-    def test_callback_only_input_is_sampled_per_node(self):
-        g = SmoothCausalFunction(name="ramp", max_order=0, derivative=lambda t, k: 2.0 * t)
+    def test_plain_callable_is_sampled_per_node(self):
+        calls = []
+
+        def ramp(t):
+            calls.append(t)
+            return 2.0 * t
+
         grid = Grid(kappa=0.5, steps=4)
-        assert g.on_grid(grid.nodes) is None
-        np.testing.assert_array_equal(sample(g, grid).samples[:, 0], 2.0 * grid.nodes)
+        np.testing.assert_array_equal(sample(ramp, grid).samples[:, 0], 2.0 * grid.nodes)
+        assert calls == grid.nodes.tolist()
+
+    @pytest.mark.parametrize("symbol, spec, steps", [
+        (None, "mono:170", 100),           # the input: t**170 overflows at t = 66
+        ("decay:1", "poly170exp", 65),     # the reference: t**171 overflows at t = 64
+        ("delay:1", "mono:170", 100),      # the reference through the input, at t - 1 = 66
+    ])
+    def test_overflow_makes_no_per_node_call(self, symbol, spec, steps):
+        """An overflowing power is an inf entry, so sampling refuses the grid
+        without calling the input's derivative or the reference per node."""
+        calls = []
+        if symbol is None:
+            g = parse_g(spec)
+
+            def derivative(t, k):
+                calls.append(t)
+                return g.derivative(t, k)
+
+            fn = dataclasses.replace(g, derivative=derivative)
+        else:
+            exact = exact_solution(symbol, spec)
+
+            @functools.wraps(exact)  # copies on_grid, as a tracer's wrapper does
+            def fn(t):
+                calls.append(t)
+                return exact(t)
+
+        with pytest.raises(ValueError, match="overflows a double at t = 6[46]$"):
+            sample(fn, Grid(kappa=1.0, steps=steps))
+        assert calls == []
 
     def test_on_grid_checks_the_order(self):
         with pytest.raises(ValueError, match="orders 0..16"):
@@ -311,13 +373,14 @@ class TestGridValues:
         if exact is None:
             return
         grid = Grid(kappa=0.25, steps=400)
-        try:
-            per_node = np.array([exact(t) for t in grid.nodes.tolist()], dtype=complex)
-        except ValueError as exc:
+        values, error = _per_node(lambda t: exact(t)[0], grid.nodes)
+        assert _digest(values, error) == SCALAR_BITS[f"reference {symbol} {spec}"]
+        if error is not None:
             with pytest.raises(ValueError) as grid_exc:
                 sample(exact, grid)
-            assert str(grid_exc.value) == str(exc)
+            assert str(grid_exc.value) == error
             return
+        per_node = values.astype(complex).reshape(-1, 1)
         assert sample(exact, grid).samples.tobytes() == per_node.tobytes()
 
     @pytest.mark.parametrize("symbol, spec, kappa, steps", [
@@ -329,21 +392,24 @@ class TestGridValues:
     def test_grid_routed_reference_equals_per_node(self, symbol, spec, kappa, steps):
         exact = exact_solution(symbol, spec)
         nodes = Grid(kappa, steps).nodes
-        values = exact.on_grid(nodes)
-        assert values is not None
-        assert all(a == b for a, b in zip(values.tolist(), (exact(t)[0] for t in nodes.tolist())))
+        values, error = _per_node(lambda t: exact(t)[0], nodes)
+        assert error is None
+        assert _digest(values, error) == SCALAR_BITS[f"reference {symbol} {spec} {kappa}x{steps}"]
+        assert _bits(exact.on_grid(nodes)) == _bits(values)
         assert values[0] == 0.0
 
     def test_reference_overflow_names_the_first_node(self):
-        """decay:1 on poly170exp: t**171 overflows at t = 64, where the grid
-        hands over to the per-node route and its message, as before."""
+        """decay:1 on poly170exp: t**171 overflows at t = 64, an inf entry that
+        the reference's one non-finite check names."""
         exact = exact_solution("decay:1", "poly170exp")
-        with pytest.raises(OverflowError):
-            exact.on_grid(Grid(1.0, 65).nodes)
         message = (r"^the closed-form reference for symbol 'decay:1' on input 'poly170exp' "
                    r"overflows a double at t = 64$")
         with pytest.raises(ValueError, match=message):
+            exact.on_grid(Grid(1.0, 65).nodes)
+        with pytest.raises(ValueError, match=message):
             sample(exact, Grid(1.0, 65))
+        with pytest.raises(ValueError, match=message):
+            exact(64.0)
 
     @pytest.mark.parametrize("p", [0, 5, 6, 20])
     @pytest.mark.parametrize("symbol, family, rate", [
@@ -353,16 +419,20 @@ class TestGridValues:
         ("decay:2", "mono", 2.0),
     ])
     def test_series_reference_on_grid_equals_per_node(self, symbol, family, rate, p):
-        """The series references run on the grid too: below the switch point
-        (t = p+1 for power:-1, a*t = p+1 for decay:a) every node sums its own
-        series and stops where its scalar loop stops, bit for bit."""
-        exact = exact_solution(symbol, f"poly{p}exp" if family == "poly" else f"mono:{p}")
+        """Below the switch point (t = p+1 for power:-1, a*t = p+1 for
+        decay:a) every node sums its own series, on a grid through the switch
+        point and on a 0.25 x 400 grid: its own stopping term, whatever its
+        neighbours', and the scalar loop's bits."""
+        spec = f"poly{p}exp" if family == "poly" else f"mono:{p}"
+        exact = exact_solution(symbol, spec)
         switch = (p + 1) / rate
         around = [switch, np.nextafter(switch, 0.0), np.nextafter(switch, np.inf)]
-        for nodes in (np.concatenate([switch * np.linspace(0.0, 3.0, 301), around]),
-                      Grid(kappa=0.25, steps=400).nodes):
-            per_node = np.array([exact(t)[0] for t in nodes.tolist()])
-            assert _bits(exact.on_grid(nodes)) == _bits(per_node)
+        nodes = np.concatenate([switch * np.linspace(0.0, 3.0, 301), around,
+                                Grid(kappa=0.25, steps=400).nodes])
+        values, error = _per_node(lambda t: exact(t)[0], nodes)
+        assert error is None
+        assert _digest(values, error) == SCALAR_BITS[f"reference {symbol} {spec} series"]
+        assert _bits(exact.on_grid(nodes)) == _bits(values)
 
 
 # --------------------------------------------------------------------------
@@ -450,6 +520,20 @@ class TestTimeIntegrals:
             monomial(7).data.time_l1(2, 0, math.inf)
 
     def test_overflow_names_the_time(self):
-        """t^170 e^-t: S(t) leaves the double range near its largest roots."""
-        with pytest.raises(ValueError, match=r"^poly170exp overflows a double at t = 1\d\d\."):
-            poly_exp(170).data.time_l1(5, 1, math.inf)
+        """int_0^100 t^170 = 100^171/171 is past the double range."""
+        with pytest.raises(ValueError, match=r"^mono:170 overflows a double at t = 100$"):
+            monomial(170).data.time_l1(0, 0, 100.0)
+
+    def test_large_polynomial_with_small_product_stays_finite(self):
+        """S(t) of poly170exp passes the double range near its largest roots, but
+        S(t) e^-t does not: int |P_1 g^(5)| = 1.19e302 and int |g''| of
+        poly145exp = 5.39e249."""
+        _assert_matches_reference(poly_exp(170).data, 5, 1, math.inf)
+        _assert_matches_reference(poly_exp(145).data, 2, 0, math.inf)
+
+    def test_order_past_the_table_refused(self):
+        with pytest.raises(ValueError, match=r"^poly170exp supports orders up to 16; "
+                                             r"P_6 g\^\(16\) needs 22$"):
+            poly_exp(170).data.time_l1(16, 6, math.inf)
+        with pytest.raises(ValueError, match="orders up to 16"):
+            poly_exp(5).data.leibniz_row(17, 0)

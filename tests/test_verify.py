@@ -6,7 +6,6 @@ when handed a symbol whose declared growth certificate is false.  The latter
 guards against the suites being vacuous.
 """
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -14,8 +13,7 @@ import numpy as np
 import pytest
 
 from trcq_kit import verify
-from trcq_kit.bounds import SmoothCausalFunction
-from trcq_kit.functions import poly_exp
+from trcq_kit.functions import PolyExp, poly_exp
 from trcq_kit.symbols import CFModel, Symbol, make_decay, make_delay, make_power, make_resolvent
 from trcq_kit.trmap import sample_cplus
 from trcq_kit.verify import (
@@ -34,15 +32,6 @@ from trcq_kit.verify import (
 SAMPLES = 20000
 SEED = 7
 DAMPED = np.array([[-0.5, 1.0], [-1.5, -0.25]])  # a 2x2 matrix with numerical range in Re < 0
-
-
-def strip_transform(g: SmoothCausalFunction) -> SmoothCausalFunction:
-    """Copy of ``g`` without its closed-form transform or decay certificate."""
-    return SmoothCausalFunction(
-        name=f"{g.name}-numeric",
-        max_order=g.max_order,
-        derivative=g.derivative,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -213,18 +202,6 @@ class TestTransformMass:
         assert rep.worst_margin > 0.0
         assert rep.worst_point["lhs"] < rep.worst_point["rhs"]
 
-    def test_needs_closed_form_transform(self):
-        """Without a transform there is no left side to integrate."""
-        with pytest.raises(ValueError, match="closed-form transform"):
-            check_lemma33(strip_transform(poly_exp(5)), 1.0)
-
-    def test_closed_form_route_handles_slow_decay_certificate(self):
-        """|2/(s+1)^3| <= 2/|s|^2 on Re s >= 0: with that slow certificate
-        the closed transform still carries the check."""
-        g = dataclasses.replace(poly_exp(2), laplace_decay=(2.0, 2.0))
-        rep = check_lemma33(g, 1.0)
-        assert rep.violations == 0
-
     def test_input_outside_the_hypothesis_refused(self):
         """lemma33 integrates g'' against G, which needs g(0) = g'(0) = 0."""
         with pytest.raises(ValueError, match=r"^poly1exp has g\^\(1\)\(0\) = 1; lemma33 needs"):
@@ -236,7 +213,7 @@ class TestTransformMass:
         with pytest.raises(ValueError):
             check_lemma33(poly_exp(5), 0.0)
         with pytest.raises(ValueError):
-            check_lemma33(dataclasses.replace(poly_exp(5), max_order=1), 1.0)
+            check_lemma33(PolyExp("poly", 5, 1).as_input(), 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -258,10 +235,8 @@ class TestPowerDefect:
     def test_guards(self):
         with pytest.raises(ValueError, match="at least 1"):
             check_prop34a(poly_exp(5), 1.0, 0, 0.1)
-        with pytest.raises(ValueError, match="closed-form transform"):
-            check_prop34a(strip_transform(poly_exp(5)), 1.0, 1, 0.1)
         with pytest.raises(ValueError, match="orders up to 5"):
-            check_prop34a(dataclasses.replace(poly_exp(5), max_order=5), 1.0, 1, 0.1)
+            check_prop34a(PolyExp("poly", 5, 5).as_input(), 1.0, 1, 0.1)
         with pytest.raises(ValueError, match="exponent > m\\+1"):
             check_prop34a(poly_exp(1), 1.0, 1, 0.1)
         with pytest.raises(ValueError, match="^sigma = inf is not finite"):

@@ -75,7 +75,6 @@ OUT_OF_RANGE = {
 }
 
 NON_FINITE = {
-    "prop34a-poly170exp": ["verify", "--suite", "prop34a", "--g", "poly170exp"],
     "poly170exp": ["convolve", "--symbol", "power:0", "--g", "poly170exp", "--kappa", "1",
                    "--t-final", "200"],
     "mono170": ["convolve", "--symbol", "power:0", "--g", "mono:170", "--kappa", "1",
@@ -139,6 +138,7 @@ ARGVS: "list[list[str]]" = [
      "--kappa-list", "0.5,0.25"],
     ["converge", "--symbol", "power:-1", "--g", "mono:170", "--t-final", "2",
      "--kappa-list", "1,0.5"],
+    ["converge", "--symbol", "power:abc", "--g", "poly5exp"],
     # bound
     ["bound", "--symbol", "delay:1.0", "--g", "poly5exp", "--t-list", "1,2", "--kappa-list", "0.1"],
     ["bound", "--symbol", "power:0.5", "--g", "mono:7"],
@@ -165,6 +165,8 @@ ARGVS: "list[list[str]]" = [
     ["verify", "--suite", "lemma33", "--g", "mono:7"],
     ["verify", "--suite", "lemma33", "--g", "mono:3"],
     ["verify", "--suite", "lemma33", "--g", "zero"],
+    ["verify", "--suite", "lemma33", "--g", "poly145exp"],
+    ["verify", "--suite", "prop34a", "--g", "poly170exp"],
     # constants
     *[["constants", "--mu", mu] for mu in ("0", "1", "1.5", "2.5", "3.7", "79")],
     # just below an integer: alpha 4, and e1 divides by -mu' ~ 1e-12 or 4e-16
