@@ -18,7 +18,9 @@ Built-in families:
 * ``make_decay(a)``    -- ``1/(s+a)``; convolution with ``exp(-a*t)``.
 * ``make_resolvent(A)``-- ``(s*I - A)**-1`` for a square matrix ``A``.
 
-These families also carry ``exact_weights``: their TRCQ weights, the Taylor
+Every family also carries ``derivative``, ``F'`` in closed form (the
+envelope check of :func:`trcq_kit.verify.check_prop41` part (b) reads it),
+and all but delay carry ``exact_weights``: their TRCQ weights, the Taylor
 coefficients of ``zeta -> F(delta(zeta)/kappa)``, from an exact O(N)
 formula rather than a contour (see :mod:`trcq_kit.weights`).
 """
@@ -100,6 +102,10 @@ class Symbol:
     array, computed from their exact Taylor coefficients in long double
     (``extended=True``) or in double precision; real symbols give real
     arrays.  ``None`` leaves the weights to the contour.
+
+    ``derivative``, where the family has one, is ``F'`` in closed form, with
+    the same contract as ``evaluator``: a vectorized map from ``s`` to an
+    array of shape ``s.shape + dims``.  ``None`` declares no derivative.
     """
 
     name: str
@@ -110,6 +116,7 @@ class Symbol:
     exact_weights: "Callable[[float, int, bool], np.ndarray] | None" = field(
         default=None, repr=False
     )
+    derivative: "Callable[[np.ndarray], np.ndarray] | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         r, c = self.dims
@@ -306,15 +313,22 @@ def make_power(mu: float) -> Symbol:
     if mu == 0.0:
         def scalar(s: np.ndarray) -> np.ndarray:
             return np.ones_like(s)
+
+        def slope(s: np.ndarray) -> np.ndarray:
+            return np.zeros_like(s)
     else:
         def scalar(s: np.ndarray) -> np.ndarray:
             return np.exp(mu * np.log(s))
+
+        def slope(s: np.ndarray) -> np.ndarray:
+            return mu * np.exp((mu - 1.0) * np.log(s))
     return Symbol(
         name=f"power:{mu:g}",
         evaluator=_scalarize(scalar),
         mu=mu,
         cf=CFModel(1.0, 0.0),
         exact_weights=_power_weights(mu),
+        derivative=_scalarize(slope),
     )
 
 
@@ -327,8 +341,17 @@ def make_delay(d: float) -> Symbol:
     def scalar(s: np.ndarray) -> np.ndarray:
         return np.exp(-d * s)
 
+    def slope(s: np.ndarray) -> np.ndarray:
+        return -d * np.exp(-d * s)
+
     # |exp(-s d)| = exp(-d Re s) <= 1 on the half-plane.
-    return Symbol(name=f"delay:{d:g}", evaluator=_scalarize(scalar), mu=0.0, cf=CFModel(1.0, 0.0))
+    return Symbol(
+        name=f"delay:{d:g}",
+        evaluator=_scalarize(scalar),
+        mu=0.0,
+        cf=CFModel(1.0, 0.0),
+        derivative=_scalarize(slope),
+    )
 
 
 def make_decay(a: float) -> Symbol:
@@ -388,6 +411,11 @@ def make_resolvent(
         inv = np.linalg.inv(m.astype(np.complex128, copy=False))
         return inv.astype(m.dtype, copy=False)
 
+    def derivative(s: np.ndarray) -> np.ndarray:
+        # d/ds (sI - A)**-1 = -(sI - A)**-2
+        R = evaluator(s)
+        return -(R @ R)
+
     return Symbol(
         name=f"resolvent:{n}x{n}",
         evaluator=evaluator,
@@ -395,16 +423,29 @@ def make_resolvent(
         cf=cf,
         dims=(n, n),
         exact_weights=_cayley_weights(mat),
+        derivative=derivative,
     )
 
 
 def symbol_product(F: Symbol, G: Symbol) -> Symbol:
-    """Pointwise product ``s -> F(s) @ G(s)`` with the product certificate."""
+    """Pointwise product ``s -> F(s) @ G(s)`` with the product certificate.
+
+    Its derivative is ``F' G + F G'`` when both factors declare one.
+    """
     if F.cols != G.rows:
         raise ValueError("inner dimensions must agree for a symbol product")
 
+    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.einsum("...ij,...jk->...ik", a, b)
+
     def evaluator(s: np.ndarray) -> np.ndarray:
-        return np.einsum("...ij,...jk->...ik", F.evaluator(s), G.evaluator(s))
+        return product(F.evaluator(s), G.evaluator(s))
+
+    derivative = None
+    if F.derivative is not None and G.derivative is not None:
+        def derivative(s: np.ndarray) -> np.ndarray:
+            return (product(F.derivative(s), G.evaluator(s))
+                    + product(F.evaluator(s), G.derivative(s)))
 
     return Symbol(
         name=f"({F.name})*({G.name})",
@@ -412,6 +453,7 @@ def symbol_product(F: Symbol, G: Symbol) -> Symbol:
         mu=F.mu + G.mu,
         cf=CFModel(F.cf.scale * G.cf.scale, F.cf.exponent + G.cf.exponent),
         dims=(F.rows, G.cols),
+        derivative=derivative,
     )
 
 

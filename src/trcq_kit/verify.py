@@ -54,12 +54,10 @@ __all__ = [
     "check_prop34a",
     "check_prop41",
     "SUITE_TOL",
-    "DERIVATIVE_TOL",
     "QUADRATURE_TOL",
 ]
 
 SUITE_TOL = 1e-12        # pointwise identities evaluated directly
-DERIVATIVE_TOL = 1e-8    # parts involving a computed (contour) derivative
 QUADRATURE_TOL = 1e-6    # integral estimates resolved by quadrature
 
 _INSET = 1.0 - 1e-3      # relative inset applied to open-domain radii
@@ -235,42 +233,23 @@ def check_lemma32(samples: int, seed: int) -> VerificationReport:
     return combine_reports("lemma32", parts)
 
 
-# Samples per block of prop41's Cauchy ring: one block's 64 ring nodes and the
-# symbol's values on them stay near cache size, whatever the sample count.
-_RING_BLOCK = 1 << 11
-
-
-def _cauchy_derivative_norms(F: Symbol, s: np.ndarray) -> np.ndarray:
-    """||F'(s)|| per sample, by the 64-node trapezoid rule on the circle of
-    radius Re(s)/2 about s, evaluated ``_RING_BLOCK`` samples at a time."""
-    theta = 2.0 * np.pi * np.arange(64) / 64.0
-    phase = np.exp(1j * theta)
-    weight = np.exp(-1j * theta)[None, :, None, None]
-    grad = np.empty(s.size)
-    for lo in range(0, s.size, _RING_BLOCK):
-        blk = s[lo : lo + _RING_BLOCK]
-        r = 0.5 * blk.real
-        ring = blk[:, None] + r[:, None] * phase[None, :]
-        deriv = (F(ring) * weight).mean(axis=1) / r[:, None, None]
-        grad[lo : lo + _RING_BLOCK] = value_norm(deriv)
-    return grad
-
-
 def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
     """Envelope bounds for a mu <= 0 symbol under the frequency substitution.
 
     (a) ||F(s_kappa)|| <= Theta1(Re s);
-    (b) ||F'(s)|| <= Theta2(Re s) |s|^mu, with F' computed by a 64-node
-        trapezoid rule on the Cauchy circle of radius Re(s)/2;
+    (b) ||F'(s)|| <= Theta2(Re s) |s|^mu, with F' the symbol's closed-form
+        ``derivative``;
     (c) ||F(s_kappa) - F(s)|| <= kappa^2 Theta2(min(Re s,1)/2)
         Theta3(|kappa s|) |s|^(mu+3) for |kappa s| < c0.
 
-    Parts (a) and (c) run at kappa = 0.1, 0.05 and 0.025.  Parts (b) and (c)
-    run at the relaxed tolerance for computed-derivative quantities; part (a)
-    at the strict pointwise tolerance.
+    Parts (a) and (c) run at kappa = 0.1, 0.05 and 0.025.  Every part runs at
+    the strict pointwise tolerance.  A symbol that declares no derivative is
+    refused with ``ValueError``.
     """
     if F.mu > 0.0:
         raise ValueError("these envelopes are defined for mu <= 0 symbols only")
+    if F.derivative is None:
+        raise ValueError(f"prop41 part (b) needs the derivative of {F.name}, which declares none")
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
@@ -288,11 +267,11 @@ def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
             )
         )
 
-    # (b) Cauchy-circle derivative bound (kappa-independent)
+    # (b) derivative bound (kappa-independent)
     sb = sample_cplus(samples, rng)
-    grad = _cauchy_derivative_norms(F, sb)
+    grad = value_norm(F.derivative(sb))
     bound_b = theta2(sb.real, mu, cf) * np.abs(sb) ** mu
-    parts.append(pointwise_report("prop41:b", grad, bound_b, seed=seed, tol=DERIVATIVE_TOL, s=sb))
+    parts.append(pointwise_report("prop41:b", grad, bound_b, seed=seed, tol=SUITE_TOL, s=sb))
 
     # (c) quadratic-accuracy envelope on |kappa s| < c0
     c0 = solve_c0()
@@ -308,7 +287,7 @@ def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
                 diff,
                 bound_c,
                 seed=seed,
-                tol=DERIVATIVE_TOL,
+                tol=SUITE_TOL,
                 s=sc,
                 kappa=k,
             )

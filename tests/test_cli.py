@@ -609,6 +609,14 @@ class TestVerify:
         main(["verify", "--suite", "lemma32", "--samples", "1000", "--out", str(out)])
         assert "violations=0" in capsys.readouterr().out
 
+    def test_prop41_symbol_without_derivative_is_a_usage_error(self, monkeypatch, capsys):
+        bare = dataclasses.replace(from_spec("delay:1.0"), name="bare", derivative=None)
+        monkeypatch.setattr(cli, "_parse_symbol", lambda spec: bare)
+        assert main(["verify", "--suite", "prop41", "--samples", "100"]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: prop41 part (b) needs the derivative of bare, which declares none"
+        )
+
     @pytest.mark.parametrize("m", [4, 5])
     def test_prop34a_at_high_order(self, m, capsys):
         """P_m g^(m+4) of poly15exp changes sign on [8, 16], where adaptive

@@ -1,4 +1,4 @@
-"""Tests for symbol construction, operator norms, and growth certificates."""
+"""Tests for symbol construction, operator norms, derivatives and growth certificates."""
 
 import numpy as np
 import pytest
@@ -131,6 +131,68 @@ class TestZoo:
         for F in zoo.values():
             rep = validate_growth(F, samples=2000, seed=99)
             assert rep.violations == 0
+
+
+def ring_derivative(F, s):
+    """F'(s) by the 64-node trapezoid rule on the Cauchy circle of radius
+    Re(s)/2 about s: the oracle the closed forms are pinned against."""
+    theta = 2.0 * np.pi * np.arange(64) / 64.0
+    r = 0.5 * s.real
+    ring = s[:, None] + r[:, None] * np.exp(1j * theta)
+    weight = np.exp(-1j * theta)[None, :, None, None]
+    return (F(ring) * weight).mean(axis=1) / r[:, None, None]
+
+
+def derivative_envelope(F, s):
+    """Part (b)'s envelope Theta2(Re s) |s|^mu of prop41, written out so that
+    it also scales the gate for the mu > 0 symbols of the zoo."""
+    x = s.real
+    return 2.0 ** (1.0 - F.mu) / x * F.cf(0.5 * x) * np.abs(s) ** F.mu
+
+
+DERIVATIVE_CASES = {
+    **builtin_zoo(),
+    "resolvent:damped2": make_resolvent(np.array([[-0.5, 1.0], [-1.5, -0.25]])),
+    "power:-0.5*delay:1": symbol_product(make_power(-0.5), make_delay(1.0)),
+}
+
+
+class TestDerivative:
+    """Each family's closed-form F' against the Cauchy-circle ring."""
+
+    @pytest.mark.parametrize("name", DERIVATIVE_CASES)
+    def test_closed_form_matches_ring(self, name):
+        """The gate is absolute in units of part (b)'s bound: delay's F'
+        underflows to 0 far right and power:0's is exactly 0, so a relative
+        gate would read noise.  Part (b) reads only the norm; the matrices
+        are compared too, so a wrong sign cannot pass."""
+        F = DERIVATIVE_CASES[name]
+        s = sample_cplus(4000, 31)
+        closed, ring = F.derivative(s), ring_derivative(F, s)
+        envelope = derivative_envelope(F, s)
+        assert np.max(np.abs(value_norm(ring) - value_norm(closed)) / envelope) <= 1e-10
+        assert np.max(value_norm(ring - closed) / envelope) <= 1e-10
+
+    @pytest.mark.parametrize("name", DERIVATIVE_CASES)
+    def test_shape_contract(self, name):
+        F = DERIVATIVE_CASES[name]
+        s = sample_cplus(12, 5).reshape(3, 4)
+        assert F.derivative(s).shape == s.shape + F.dims
+
+    def test_power_zero_is_exactly_zero(self):
+        s = sample_cplus(100, 2)
+        assert not np.any(make_power(0.0).derivative(s))
+
+    def test_product_without_a_factor_derivative_declares_none(self):
+        bare = Symbol(
+            name="bare",
+            evaluator=lambda s: np.ones(s.shape + (1, 1), dtype=complex),
+            mu=0.0,
+            cf=CFModel(1.0, 0.0),
+        )
+        assert bare.derivative is None
+        assert symbol_product(bare, make_delay(1.0)).derivative is None
+        assert symbol_product(make_delay(1.0), bare).derivative is None
 
 
 class TestGrowthValidation:

@@ -8,14 +8,13 @@ guards against the suites being vacuous.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from trcq_kit import verify
 from trcq_kit.functions import PolyExp, poly_exp
 from trcq_kit.symbols import CFModel, Symbol, make_decay, make_delay, make_power, make_resolvent
-from trcq_kit.trmap import sample_cplus
 from trcq_kit.verify import (
     QUADRATURE_TOL,
     SUITE_TOL,
@@ -99,18 +98,31 @@ class TestOperatorEnvelopes:
             evaluator=lambda s: np.ones(s.shape + (1, 1), dtype=complex),
             mu=0.0,
             cf=CFModel(0.5, 0.0),
+            derivative=lambda s: np.zeros(s.shape + (1, 1), dtype=complex),
         )
         rep = check_prop41(liar, 500, 11)
         assert rep.violations > 0
         assert rep.worst_margin < 0.0
 
-    def test_blocked_ring_matches_one_block(self, monkeypatch):
-        """A sample's Cauchy derivative does not depend on the block it falls in."""
-        F = make_resolvent(DAMPED)
-        s = sample_cplus(2 * verify._RING_BLOCK + 777, 4)
-        blocked = verify._cauchy_derivative_norms(F, s)
-        monkeypatch.setattr(verify, "_RING_BLOCK", s.size)
-        assert np.all(blocked == verify._cauchy_derivative_norms(F, s))
+    def test_derivative_above_the_envelope_is_caught(self):
+        """Part (b) reads the declared derivative: decay:1's F' scaled by 10^4
+        leaves parts (a) and (c) clean and breaks (b)."""
+        F = make_decay(1.0)
+        loud = replace(F, derivative=lambda s: 1e4 * F.derivative(s))
+        assert check_prop41(F, 2000, 3).violations == 0
+        rep = check_prop41(loud, 2000, 3)
+        assert rep.violations > 0
+        assert rep.worst_point["part"] == "prop41:b"
+
+    def test_symbol_without_derivative_refused(self):
+        bare = Symbol(
+            name="bare",
+            evaluator=lambda s: np.ones(s.shape + (1, 1), dtype=complex),
+            mu=0.0,
+            cf=CFModel(1.0, 0.0),
+        )
+        with pytest.raises(ValueError, match="^prop41 part \\(b\\) needs the derivative of bare"):
+            check_prop41(bare, 100, 1)
 
 
 def peak_mib(check, *args) -> float:
@@ -125,9 +137,10 @@ def peak_mib(check, *args) -> float:
 
 class TestPeakMemory:
     """Peaks at 20 000 samples.  Evaluating each defect order on its own, and
-    prop41's Cauchy ring 2^14 samples at a time, peaked at 4.55 MiB (lemma31),
-    4.39 MiB (prop32), 49.3 MiB (prop41 on delay:1.0) and 177.2 MiB (prop41 on
-    a 2x2 resolvent)."""
+    prop41's derivative on a 64-node Cauchy ring 2^14 samples at a time, peaked
+    at 4.55 MiB (lemma31), 4.39 MiB (prop32), 49.3 MiB (prop41 on delay:1.0)
+    and 177.2 MiB (prop41 on a 2x2 resolvent).  prop41 now reads the closed-form
+    derivative, one value per sample."""
 
     def test_shared_orders_do_not_raise_the_peak(self):
         assert peak_mib(check_lemma31, SAMPLES, 1) < 4.55
@@ -136,7 +149,7 @@ class TestPeakMemory:
     @pytest.mark.parametrize("F, before", [
         (make_delay(1.0), 49.3), (make_resolvent(DAMPED), 177.2),
     ], ids=["delay", "resolvent"])
-    def test_prop41_ring_in_blocks(self, F, before):
+    def test_prop41_derivative_per_sample(self, F, before):
         assert peak_mib(check_prop41, F, SAMPLES, 1) < before / 4
 
 

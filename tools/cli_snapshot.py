@@ -159,6 +159,9 @@ ARGVS: "list[list[str]]" = [
     *[["verify", "--suite", suite, "--seed", str(seed)] for suite in _SUITES for seed in (1, 2, 3)],
     ["verify", "--suite", "prop41", "--symbol", "resolvent:skew2.txt", "--samples", "2000"],
     ["verify", "--suite", "prop41", "--symbol", "resolvent:damped2.txt", "--seed", "1"],
+    # prop41 part (b) on each family's closed-form derivative
+    *[["verify", "--suite", "prop41", "--symbol", spec]
+      for spec in ("power:-0.5", "decay:1.0", "power:0")],
     ["verify", "--suite", "lemma33", "--g", "poly12exp", "--sigma", "0.3"],
     ["verify", "--suite", "prop34a", "--g", "poly9exp", "--m", "2"],
     ["verify", "--suite", "prop34a", "--g", "poly12exp", "--m", "3"],
