@@ -3,21 +3,24 @@
 Every check suite in this package reduces to the same shape of experiment:
 sample many points, evaluate a quantity and the bound that is supposed to
 dominate it, and record how close the two came.  ``VerificationReport``
-captures one such run; :func:`pointwise_report` builds it from the raw
-arrays so the suites themselves stay short.
+captures one such run.  One streaming reduction builds it:
+:func:`chunked_reports` feeds it the values of consecutive chunks of
+samples, so only its counters outlive a chunk, and :func:`pointwise_report`
+is the same reduction fed one chunk.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 __all__ = [
     "VerificationReport",
     "pointwise_report",
+    "chunked_reports",
     "combine_reports",
 ]
 
@@ -88,6 +91,67 @@ def _json_default(obj: Any) -> Any:
 # --------------------------------------------------------------------------
 
 
+# Samples per chunk of a sampled suite's evaluation: the per-sample arrays
+# of one part live only chunk by chunk.
+_CHUNK = 1 << 14
+
+
+class _Reduction:
+    """The one reduction rule: violations and worst sample of one report, fed in chunks.
+
+    Chunks arrive in sample order.  The worst sample is the first one, by
+    global index, at the smallest margin, as ``np.argmin`` over all samples
+    finds it.  The first non-finite sample is kept and raised by
+    :meth:`report`, so the reports of one evaluation fail in their order.
+    """
+
+    def __init__(self, suite: str, tol: float) -> None:
+        self.suite, self.tol = suite, tol
+        self.samples = self.violations = 0
+        self.worst: "tuple[int, float, float, float] | None" = None  # index, margin, q, b
+        self.non_finite: "tuple[int, float, float] | None" = None   # index, q, b
+
+    def add(self, quantity: np.ndarray, bound: np.ndarray) -> None:
+        q = np.asarray(quantity, dtype=float).ravel()
+        b = np.asarray(bound, dtype=float).ravel()
+        if q.shape != b.shape:
+            raise ValueError("quantity and bound must have matching shapes")
+        offset = self.samples
+        self.samples += q.size
+        if self.non_finite is not None or q.size == 0:
+            return
+        finite = np.isfinite(q) & np.isfinite(b)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            self.non_finite = (offset + i, q[i], b[i])
+            return
+        margin = b - q
+        self.violations += int(np.count_nonzero(q > b * (1.0 + self.tol) + self.tol))
+        i = int(np.argmin(margin))
+        if self.worst is None or margin[i] < self.worst[1]:
+            self.worst = (offset + i, float(margin[i]), float(q[i]), float(b[i]))
+
+    def report(self, seed: int, point: "dict[str, Any]") -> VerificationReport:
+        if self.samples == 0:
+            raise ValueError("empty sample set")
+        if self.non_finite is not None:
+            i, q, b = self.non_finite
+            raise ValueError(f"{self.suite}: sample {i} is not finite: quantity {q:g}, bound {b:g}")
+        worst, margin, q, b = self.worst
+        coordinates = {
+            name: value.item(worst) if isinstance(value, np.ndarray) else value
+            for name, value in point.items()
+        }
+        return VerificationReport(
+            suite=self.suite,
+            samples=self.samples,
+            seed=seed,
+            violations=self.violations,
+            worst_margin=margin,
+            worst_point={"index": worst, **coordinates, "quantity": q, "bound": b},
+        )
+
+
 def pointwise_report(
     suite: str,
     quantity: np.ndarray,
@@ -99,38 +163,44 @@ def pointwise_report(
 ) -> VerificationReport:
     """Build a report from per-sample ``quantity``/``bound`` arrays.
 
-    The keywords in ``point`` are the coordinates recorded with the worst
+    This is the reduction of :func:`chunked_reports`, fed the arrays as one
+    chunk.  The keywords in ``point`` are the coordinates recorded with the worst
     sample: an array is read at that sample's flat index, any other value is
     recorded as given.  A non-finite sample raises ``ValueError``: NaN would
     never count as a violation.
     """
-    q = np.asarray(quantity, dtype=float).ravel()
-    b = np.asarray(bound, dtype=float).ravel()
-    if q.shape != b.shape:
-        raise ValueError("quantity and bound must have matching shapes")
-    if q.size == 0:
-        raise ValueError("empty sample set")
-    finite = np.isfinite(q) & np.isfinite(b)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"{suite}: sample {i} is not finite: quantity {q[i]:g}, bound {b[i]:g}")
-    margin = b - q
-    bad = q > b * (1.0 + tol) + tol
-    worst = int(np.argmin(margin))
-    coordinates = {
-        name: value.item(worst) if isinstance(value, np.ndarray) else value
-        for name, value in point.items()
-    }
-    return VerificationReport(
-        suite=suite,
-        samples=int(q.size),
-        seed=seed,
-        violations=int(np.count_nonzero(bad)),
-        worst_margin=float(margin[worst]),
-        worst_point={
-            "index": worst, **coordinates, "quantity": float(q[worst]), "bound": float(b[worst])
-        },
-    )
+    reduction = _Reduction(suite, tol)
+    reduction.add(quantity, bound)
+    return reduction.report(seed, point)
+
+
+def chunked_reports(
+    evaluate: "Callable[..., Iterable[tuple[np.ndarray, np.ndarray]]]",
+    samples: "tuple[np.ndarray, ...]",
+    parts: "dict[str, dict[str, Any]]",
+    *,
+    seed: int,
+    tol: float,
+) -> "list[VerificationReport]":
+    """One report per entry of ``parts``, evaluated ``_CHUNK`` samples at a time.
+
+    ``evaluate`` takes one slice of each array in ``samples`` and returns one
+    ``(quantity, bound)`` pair per entry of ``parts``, in order, so parts that
+    share work share one evaluation per chunk.  ``parts`` maps each report's
+    name to the coordinates recorded with its worst sample, as the keywords
+    of :func:`pointwise_report`: an array there is read at the worst sample's
+    index in the whole sample set.  With an elementwise ``evaluate`` the
+    reports equal those of one whole-array call, and only the counters and
+    the worst sample of each part outlive a chunk.
+    """
+    reductions = [_Reduction(name, tol) for name in parts]
+    for lo in range(0, len(samples[0]), _CHUNK):
+        pairs = evaluate(*(array[lo : lo + _CHUNK] for array in samples))
+        for reduction, (quantity, bound) in zip(reductions, pairs, strict=True):
+            reduction.add(quantity, bound)
+    return [
+        reduction.report(seed, point) for reduction, point in zip(reductions, parts.values())
+    ]
 
 
 def combine_reports(suite: str, parts: "list[VerificationReport]") -> VerificationReport:

@@ -180,11 +180,6 @@ def _orders(m) -> "list[int]":
     return orders
 
 
-# Samples per block of delta_power_diff: every order's powers of one block
-# stay in cache, and memory does not grow with the number of orders.
-_POWER_BLOCK = 1 << 11
-
-
 def delta_power_diff(z, m):
     """delta(exp(-z))**m - z**m evaluated without cancellation, for Re z > 0.
 
@@ -195,32 +190,35 @@ def delta_power_diff(z, m):
 
     ``m`` may also be a sequence of orders; the values are then stacked along
     a new first axis.  The difference and the powers a**j, b**k are computed
-    once for all orders, block by block, and each order sums its terms in the
-    same order as a call for that order alone, so the bits agree.
+    once for all orders, and each order sums its terms in the same order as a
+    call for that order alone, so the bits agree.  Every value is computed
+    elementwise, so a slice of ``z`` gives the same bits as the whole array;
+    the sampled suites call it on chunks of 2^14 samples, which bounds the
+    memory of the powers.
     """
     orders = _orders(m)
     z, was_scalar = _as1d(z, complex)
     if np.any(np.real(z) <= 0.0):
         raise ValueError("delta_power_diff requires Re z > 0")
-    flat = z.ravel()
-    out = np.empty((len(orders), flat.size), dtype=complex)
+    small = np.abs(z) <= _Q_CROSSOVER
+    diff = np.empty_like(z)
+    zs = z[small]
+    diff[small] = zs**3 * _q_series(zs)
+    del zs
+    diff[~small] = delta_char(np.exp(-z[~small])) - z[~small]
+    delta = z + diff
+    # a**0 is 1 and a**1 is a, exactly, so only the powers from 2 up are stored
     top = max(orders)
-    for lo in range(0, flat.size, _POWER_BLOCK):
-        zb = flat[lo : lo + _POWER_BLOCK]
-        small = np.abs(zb) <= _Q_CROSSOVER
-        diff = np.empty_like(zb)
-        zs = zb[small]
-        diff[small] = zs**3 * _q_series(zs)
-        diff[~small] = delta_char(np.exp(-zb[~small])) - zb[~small]
-        delta = zb + diff
-        delta_pow = [delta**j for j in range(top)]
-        z_pow = [zb**k for k in range(top)]
-        for i, order in enumerate(orders):
-            acc = np.zeros_like(zb)
-            for j in range(order):
-                acc += delta_pow[j] * z_pow[order - 1 - j]
-            out[i, lo : lo + _POWER_BLOCK] = diff * acc
-    out = out[:, 0] if was_scalar else out.reshape((len(orders),) + z.shape)
+    delta_pow = [1.0 + 0j, delta] + [delta**j for j in range(2, top)]
+    z_pow = [1.0 + 0j, z] + [z**k for k in range(2, top)]
+    out = np.empty((len(orders),) + z.shape, dtype=complex)
+    acc = np.empty_like(z)
+    for row, order in zip(out, orders):
+        acc.fill(0.0)
+        for j in range(order):  # each row holds its terms before its value
+            acc += np.multiply(delta_pow[j], z_pow[order - 1 - j], out=row)
+        np.multiply(diff, acc, out=row)
+    out = out[:, 0] if was_scalar else out
     return out[0] if np.ndim(m) == 0 else out
 
 
@@ -330,5 +328,11 @@ def sample_cplus(count: int, seed, max_modulus=1e3, min_modulus: float = 1e-3) -
     if np.any(hi <= lo):
         raise ValueError("max_modulus must exceed min_modulus")
     modulus = np.exp(rng.uniform(lo, hi))
+    del hi
     angle = rng.uniform(-_HALF_PI + 1e-6, _HALF_PI - 1e-6, count)
-    return modulus * np.exp(1j * angle)
+    # built in place: one complex array besides the two draws
+    out = np.multiply(1j, angle)
+    del angle
+    np.exp(out, out=out)
+    out *= modulus
+    return out

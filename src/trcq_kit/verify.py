@@ -12,6 +12,13 @@ Conventions shared by the sampled suites:
 * moduli are drawn log-uniform so both asymptotic regimes get exercised;
 * open-domain constraints (``|z| < pi``, ``|z| < c0``) are enforced by
   insetting the boundary by a relative 1e-3;
+* each part draws its samples as whole arrays, in a fixed order from one
+  seeded stream, then evaluates its quantity and bound 2^14 samples at a
+  time into one streaming report (:func:`trcq_kit.report.chunked_reports`);
+  parts that share work (the defect orders, prop41's steps in part (a))
+  share one evaluation per chunk, and a part's samples are dropped once its
+  reports are built.  Evaluation is elementwise, so the reports equal those
+  of one evaluation on all samples, bit for bit;
 * frequency integrals are truncated at a cutoff and the *certified* tail
   bound is added to the computed side, keeping every check one-sided; time
   integrals are exact sums (:meth:`trcq_kit.functions.PolyExp.time_l1`).
@@ -32,7 +39,7 @@ from .bounds import (
 )
 from .quadrature import adaptive_simpson  # noqa: F401
 from .quadrature import integrate_semi_infinite, named_integral
-from .report import VerificationReport, combine_reports, pointwise_report
+from .report import VerificationReport, chunked_reports, combine_reports, pointwise_report
 from .symbols import Symbol, value_norm
 from .trmap import (
     D_eval,
@@ -74,6 +81,30 @@ _PROP41_KAPPAS = (0.1, 0.05, 0.025)
 # --------------------------------------------------------------------------
 
 
+def _sampled(
+    seed: int, samples: "dict[str, np.ndarray]", evaluate, parts: "dict[str, dict]"
+) -> "list[VerificationReport]":
+    """Reports of one sampled part at ``SUITE_TOL``, evaluated chunk by chunk.
+
+    ``samples`` maps coordinate names to the part's sample arrays, which are
+    recorded with each worst sample; ``evaluate`` takes one chunk of each, in
+    that order, and returns one ``(quantity, bound)`` pair per entry of
+    ``parts``, which maps each report's name to its other coordinates.  The
+    suites draw the arrays in the call, so they are dropped once the part's
+    reports are built.
+    """
+    points = {name: {**samples, **extra} for name, extra in parts.items()}
+    return chunked_reports(evaluate, tuple(samples.values()), points, seed=seed, tol=SUITE_TOL)
+
+
+def _scaled_cloud(rng: np.random.Generator, samples: int, radius=None) -> "dict[str, np.ndarray]":
+    """Steps kappa uniform on (0, 1], then points s with |s| <= 1e3 and, given
+    ``radius``, |kappa s| < radius (inset)."""
+    kappa = 1.0 - rng.random(samples)
+    cap = 1e3 if radius is None else np.minimum(1e3, radius * _INSET / kappa)
+    return {"s": sample_cplus(samples, rng, max_modulus=cap), "kappa": kappa}
+
+
 def check_hyperbolic(samples: int, seed: int) -> VerificationReport:
     """Bounds relating tanh/coth to min(1, x) on x in [1e-6, 1e3].
 
@@ -83,22 +114,21 @@ def check_hyperbolic(samples: int, seed: int) -> VerificationReport:
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    x = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), samples))
-    mn = np.minimum(x, 1.0)
-    th, th2 = np.tanh(x), np.tanh(0.5 * x)
-    parts = [
-        pointwise_report("hyperbolic:a", 0.5 * mn, th, seed=seed, tol=SUITE_TOL, x=x),
-        pointwise_report("hyperbolic:b", 1.0 / th, 2.0 / mn, seed=seed, tol=SUITE_TOL, x=x),
-        pointwise_report("hyperbolic:c", 0.25 * mn, th2, seed=seed, tol=SUITE_TOL, x=x),
-        pointwise_report("hyperbolic:d", 1.0 / th2, 4.0 / mn, seed=seed, tol=SUITE_TOL, x=x),
-    ]
+
+    def evaluate(x):
+        mn = np.minimum(x, 1.0)
+        th, th2 = np.tanh(x), np.tanh(0.5 * x)
+        return [(0.5 * mn, th), (1.0 / th, 2.0 / mn), (0.25 * mn, th2), (1.0 / th2, 4.0 / mn)]
+
+    parts = _sampled(
+        seed, {"x": np.exp(rng.uniform(np.log(1e-6), np.log(1e3), samples))}, evaluate,
+        {f"hyperbolic:{part}": {} for part in "abcd"},
+    )
     return combine_reports("hyperbolic", parts)
 
 
-def _power_defect_parts(
-    suite: str, z: np.ndarray, kappa, s: np.ndarray, seed: int, /, **point
-) -> "list[VerificationReport]":
-    """Part (c) of lemma31 (kappa = 1, s = z) and of prop32, one report per m:
+def _power_defects(z: np.ndarray, kappa, s: np.ndarray) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Part (c) of lemma31 (kappa = 1, s = z) and of prop32, one pair per m:
 
         |delta(exp(-z))^m - z^m| / kappa^m <= E_m(|z|) kappa^2 |s|^(m+2),  z = kappa s.
 
@@ -108,17 +138,13 @@ def _power_defect_parts(
     envelopes = E_m_eval(np.abs(z), _DEFECT_ORDERS)
     mod = np.abs(s)
     return [
-        pointwise_report(
-            f"{suite}:c[m={m}]",
-            defect / kappa**m,
-            e_m * kappa * kappa * mod ** (m + 2),
-            seed=seed,
-            tol=SUITE_TOL,
-            **point,
-            m=m,
-        )
+        (defect / kappa**m, e_m * kappa * kappa * mod ** (m + 2))
         for m, defect, e_m in zip(_DEFECT_ORDERS, defects, envelopes)
     ]
+
+
+def _defect_parts(suite: str) -> "dict[str, dict]":
+    return {f"{suite}:c[m={m}]": {"m": m} for m in _DEFECT_ORDERS}
 
 
 def check_lemma31(samples: int, seed: int) -> VerificationReport:
@@ -131,30 +157,26 @@ def check_lemma31(samples: int, seed: int) -> VerificationReport:
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    parts = []
 
-    z = sample_cplus(samples, rng)
-    w = delta_char(np.exp(-z))
-    mn = np.minimum(z.real, 1.0)
-    parts.append(pointwise_report("lemma31:a", 0.5 * mn, w.real, seed=seed, tol=SUITE_TOL, z=z))
-    parts.append(pointwise_report("lemma31:b", np.abs(w), 8.0 / mn, seed=seed, tol=SUITE_TOL, z=z))
+    def half_plane(z):
+        w = delta_char(np.exp(-z))
+        mn = np.minimum(z.real, 1.0)
+        return [(0.5 * mn, w.real), (np.abs(w), 8.0 / mn)]
 
-    zc = sample_cplus(samples, rng, max_modulus=np.pi * _INSET)
-    parts += _power_defect_parts("lemma31", zc, 1.0, zc, seed, z=zc)
+    def consistency(z):
+        mod = np.abs(z)
+        return [(1.0 - mod * mod * D_eval(mod), (delta_char(np.exp(-z)) / z).real)]
 
-    c0 = solve_c0()
-    zd = sample_cplus(samples, rng, max_modulus=c0 * _INSET)
-    wd = delta_char(np.exp(-zd))
-    modd = np.abs(zd)
-    parts.append(
-        pointwise_report(
-            "lemma31:d",
-            1.0 - modd * modd * D_eval(modd),
-            (wd / zd).real,
-            seed=seed,
-            tol=SUITE_TOL,
-            z=zd,
-        )
+    parts = _sampled(
+        seed, {"z": sample_cplus(samples, rng)}, half_plane, {"lemma31:a": {}, "lemma31:b": {}}
+    )
+    parts += _sampled(
+        seed, {"z": sample_cplus(samples, rng, max_modulus=np.pi * _INSET)},
+        lambda z: _power_defects(z, 1.0, z), _defect_parts("lemma31"),
+    )
+    parts += _sampled(
+        seed, {"z": sample_cplus(samples, rng, max_modulus=solve_c0() * _INSET)}, consistency,
+        {"lemma31:d": {}},
     )
     return combine_reports("lemma31", parts)
 
@@ -170,42 +192,24 @@ def check_prop32(samples: int, seed: int) -> VerificationReport:
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    parts = []
 
-    kappa = 1.0 - rng.random(samples)  # uniform on (0, 1]
-    s = sample_cplus(samples, rng)
-    sk = s_kappa(s, kappa)
-    mn = np.minimum(s.real, 1.0)
-    parts.append(
-        pointwise_report("prop32:a", 0.5 * mn, sk.real, seed=seed, tol=SUITE_TOL, s=s, kappa=kappa)
-    )
-    parts.append(
-        pointwise_report(
-            "prop32:b", np.abs(sk), 8.0 / (kappa * kappa * mn), seed=seed, tol=SUITE_TOL,
-            s=s, kappa=kappa,
-        )
-    )
+    def half_plane(s, kappa):
+        sk = s_kappa(s, kappa)
+        mn = np.minimum(s.real, 1.0)
+        return [(0.5 * mn, sk.real), (np.abs(sk), 8.0 / (kappa * kappa * mn))]
 
-    kc = 1.0 - rng.random(samples)
-    sc = sample_cplus(samples, rng, max_modulus=np.minimum(1e3, np.pi * _INSET / kc))
-    parts += _power_defect_parts("prop32", kc * sc, kc, sc, seed, s=sc, kappa=kc)
+    def defects(s, kappa):
+        return _power_defects(kappa * s, kappa, s)
 
-    c0 = solve_c0()
-    kd = 1.0 - rng.random(samples)
-    sd = sample_cplus(samples, rng, max_modulus=np.minimum(1e3, c0 * _INSET / kd))
-    zd = kd * sd
-    modd = np.abs(zd)
-    parts.append(
-        pointwise_report(
-            "prop32:d",
-            1.0 - modd * modd * D_eval(modd),
-            (s_kappa(sd, kd) / sd).real,
-            seed=seed,
-            tol=SUITE_TOL,
-            s=sd,
-            kappa=kd,
-        )
+    def consistency(s, kappa):
+        mod = np.abs(kappa * s)
+        return [(1.0 - mod * mod * D_eval(mod), (s_kappa(s, kappa) / s).real)]
+
+    parts = _sampled(
+        seed, _scaled_cloud(rng, samples), half_plane, {"prop32:a": {}, "prop32:b": {}}
     )
+    parts += _sampled(seed, _scaled_cloud(rng, samples, np.pi), defects, _defect_parts("prop32"))
+    parts += _sampled(seed, _scaled_cloud(rng, samples, solve_c0()), consistency, {"prop32:d": {}})
     return combine_reports("prop32", parts)
 
 
@@ -214,22 +218,16 @@ def check_lemma32(samples: int, seed: int) -> VerificationReport:
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    z = sample_cplus(samples, rng)
-    mod = np.abs(z)
-    shifted = np.abs(1.0 + z)
-    parts = []
-    for m in _LEMMA32_ORDERS:
-        parts.append(
-            pointwise_report(
-                f"lemma32:m={m}",
-                1.0 + mod**m,
-                2.0 ** (m / 2.0) * shifted**m,
-                seed=seed,
-                tol=SUITE_TOL,
-                z=z,
-                m=m,
-            )
-        )
+
+    def evaluate(z):
+        mod = np.abs(z)
+        shifted = np.abs(1.0 + z)
+        return [(1.0 + mod**m, 2.0 ** (m / 2.0) * shifted**m) for m in _LEMMA32_ORDERS]
+
+    parts = _sampled(
+        seed, {"z": sample_cplus(samples, rng)}, evaluate,
+        {f"lemma32:m={m}": {"m": m} for m in _LEMMA32_ORDERS},
+    )
     return combine_reports("lemma32", parts)
 
 
@@ -242,9 +240,10 @@ def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
     (c) ||F(s_kappa) - F(s)|| <= kappa^2 Theta2(min(Re s,1)/2)
         Theta3(|kappa s|) |s|^(mu+3) for |kappa s| < c0.
 
-    Parts (a) and (c) run at kappa = 0.1, 0.05 and 0.025.  Every part runs at
-    the strict pointwise tolerance.  A symbol that declares no derivative is
-    refused with ``ValueError``.
+    Parts (a) and (c) run at kappa = 0.1, 0.05 and 0.025; part (a) evaluates
+    all three on one sample set.  Every part runs at the strict pointwise
+    tolerance.  A symbol that declares no derivative is refused with
+    ``ValueError``.
     """
     if F.mu > 0.0:
         raise ValueError("these envelopes are defined for mu <= 0 symbols only")
@@ -254,43 +253,33 @@ def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     mu, cf = F.mu, F.cf
-    parts = []
 
-    # (a) stability of the substituted symbol, over samples x kappas
-    s = sample_cplus(samples, rng)
-    bound_a = theta1(s.real, mu, cf)
-    for k in _PROP41_KAPPAS:
-        norms = value_norm(F(s_kappa(s, k)))
-        parts.append(
-            pointwise_report(
-                f"prop41:a[kappa={k:g}]", norms, bound_a, seed=seed, tol=SUITE_TOL, s=s, kappa=k
-            )
-        )
+    def stability(s):
+        bound = theta1(s.real, mu, cf)
+        return [(value_norm(F(s_kappa(s, k))), bound) for k in _PROP41_KAPPAS]
 
-    # (b) derivative bound (kappa-independent)
-    sb = sample_cplus(samples, rng)
-    grad = value_norm(F.derivative(sb))
-    bound_b = theta2(sb.real, mu, cf) * np.abs(sb) ** mu
-    parts.append(pointwise_report("prop41:b", grad, bound_b, seed=seed, tol=SUITE_TOL, s=sb))
+    def derivative(s):
+        return [(value_norm(F.derivative(s)), theta2(s.real, mu, cf) * np.abs(s) ** mu)]
 
-    # (c) quadratic-accuracy envelope on |kappa s| < c0
+    def accuracy(k):
+        def evaluate(s):
+            diff = value_norm(F(s_kappa(s, k)) - F(s))
+            theta2_c = theta2(0.5 * np.minimum(s.real, 1.0), mu, cf)
+            bound = k * k * theta2_c * theta3(np.abs(k * s), mu) * np.abs(s) ** (mu + 3.0)
+            return [(diff, bound)]
+
+        return evaluate
+
+    parts = _sampled(
+        seed, {"s": sample_cplus(samples, rng)}, stability,
+        {f"prop41:a[kappa={k:g}]": {"kappa": k} for k in _PROP41_KAPPAS},
+    )
+    parts += _sampled(seed, {"s": sample_cplus(samples, rng)}, derivative, {"prop41:b": {}})
     c0 = solve_c0()
     for k in _PROP41_KAPPAS:
-        sc = sample_cplus(samples, rng, max_modulus=min(1e3, c0 * _INSET / k))
-        diff = value_norm(F(s_kappa(sc, k)) - F(sc))
-        mod = np.abs(k * sc)
-        theta2_c = theta2(0.5 * np.minimum(sc.real, 1.0), mu, cf)
-        bound_c = k * k * theta2_c * theta3(mod, mu) * np.abs(sc) ** (mu + 3.0)
-        parts.append(
-            pointwise_report(
-                f"prop41:c[kappa={k:g}]",
-                diff,
-                bound_c,
-                seed=seed,
-                tol=SUITE_TOL,
-                s=sc,
-                kappa=k,
-            )
+        parts += _sampled(
+            seed, {"s": sample_cplus(samples, rng, max_modulus=min(1e3, c0 * _INSET / k))},
+            accuracy(k), {f"prop41:c[kappa={k:g}]": {"kappa": k}},
         )
     return combine_reports(f"prop41:{F.name}", parts)
 

@@ -5,8 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from trcq_kit import VerificationReport, combine_reports, pointwise_report
-from trcq_kit.report import CSV_HEADER
+from trcq_kit import (
+    VerificationReport,
+    chunked_reports,
+    combine_reports,
+    delta_char,
+    pointwise_report,
+    sample_cplus,
+)
+from trcq_kit.report import _CHUNK, CSV_HEADER
+from trcq_kit.trmap import D_eval, E_m_eval, delta_power_diff, solve_c0
+from trcq_kit.verify import SUITE_TOL, check_lemma31
 
 
 class TestPointwiseReport:
@@ -57,6 +66,101 @@ class TestPointwiseReport:
             pointwise_report("x", [np.nan], [1.0], seed=0)
         with pytest.raises(ValueError, match="^demo: sample 1 is not finite"):
             pointwise_report("demo", np.zeros(3), np.array([1.0, np.inf, np.nan]), seed=0)
+
+
+def chunked(q, b, **point):
+    """chunked_reports on the arrays themselves: one report, named demo."""
+    (report,) = chunked_reports(
+        lambda q, b: [(q, b)], (q, b), {"demo": point}, seed=5, tol=1e-12
+    )
+    return report
+
+
+class TestChunkedReports:
+    """The streaming reduction over chunks of _CHUNK samples gives the report
+    of one whole-array pointwise_report."""
+
+    def test_equals_the_whole_array_report(self):
+        rng = np.random.default_rng(3)
+        n = 3 * _CHUNK + 17
+        q = rng.random(n)
+        b = q + rng.normal(0.0, 1e-3, n)  # about half the samples violate
+        z = rng.random(n) + 1j * rng.random(n)
+        got = chunked(q, b, z=z, kappa=0.1)
+        assert got == pointwise_report("demo", q, b, seed=5, tol=1e-12, z=z, kappa=0.1)
+        assert 0 < got.violations < n
+        assert got.worst_point["index"] < _CHUNK
+        b[n - 3] = q[n - 3] - 1.0  # now the worst sample is in the last chunk
+        got = chunked(q, b, z=z, kappa=0.1)
+        assert got == pointwise_report("demo", q, b, seed=5, tol=1e-12, z=z, kappa=0.1)
+        assert got.worst_point["index"] == n - 3
+        assert got.worst_point["z"] == z[n - 3]
+
+    def test_tie_across_a_chunk_boundary_keeps_the_first_index(self):
+        n = 2 * _CHUNK
+        q, b = np.zeros(n), np.ones(n)
+        q[[_CHUNK - 1, _CHUNK, _CHUNK + 3]] = 0.75
+        got = chunked(q, b)
+        assert got.worst_point["index"] == _CHUNK - 1
+        assert got == pointwise_report("demo", q, b, seed=5)
+
+    def test_non_finite_sample_named_by_its_global_index(self):
+        n = 2 * _CHUNK + 1
+        q, b = np.zeros(n), np.ones(n)
+        b[_CHUNK + 7] = np.nan
+        b[2 * _CHUNK] = np.inf
+        with pytest.raises(ValueError, match=f"^demo: sample {_CHUNK + 7} is not finite"):
+            chunked(q, b)
+
+    def test_parts_of_one_evaluation_fail_in_their_order(self):
+        """The first part's non-finite sample is named, though a later part
+        met one in an earlier chunk, as with one report per whole array."""
+        n = 2 * _CHUNK
+        q, b = np.zeros(n), np.ones(n)
+        first, second = q.copy(), q.copy()
+        first[_CHUNK + 1] = np.nan
+        second[2] = np.nan
+
+        def evaluate(first, second, b):
+            return [(first, b), (second, b)]
+
+        with pytest.raises(ValueError, match=f"^a: sample {_CHUNK + 1} is not finite"):
+            chunked_reports(evaluate, (first, second, b), {"a": {}, "b": {}}, seed=0, tol=0.0)
+
+
+def lemma31_whole(samples, seed):
+    """check_lemma31's formulas, each part evaluated on all its samples at once."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    z = sample_cplus(samples, rng)
+    w = delta_char(np.exp(-z))
+    mn = np.minimum(z.real, 1.0)
+    parts.append(pointwise_report("lemma31:a", 0.5 * mn, w.real, seed=seed, tol=SUITE_TOL, z=z))
+    parts.append(pointwise_report("lemma31:b", np.abs(w), 8.0 / mn, seed=seed, tol=SUITE_TOL, z=z))
+    z = sample_cplus(samples, rng, max_modulus=np.pi * (1.0 - 1e-3))
+    orders = range(1, 6)
+    defects = np.abs(delta_power_diff(z, orders))
+    envelopes = E_m_eval(np.abs(z), orders)
+    for m, defect, e_m in zip(orders, defects, envelopes):
+        parts.append(pointwise_report(
+            f"lemma31:c[m={m}]", defect, e_m * np.abs(z) ** (m + 2),
+            seed=seed, tol=SUITE_TOL, z=z, m=m,
+        ))
+    z = sample_cplus(samples, rng, max_modulus=solve_c0() * (1.0 - 1e-3))
+    mod = np.abs(z)
+    parts.append(pointwise_report(
+        "lemma31:d", 1.0 - mod * mod * D_eval(mod), (delta_char(np.exp(-z)) / z).real,
+        seed=seed, tol=SUITE_TOL, z=z,
+    ))
+    return combine_reports("lemma31", parts)
+
+
+@pytest.mark.parametrize("samples", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_sampled_suite_at_the_chunk_edges(samples):
+    """A suite's chunked report equals the whole-array evaluation of its
+    formulas, worst point and margin to the bit, on either side of a chunk."""
+    for seed in (1, 2):
+        assert check_lemma31(samples, seed) == lemma31_whole(samples, seed)
 
 
 class TestCsvRow:

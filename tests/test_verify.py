@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from trcq_kit.functions import PolyExp, poly_exp
-from trcq_kit.symbols import CFModel, Symbol, make_decay, make_delay, make_power, make_resolvent
+from trcq_kit.symbols import (
+    CFModel, Symbol, make_decay, make_delay, make_power, make_resolvent, validate_growth,
+)
 from trcq_kit.verify import (
     QUADRATURE_TOL,
     SUITE_TOL,
@@ -140,7 +142,13 @@ class TestPeakMemory:
     prop41's derivative on a 64-node Cauchy ring 2^14 samples at a time, peaked
     at 4.55 MiB (lemma31), 4.39 MiB (prop32), 49.3 MiB (prop41 on delay:1.0)
     and 177.2 MiB (prop41 on a 2x2 resolvent).  prop41 now reads the closed-form
-    derivative, one value per sample."""
+    derivative, one value per sample.
+
+    Every sampled suite now evaluates its parts 2^14 samples at a time, so
+    only the drawn samples grow with the sample count.  Evaluated on all
+    samples at once, the traced peak grew by 176-336 bytes per extra sample
+    (lemma31, prop32, prop41, validate_growth) and by 61-65 bytes (hyperbolic
+    and lemma32)."""
 
     def test_shared_orders_do_not_raise_the_peak(self):
         assert peak_mib(check_lemma31, SAMPLES, 1) < 4.55
@@ -151,6 +159,25 @@ class TestPeakMemory:
     ], ids=["delay", "resolvent"])
     def test_prop41_derivative_per_sample(self, F, before):
         assert peak_mib(check_prop41, F, SAMPLES, 1) < before / 4
+
+    @pytest.mark.parametrize("check, symbol, limit", [
+        (check_lemma31, None, 80),
+        (check_prop32, None, 80),
+        (check_prop41, make_delay(1.0), 80),
+        (check_prop41, make_resolvent(DAMPED), 80),
+        (validate_growth, make_resolvent(DAMPED), 80),
+        (check_hyperbolic, None, 32),
+        (check_lemma32, None, 32),
+    ], ids=[
+        "lemma31", "prop32", "prop41-delay", "prop41-resolvent", "growth-resolvent",
+        "hyperbolic", "lemma32",
+    ])
+    def test_bytes_per_extra_sample(self, check, symbol, limit):
+        """Traced peak per sample between SAMPLES and 10 * SAMPLES samples: what
+        is left are the samples drawn in one array, as the RNG stream needs."""
+        args = () if symbol is None else (symbol,)
+        growth = peak_mib(check, *args, 10 * SAMPLES, 1) - peak_mib(check, *args, SAMPLES, 1)
+        assert growth * 2**20 / (9 * SAMPLES) <= limit
 
 
 # --------------------------------------------------------------------------

@@ -162,6 +162,10 @@ ARGVS: "list[list[str]]" = [
     # prop41 part (b) on each family's closed-form derivative
     *[["verify", "--suite", "prop41", "--symbol", spec]
       for spec in ("power:-0.5", "decay:1.0", "power:0")],
+    # sample counts at the edges of the 2^14-sample evaluation chunks
+    ["verify", "--suite", "prop32", "--samples", "16384"],
+    ["verify", "--suite", "prop32", "--samples", "16385"],
+    ["verify", "--suite", "prop41", "--symbol", "resolvent:damped2.txt", "--samples", "32769"],
     ["verify", "--suite", "lemma33", "--g", "poly12exp", "--sigma", "0.3"],
     ["verify", "--suite", "prop34a", "--g", "poly9exp", "--m", "2"],
     ["verify", "--suite", "prop34a", "--g", "poly12exp", "--m", "3"],
