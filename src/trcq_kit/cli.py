@@ -69,14 +69,6 @@ EXIT_INTERNAL = 4
 MAX_STEPS = 1 << 22
 MAX_FFT_SIZE = default_fft_size(MAX_STEPS)
 
-EXACT_PAIRS_HELP = (
-    "supported (symbol, input) pairs with a closed-form reference: "
-    "delay:<d> with any input; power:<mu> with mono:<p>; "
-    "power:{-1,0,1} with poly<p>exp; decay:<a> with mono:<p>; "
-    "decay:1 with poly<p>exp"
-)
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -279,16 +271,6 @@ def _errors(F, g, exact, kappa: float, times: "list[float]") -> "list[np.ndarray
     return [error_vs_exact(convolve_fft(table, prefix), reference) for prefix in prefixes]
 
 
-def _exact_or_die(symbol_spec: str, g_spec: str):
-    exact = exact_solution(symbol_spec, g_spec)
-    if exact is None:
-        raise ValueError(
-            f"no closed-form reference for symbol={symbol_spec!r} with "
-            f"g={g_spec!r}; {EXACT_PAIRS_HELP}"
-        )
-    return exact
-
-
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -328,7 +310,7 @@ def cmd_converge(eff: "dict[str, object]") -> int:
     kappas = _check_kappa_list(eff["kappa_list"])
     F = _parse_symbol(eff["symbol"])
     g = _parse_input(eff["g"])
-    exact = _exact_or_die(eff["symbol"], eff["g"])
+    exact = exact_solution(F, g)
 
     errors = [float(_errors(F, g, exact, kappa, [eff["t_final"]])[0].max()) for kappa in kappas]
 
@@ -356,7 +338,7 @@ def cmd_bound(eff: "dict[str, object]") -> int:
     if F.mu < 0.0:
         raise ValueError("the a-priori bound applies to mu >= 0 symbols only")
     g = _parse_input(eff["g"])
-    exact = _exact_or_die(eff["symbol"], eff["g"])
+    exact = exact_solution(F, g)
     params = derive_params(F.mu)
     g.require(params.beta, "the bound")
     certificate = validate_growth(F, samples=20000, seed=int(eff["seed"]))
@@ -386,7 +368,7 @@ def cmd_longtime(eff: "dict[str, object]") -> int:
     kappa, t_final, t_min = eff["kappa"], eff["t_final"], eff["t_min"]
     F = _parse_symbol(eff["symbol"])
     g = _parse_input(eff["g"])
-    exact = _exact_or_die(eff["symbol"], eff["g"])
+    exact = exact_solution(F, g)
     _steps_for(t_final, kappa)  # refuse a run it cannot size before halving t_final
     if not math.isfinite(t_min):
         raise ValueError(f"--t-min = {t_min:g} is not finite")

@@ -26,12 +26,13 @@ the caller's one non-finite check names the first such time.  The time
 integrals of the error analysis are exact sums on the same data
 (:meth:`PolyExp.time_l1`).
 
-``exact_solution`` returns the closed-form time action of a built-in symbol
-applied to one of these inputs, when one is known, as a 1-tuple comparable
-with a signal row; convergence and bound experiments refuse to run without
-one.  Each closed form is written once, as a rule on an array of times; a
-series branch runs on all its nodes at once, each node stopping where its
-own series does.
+``exact_solution(F, g)`` returns the closed-form time action of a built-in
+symbol on one of these inputs, dispatched on ``F.data`` and ``g.data``, as a
+1-tuple comparable with a signal row; any other pair raises the one
+``ValueError`` that names the supported ones, so convergence and bound
+experiments refuse to run.  Each closed form is written once, as a rule on an
+array of times; a series branch runs on all its nodes at once, each node
+stopping where its own series does.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import SmoothCausalFunction
+from .symbols import Symbol, from_spec
 
 __all__ = ["PolyExp", "poly_exp", "monomial", "zero", "parse_g", "exact_solution"]
 
@@ -378,22 +380,28 @@ def _on_positive(rule: Callable) -> Callable:
     return on_grid
 
 
-def _exact_action(symbol_spec: str, g_spec: str) -> "Callable | None":
+EXACT_PAIRS_HELP = (
+    "supported (symbol, input) pairs with a closed-form reference: "
+    "delay:<d> with any input; power:<mu> with mono:<p>; "
+    "power:{-1,0,1} with poly<p>exp; decay:<a> with mono:<p>; "
+    "decay:1 with poly<p>exp"
+)
+
+
+def _exact_action(F: Symbol, g: SmoothCausalFunction) -> "Callable | None":
     """The closed form on an array of times; a power that overflows gives ``inf``."""
-    kind, _, arg = symbol_spec.strip().partition(":")
-    kind = kind.strip().lower()
-    g = parse_g(g_spec)
     family, p = g.data.family, g.data.p
 
     if family == "zero":
         return np.zeros_like
 
+    kind, arg = F.data or (None, None)
+
     if kind == "delay":
-        d = float(arg)
-        return lambda t: g.on_grid(t - d, 0)
+        return lambda t: g.on_grid(t - arg, 0)
 
     if kind == "power":
-        mu = float(arg)
+        mu = arg
         if family == "mono":
             if p - mu <= -1.0:
                 return None
@@ -409,7 +417,7 @@ def _exact_action(symbol_spec: str, g_spec: str) -> "Callable | None":
             return _on_positive(_poly_exp_integral(p))
 
     if kind == "decay":
-        a = float(arg)
+        a = arg
         if family == "mono":
             return _on_positive(_decay_monomial(a, p))
         if a == 1.0:
@@ -419,14 +427,14 @@ def _exact_action(symbol_spec: str, g_spec: str) -> "Callable | None":
     return None
 
 
-def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], tuple] | None":
-    """Closed-form value of (symbol applied to g) at time t, as a 1-tuple
-    (it is compared with a signal row), when known.
+def exact_solution(F: "Symbol | str", g: "SmoothCausalFunction | str") -> Callable:
+    """Closed-form value of ``F`` applied to ``g`` (either may be a spec) at
+    time t, as a 1-tuple (it is compared with a signal row).
 
     Supported pairs: any symbol on ``zero``; ``delay:d`` on anything;
     ``power:mu`` on ``mono:p`` (Riemann-Liouville ``Gamma(p+1)/Gamma(p+1-mu)
     t^(p-mu)``); ``power:{-1,0,1}`` on ``poly<p>exp``; ``decay:a`` on
-    ``mono:p``; ``decay:1`` on ``poly<p>exp``.  Returns ``None`` otherwise.
+    ``mono:p``; ``decay:1`` on ``poly<p>exp``.  Any other pair raises.
 
     Each closed form is one rule on an array of times.  The returned function
     also has ``on_grid(nodes)``, that rule on a whole array, for
@@ -437,10 +445,13 @@ def exact_solution(symbol_spec: str, g_spec: str) -> "Callable[[float], tuple] |
     switch point (``t = p+1``, resp. ``a*t = p+1``), each node stopping its
     series at its own ``term < 1e-17*acc``.
     """
-    reference = f"the closed-form reference for symbol {symbol_spec!r} on input {g_spec!r}"
-    action = _exact_action(symbol_spec, g_spec)
+    F = from_spec(F) if isinstance(F, str) else F
+    g = parse_g(g) if isinstance(g, str) else g
+    action = _exact_action(F, g)
     if action is None:
-        return None
+        pair = f"symbol={F.name!r} with g={g.name!r}"
+        raise ValueError(f"no closed-form reference for {pair}; {EXACT_PAIRS_HELP}")
+    reference = f"the closed-form reference for symbol {F.name!r} on input {g.name!r}"
 
     def on_grid(nodes: np.ndarray) -> np.ndarray:
         # inf and nan entries are reported below, not warned about

@@ -22,7 +22,9 @@ Every family also carries ``derivative``, ``F'`` in closed form (the
 envelope check of :func:`trcq_kit.verify.check_prop41` part (b) reads it),
 and all but delay carry ``exact_weights``: their TRCQ weights, the Taylor
 coefficients of ``zeta -> F(delta(zeta)/kappa)``, from an exact O(N)
-formula rather than a contour (see :mod:`trcq_kit.weights`).
+formula rather than a contour (see :mod:`trcq_kit.weights`).  The scalar
+families carry ``Symbol.data = (kind, parameter)``, on which the closed-form
+references of :func:`trcq_kit.functions.exact_solution` dispatch.
 """
 
 from __future__ import annotations
@@ -106,6 +108,9 @@ class Symbol:
     ``derivative``, where the family has one, is ``F'`` in closed form, with
     the same contract as ``evaluator``: a vectorized map from ``s`` to an
     array of shape ``s.shape + dims``.  ``None`` declares no derivative.
+
+    ``data`` is ``("power", mu)``, ``("delay", d)`` or ``("decay", a)`` for
+    the scalar families; resolvents, products and direct builds keep ``None``.
     """
 
     name: str
@@ -117,6 +122,7 @@ class Symbol:
         default=None, repr=False
     )
     derivative: "Callable[[np.ndarray], np.ndarray] | None" = field(default=None, repr=False)
+    data: "tuple[str, float] | None" = None
 
     def __post_init__(self) -> None:
         r, c = self.dims
@@ -332,6 +338,7 @@ def make_power(mu: float) -> Symbol:
         cf=CFModel(1.0, 0.0),
         exact_weights=_power_weights(mu),
         derivative=_scalarize(slope),
+        data=("power", mu),
     )
 
 
@@ -354,6 +361,7 @@ def make_delay(d: float) -> Symbol:
         mu=0.0,
         cf=CFModel(1.0, 0.0),
         derivative=_scalarize(slope),
+        data=("delay", d),
     )
 
 
@@ -365,7 +373,7 @@ def make_decay(a: float) -> Symbol:
         raise ValueError(f"decay rate a must be finite and positive, got {a:g}")
     # |s+a|^2 = |s|^2 + 2 a Re s + a^2 >= |s|^2, hence |F(s)| <= |s|**-1.
     F = make_resolvent(np.array([[-a]]), mu=-1.0, cf=CFModel(1.0, 0.0))
-    return replace(F, name=f"decay:{a:g}")
+    return replace(F, name=f"decay:{a:g}", data=("decay", a))
 
 
 def make_resolvent(
@@ -496,12 +504,9 @@ def from_spec(spec: str) -> Symbol:
     kind, _, arg = spec.partition(":")
     kind = kind.strip().lower()
     arg = arg.strip()
-    if kind == "power":
-        return make_power(float(arg))
-    if kind == "delay":
-        return make_delay(float(arg))
-    if kind == "decay":
-        return make_decay(float(arg))
+    makers = {"power": make_power, "delay": make_delay, "decay": make_decay}
+    if kind in makers:
+        return makers[kind](float(arg))
     if kind == "resolvent":
         if not arg:
             raise ValueError("resolvent spec needs a matrix file path")

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 from trcq_kit.bounds import derive_params, params_csv_row
-from trcq_kit import cli
+from trcq_kit import cli, functions
 from trcq_kit.cli import EXIT_DEGENERATE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from trcq_kit.convolution import Grid, convolve_naive, error_vs_exact, sample
 from trcq_kit.functions import PolyExp, exact_solution, parse_g
@@ -546,8 +546,8 @@ class TestLongtime:
         once at each of its 20001 nodes, not again on every prefix."""
         calls = []
 
-        def counted_solution(symbol_spec, g_spec):
-            exact = exact_solution(symbol_spec, g_spec)
+        def counted_solution(F, g):
+            exact = exact_solution(F, g)
             return lambda t: calls.append(t) or exact(t)
 
         monkeypatch.setattr(cli, "exact_solution", counted_solution)
@@ -712,6 +712,9 @@ class TestParser:
         **{f"reference-{symbol.replace(':', '')}-poly170exp":
            f"error: the closed-form reference for symbol '{symbol}' on input 'poly170exp' "
            f"overflows a double at t = {t}" for symbol, t in (("decay:1", 64), ("power:1", 65))},
+        # a non-canonical spec is named as its symbol's name
+        "reference-decay1.0-poly170exp": "error: the closed-form reference for symbol 'decay:1' "
+                                         "on input 'poly170exp' overflows a double at t = 64",
     }
 
     @pytest.mark.parametrize("command", ["converge", "longtime", "bound"])
@@ -728,6 +731,28 @@ class TestParser:
         so a bad one is refused with its name, as ``convolve`` refuses it."""
         assert main([command, "--symbol", symbol, "--g", g]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, p", [
+        (["converge", "--symbol", "delay:1.0", "--g", "poly5exp", "--t-final", "1",
+          "--kappa-list", "0.5,0.25"], 5),
+        (["bound", "--symbol", "power:1", "--g", "poly6exp", "--t-list", "1",
+          "--kappa-list", "0.5"], 6),
+        (["longtime", "--symbol", "delay:1.0", "--g", "poly5exp", "--kappa", "0.25",
+          "--t-final", "4", "--t-min", "1"], 5),
+    ], ids=["converge", "bound", "longtime"])
+    def test_input_spec_parsed_once(self, argv, p, monkeypatch, capsys):
+        """The closed-form reference dispatches on the input the command built,
+        so the input's data is constructed once, not again from its spec."""
+        built = []
+        poly_exp_data = functions.PolyExp
+
+        def counted(*args):
+            built.append(args)
+            return poly_exp_data(*args)
+
+        monkeypatch.setattr(functions, "PolyExp", counted)
+        assert main(argv) == EXIT_OK
+        assert built == [("poly", p, 16)]
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "lemma33", "--g", "poly145exp"],

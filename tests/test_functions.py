@@ -19,8 +19,17 @@ import pytest
 
 from trcq_kit import functions
 from trcq_kit.convolution import Grid, sample
-from trcq_kit.functions import exact_solution, monomial, parse_g, poly_exp, zero
+from trcq_kit.functions import EXACT_PAIRS_HELP, exact_solution, monomial, parse_g, poly_exp, zero
 from trcq_kit.quadrature import adaptive_simpson
+from trcq_kit.symbols import (
+    CFModel,
+    Symbol,
+    make_decay,
+    make_delay,
+    make_power,
+    make_resolvent,
+    symbol_product,
+)
 
 # d^k/dt^k [t^5 e^-t] at t = 0.7
 POLY5EXP_DERIVS_AT_0p7 = {
@@ -201,10 +210,34 @@ class TestExactSolution:
         with pytest.raises(ValueError, match="overflows a double at t = 0.001"):
             exact_solution("power:170.9", "mono:170")(0.001)
 
-    def test_unsupported_pairs_return_none(self):
-        assert exact_solution("power:0.5", "poly5exp") is None
-        assert exact_solution("decay:2", "poly5exp") is None
-        assert exact_solution("resolvent:whatever", "poly5exp") is None
+    @pytest.mark.parametrize("symbol, name", [
+        ("power:0.5", "power:0.5"),
+        ("decay:2", "decay:2"),
+        # symbols without data: 1/(s+1) built as a resolvent, a product, a direct build
+        (make_resolvent(np.array([[-1.0]])), "resolvent:1x1"),
+        (symbol_product(make_power(0.5), make_delay(1.0)), "(power:0.5)*(delay:1)"),
+        (Symbol(name="bare", evaluator=lambda s: s[..., None, None], mu=1.0,
+                cf=CFModel(1.0, 0.0)), "bare"),
+    ])
+    def test_unsupported_pairs_are_refused(self, symbol, name):
+        """One refusal, naming the pair by its objects' names and the supported pairs."""
+        message = f"no closed-form reference for symbol='{name}' with g='poly5exp'; "
+        with pytest.raises(ValueError) as exc:
+            exact_solution(symbol, poly_exp(5))
+        assert str(exc.value) == message + EXACT_PAIRS_HELP
+
+    @pytest.mark.parametrize("symbol, g, spec", [
+        (make_decay(0.5), monomial(3), ("decay:0.5", "mono:3")),
+        (make_power(0.5), monomial(7), ("power:0.5", "mono:7")),
+        (make_delay(1.0), poly_exp(5), ("delay:1.0", "poly5exp")),
+    ])
+    def test_symbol_objects_reach_their_references(self, symbol, g, spec):
+        """A symbol built in Python dispatches on its data to the reference its
+        spec reaches, bit for bit on a grid."""
+        nodes = np.linspace(0.0, 12.0, 97)
+        by_object = exact_solution(symbol, g).on_grid(nodes)
+        assert _bits(by_object) == _bits(exact_solution(*spec).on_grid(nodes))
+        assert exact_solution(symbol, g)(1.7) == exact_solution(*spec)(1.7)
 
     def test_antiderivative_matches_quadrature(self):
         """Series branch of int_0^t tau^3 e^-tau cross-checked by quadrature."""
@@ -369,8 +402,11 @@ class TestGridValues:
                                         "delay:1", "delay:0.3", "delay:1000"])
     @pytest.mark.parametrize("spec", ["poly5exp", "poly170exp", "mono:7", "mono:170", "zero"])
     def test_reference_on_grid_equals_per_node(self, symbol, spec):
-        exact = exact_solution(symbol, spec)
-        if exact is None:
+        try:
+            exact = exact_solution(symbol, spec)
+        except ValueError as exc:  # the pairs without a closed form, and only those
+            assert str(exc).startswith("no closed-form reference")
+            assert f"reference {symbol} {spec}" not in SCALAR_BITS
             return
         grid = Grid(kappa=0.25, steps=400)
         values, error = _per_node(lambda t: exact(t)[0], grid.nodes)

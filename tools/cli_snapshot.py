@@ -90,6 +90,9 @@ NON_FINITE = {
                                     "--t-final", "65", "--kappa-list", "1,0.5"],
     "reference-power1-poly170exp": ["converge", "--symbol", "power:1", "--g", "poly170exp",
                                     "--t-final", "65", "--kappa-list", "1,0.5"],
+    # a non-canonical spec: the reference is named by its symbol, decay:1
+    "reference-decay1.0-poly170exp": ["converge", "--symbol", "decay:1.0", "--g", "poly170exp",
+                                      "--t-final", "65", "--kappa-list", "1,0.5"],
     "weights-power79": ["weights", "--symbol", "power:79", "--kappa", "0.001", "--n", "300"],
     "weights-power79-contour": ["weights", "--symbol", "power:79", "--kappa", "0.001",
                                 "--n", "300", "--fft-size", "4096"],
@@ -192,6 +195,7 @@ ARGVS: "list[list[str]]" = [
     ["converge", "--symbol", "delay:1.0", "--g", "poly5exp", "--kappa-list", "0.05,0.1"],
     ["converge", "--symbol", "delay:1.0", "--g", "poly5exp", "--kappa-list", "1.5,0.1"],
     ["converge", "--symbol", "power:0.5", "--g", "poly5exp"],
+    ["converge", "--symbol", "power:0.50", "--g", "poly5exp"],
     ["bound", "--symbol", "decay:1.0", "--g", "poly5exp"],
     ["bound", "--symbol", "power:0.5", "--g", "poly5exp"],
     ["longtime", "--symbol", "delay:1.0", "--g", "poly5exp", "--kappa", "0.1",
