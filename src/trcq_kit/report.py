@@ -5,8 +5,9 @@ sample many points, evaluate a quantity and the bound that is supposed to
 dominate it, and record how close the two came.  ``VerificationReport``
 captures one such run.  One streaming reduction builds it:
 :func:`chunked_reports` feeds it the values of consecutive chunks of
-samples, so only its counters outlive a chunk, and :func:`pointwise_report`
-is the same reduction fed one chunk.
+samples, so only its counters outlive a chunk, and records the named sample
+arrays at the worst sample; :func:`pointwise_report` is the same reduction
+fed one chunk.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def pointwise_report(
 
 def chunked_reports(
     evaluate: "Callable[..., Iterable[tuple[np.ndarray, np.ndarray]]]",
-    samples: "tuple[np.ndarray, ...]",
+    samples: "dict[str, np.ndarray]",
     parts: "dict[str, dict[str, Any]]",
     *,
     seed: int,
@@ -184,22 +185,25 @@ def chunked_reports(
 ) -> "list[VerificationReport]":
     """One report per entry of ``parts``, evaluated ``_CHUNK`` samples at a time.
 
-    ``evaluate`` takes one slice of each array in ``samples`` and returns one
-    ``(quantity, bound)`` pair per entry of ``parts``, in order, so parts that
-    share work share one evaluation per chunk.  ``parts`` maps each report's
-    name to the coordinates recorded with its worst sample, as the keywords
-    of :func:`pointwise_report`: an array there is read at the worst sample's
-    index in the whole sample set.  With an elementwise ``evaluate`` the
-    reports equal those of one whole-array call, and only the counters and
-    the worst sample of each part outlive a chunk.
+    ``samples`` maps coordinate names to the sample arrays; ``evaluate`` takes
+    one slice of each, in that order, and returns one ``(quantity, bound)``
+    pair per entry of ``parts``, in order, so parts that share work share one
+    evaluation per chunk.  ``parts`` maps each report's name to its own
+    coordinates.  Each report records the samples at its worst sample's index
+    in the whole sample set, then its own coordinates, as the keywords of
+    :func:`pointwise_report`.  With an elementwise ``evaluate`` the reports
+    equal those of one whole-array call, and only the counters and the worst
+    sample of each part outlive a chunk.
     """
     reductions = [_Reduction(name, tol) for name in parts]
-    for lo in range(0, len(samples[0]), _CHUNK):
-        pairs = evaluate(*(array[lo : lo + _CHUNK] for array in samples))
+    arrays = list(samples.values())
+    for lo in range(0, len(arrays[0]), _CHUNK):
+        pairs = evaluate(*(array[lo : lo + _CHUNK] for array in arrays))
         for reduction, (quantity, bound) in zip(reductions, pairs, strict=True):
             reduction.add(quantity, bound)
     return [
-        reduction.report(seed, point) for reduction, point in zip(reductions, parts.values())
+        reduction.report(seed, {**samples, **point})
+        for reduction, point in zip(reductions, parts.values())
     ]
 
 

@@ -316,23 +316,25 @@ def _cayley_weights(A: np.ndarray) -> Callable[[float, int, bool], np.ndarray]:
 # --------------------------------------------------------------------------
 
 
+def _param_text(x: float) -> str:
+    """A symbol's parameter in its name: the ``:g`` text when that reads back
+    as ``x``, else ``repr(x)``, so distinct parameters get distinct names."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 def make_power(mu: float) -> Symbol:
     """``F(s) = s**mu`` via the principal logarithm; ``|F(s)| = |s|**mu``."""
     mu = float(mu)
-    if mu == 0.0:
-        def scalar(s: np.ndarray) -> np.ndarray:
-            return np.ones_like(s)
 
-        def slope(s: np.ndarray) -> np.ndarray:
-            return np.zeros_like(s)
-    else:
-        def scalar(s: np.ndarray) -> np.ndarray:
-            return np.exp(mu * np.log(s))
+    def scalar(s: np.ndarray) -> np.ndarray:
+        return np.exp(mu * np.log(s))
 
-        def slope(s: np.ndarray) -> np.ndarray:
-            return mu * np.exp((mu - 1.0) * np.log(s))
+    def slope(s: np.ndarray) -> np.ndarray:
+        return mu * np.exp((mu - 1.0) * np.log(s))
+
     return Symbol(
-        name=f"power:{mu:g}",
+        name=f"power:{_param_text(mu)}",
         evaluator=_scalarize(scalar),
         mu=mu,
         cf=CFModel(1.0, 0.0),
@@ -356,7 +358,7 @@ def make_delay(d: float) -> Symbol:
 
     # |exp(-s d)| = exp(-d Re s) <= 1 on the half-plane.
     return Symbol(
-        name=f"delay:{d:g}",
+        name=f"delay:{_param_text(d)}",
         evaluator=_scalarize(scalar),
         mu=0.0,
         cf=CFModel(1.0, 0.0),
@@ -373,7 +375,7 @@ def make_decay(a: float) -> Symbol:
         raise ValueError(f"decay rate a must be finite and positive, got {a:g}")
     # |s+a|^2 = |s|^2 + 2 a Re s + a^2 >= |s|^2, hence |F(s)| <= |s|**-1.
     F = make_resolvent(np.array([[-a]]), mu=-1.0, cf=CFModel(1.0, 0.0))
-    return replace(F, name=f"decay:{a:g}", data=("decay", a))
+    return replace(F, name=f"decay:{_param_text(a)}", data=("decay", a))
 
 
 def make_resolvent(
@@ -481,10 +483,9 @@ def validate_growth(F: Symbol, samples: int, seed: int) -> VerificationReport:
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    s = sample_cplus(samples, seed)
     (report,) = chunked_reports(
-        lambda s: [(value_norm(F(s)), F.growth_bound(s))], (s,), {f"growth:{F.name}": {"s": s}},
-        seed=seed, tol=1e-10,
+        lambda s: [(value_norm(F(s)), F.growth_bound(s))], {"s": sample_cplus(samples, seed)},
+        {f"growth:{F.name}": {}}, seed=seed, tol=1e-10,
     )
     return report
 

@@ -19,7 +19,8 @@ substitution:
       E_m(sigma) = max{D(sigma)**j : j = 1..m} * ((1 + sigma**2)**m - 1)/sigma**2,
 
   which control |delta(exp(-z))**m - z**m|,
-* ``solve_c0`` finds the unique root of sigma**2 * D(sigma) = 1 in (0, pi),
+* ``solve_c0`` finds c0, the unique root of sigma**2 * D(sigma) = 1 in (0, pi);
+  by the closed form of D below, that is the root of tan(c/2) = c,
 * ``delta_power_diff`` evaluates delta(exp(-z))**m - z**m without cancellation,
   for one order m or for several from one evaluation of the defect,
 * ``sample_cplus`` draws the standard right-half-plane sample cloud used by
@@ -270,40 +271,20 @@ def E_m_eval(sigma, m):
     return out[0] if np.ndim(m) == 0 else out
 
 
-# Residual tolerance |c0**2 D(c0) - 1| of the root returned by solve_c0.
-_C0_TOL = 1e-13
-
-
 @lru_cache(maxsize=None)
 def solve_c0() -> float:
-    """The unique c0 in (0, pi) with c0**2 * D(c0) = 1, by bisection.
+    """The unique c0 in (0, pi) with c0**2 * D(c0) = 1, i.e. tan(c0/2) = c0.
 
-    x**2 D(x) is strictly increasing, runs from 0 to +inf on (0, pi), and the
-    bracket [0.1, pi - 0.1] straddles the root, so plain bisection is safe.
-    The residual |c0**2 D(c0) - 1|, as computed by :func:`D_eval`, is at most
-    1e-13.  The root is computed once and cached.
+    D(x) = (2 tan(x/2) - x)/x**3, so x**2 D(x) = 1 exactly where tan(x/2) = x.
+    tan(x/2) - x is negative on (0, c0) and positive on (c0, pi), so the
+    bracket [0.1, pi - 0.1] is bisected until it holds two adjacent doubles;
+    the upper one is returned, within one ulp of the root.  The root is
+    computed once and cached.
     """
-    def residual(x: float) -> float:
-        return x * x * float(D_eval(x)) - 1.0
-
     lo, hi = 0.1, _PI - 0.1
-    if residual(lo) >= 0.0 or residual(hi) <= 0.0:
-        raise RuntimeError("bisection bracket does not straddle the root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r = residual(mid)
-        if abs(r) <= _C0_TOL:
-            return mid
-        if r < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * hi:
-            break
-    mid = 0.5 * (lo + hi)
-    if abs(residual(mid)) > _C0_TOL:
-        raise RuntimeError(f"bisection stalled; residual tolerance {_C0_TOL} unreachable")
-    return mid
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if math.tan(0.5 * mid) < mid else (lo, mid)
+    return hi
 
 
 # ----------------------------------------------------------------------------

@@ -14,7 +14,9 @@ Conventions shared by the sampled suites:
   insetting the boundary by a relative 1e-3;
 * each part draws its samples as whole arrays, in a fixed order from one
   seeded stream, then evaluates its quantity and bound 2^14 samples at a
-  time into one streaming report (:func:`trcq_kit.report.chunked_reports`);
+  time into one streaming report (:func:`trcq_kit.report.chunked_reports`),
+  which records the named samples (``z``, ``s``, ``kappa``, ``x``) at the
+  worst one;
   parts that share work (the defect orders, prop41's steps in part (a))
   share one evaluation per chunk, and a part's samples are dropped once its
   reports are built.  Evaluation is elementwise, so the reports equal those
@@ -81,20 +83,11 @@ _PROP41_KAPPAS = (0.1, 0.05, 0.025)
 # --------------------------------------------------------------------------
 
 
-def _sampled(
-    seed: int, samples: "dict[str, np.ndarray]", evaluate, parts: "dict[str, dict]"
-) -> "list[VerificationReport]":
-    """Reports of one sampled part at ``SUITE_TOL``, evaluated chunk by chunk.
-
-    ``samples`` maps coordinate names to the part's sample arrays, which are
-    recorded with each worst sample; ``evaluate`` takes one chunk of each, in
-    that order, and returns one ``(quantity, bound)`` pair per entry of
-    ``parts``, which maps each report's name to its other coordinates.  The
-    suites draw the arrays in the call, so they are dropped once the part's
-    reports are built.
-    """
-    points = {name: {**samples, **extra} for name, extra in parts.items()}
-    return chunked_reports(evaluate, tuple(samples.values()), points, seed=seed, tol=SUITE_TOL)
+def _seeded(samples: int, seed: int) -> np.random.Generator:
+    """The seeded stream a sampled suite draws from; fewer than one sample is refused."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    return np.random.default_rng(seed)
 
 
 def _scaled_cloud(rng: np.random.Generator, samples: int, radius=None) -> "dict[str, np.ndarray]":
@@ -111,18 +104,16 @@ def check_hyperbolic(samples: int, seed: int) -> VerificationReport:
     (a) tanh x   >= min(1, x)/2        (b) coth x   <= 2/min(1, x)
     (c) tanh x/2 >= min(1, x)/4        (d) coth x/2 <= 4/min(1, x)
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = _seeded(samples, seed)
 
     def evaluate(x):
         mn = np.minimum(x, 1.0)
         th, th2 = np.tanh(x), np.tanh(0.5 * x)
         return [(0.5 * mn, th), (1.0 / th, 2.0 / mn), (0.25 * mn, th2), (1.0 / th2, 4.0 / mn)]
 
-    parts = _sampled(
-        seed, {"x": np.exp(rng.uniform(np.log(1e-6), np.log(1e3), samples))}, evaluate,
-        {f"hyperbolic:{part}": {} for part in "abcd"},
+    parts = chunked_reports(
+        evaluate, {"x": np.exp(rng.uniform(np.log(1e-6), np.log(1e3), samples))},
+        {f"hyperbolic:{part}": {} for part in "abcd"}, seed=seed, tol=SUITE_TOL,
     )
     return combine_reports("hyperbolic", parts)
 
@@ -154,9 +145,7 @@ def check_lemma31(samples: int, seed: int) -> VerificationReport:
     (c) |w^m - z^m| <= E_m(|z|) |z|^(m+2) for |z| < pi, m = 1..5;
     (d) Re(w/z) >= 1 - |z|^2 D(|z|) for |z| < c0.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = _seeded(samples, seed)
 
     def half_plane(z):
         w = delta_char(np.exp(-z))
@@ -167,16 +156,18 @@ def check_lemma31(samples: int, seed: int) -> VerificationReport:
         mod = np.abs(z)
         return [(1.0 - mod * mod * D_eval(mod), (delta_char(np.exp(-z)) / z).real)]
 
-    parts = _sampled(
-        seed, {"z": sample_cplus(samples, rng)}, half_plane, {"lemma31:a": {}, "lemma31:b": {}}
+    parts = chunked_reports(
+        half_plane, {"z": sample_cplus(samples, rng)}, {"lemma31:a": {}, "lemma31:b": {}},
+        seed=seed, tol=SUITE_TOL,
     )
-    parts += _sampled(
-        seed, {"z": sample_cplus(samples, rng, max_modulus=np.pi * _INSET)},
-        lambda z: _power_defects(z, 1.0, z), _defect_parts("lemma31"),
+    parts += chunked_reports(
+        lambda z: _power_defects(z, 1.0, z),
+        {"z": sample_cplus(samples, rng, max_modulus=np.pi * _INSET)}, _defect_parts("lemma31"),
+        seed=seed, tol=SUITE_TOL,
     )
-    parts += _sampled(
-        seed, {"z": sample_cplus(samples, rng, max_modulus=solve_c0() * _INSET)}, consistency,
-        {"lemma31:d": {}},
+    parts += chunked_reports(
+        consistency, {"z": sample_cplus(samples, rng, max_modulus=solve_c0() * _INSET)},
+        {"lemma31:d": {}}, seed=seed, tol=SUITE_TOL,
     )
     return combine_reports("lemma31", parts)
 
@@ -189,9 +180,7 @@ def check_prop32(samples: int, seed: int) -> VerificationReport:
         m = 1..5;
     (d) Re(s_k/s) >= 1 - |kappa s|^2 D(|kappa s|) for |kappa s| < c0.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = _seeded(samples, seed)
 
     def half_plane(s, kappa):
         sk = s_kappa(s, kappa)
@@ -205,28 +194,33 @@ def check_prop32(samples: int, seed: int) -> VerificationReport:
         mod = np.abs(kappa * s)
         return [(1.0 - mod * mod * D_eval(mod), (s_kappa(s, kappa) / s).real)]
 
-    parts = _sampled(
-        seed, _scaled_cloud(rng, samples), half_plane, {"prop32:a": {}, "prop32:b": {}}
+    parts = chunked_reports(
+        half_plane, _scaled_cloud(rng, samples), {"prop32:a": {}, "prop32:b": {}},
+        seed=seed, tol=SUITE_TOL,
     )
-    parts += _sampled(seed, _scaled_cloud(rng, samples, np.pi), defects, _defect_parts("prop32"))
-    parts += _sampled(seed, _scaled_cloud(rng, samples, solve_c0()), consistency, {"prop32:d": {}})
+    parts += chunked_reports(
+        defects, _scaled_cloud(rng, samples, np.pi), _defect_parts("prop32"),
+        seed=seed, tol=SUITE_TOL,
+    )
+    parts += chunked_reports(
+        consistency, _scaled_cloud(rng, samples, solve_c0()), {"prop32:d": {}},
+        seed=seed, tol=SUITE_TOL,
+    )
     return combine_reports("prop32", parts)
 
 
 def check_lemma32(samples: int, seed: int) -> VerificationReport:
     """Half-plane norm inequality 1 + |z|^m <= 2^(m/2) |1 + z|^m, m = 1..6."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = _seeded(samples, seed)
 
     def evaluate(z):
         mod = np.abs(z)
         shifted = np.abs(1.0 + z)
         return [(1.0 + mod**m, 2.0 ** (m / 2.0) * shifted**m) for m in _LEMMA32_ORDERS]
 
-    parts = _sampled(
-        seed, {"z": sample_cplus(samples, rng)}, evaluate,
-        {f"lemma32:m={m}": {"m": m} for m in _LEMMA32_ORDERS},
+    parts = chunked_reports(
+        evaluate, {"z": sample_cplus(samples, rng)},
+        {f"lemma32:m={m}": {"m": m} for m in _LEMMA32_ORDERS}, seed=seed, tol=SUITE_TOL,
     )
     return combine_reports("lemma32", parts)
 
@@ -249,9 +243,7 @@ def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
         raise ValueError("these envelopes are defined for mu <= 0 symbols only")
     if F.derivative is None:
         raise ValueError(f"prop41 part (b) needs the derivative of {F.name}, which declares none")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = _seeded(samples, seed)
     mu, cf = F.mu, F.cf
 
     def stability(s):
@@ -270,16 +262,19 @@ def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
 
         return evaluate
 
-    parts = _sampled(
-        seed, {"s": sample_cplus(samples, rng)}, stability,
+    parts = chunked_reports(
+        stability, {"s": sample_cplus(samples, rng)},
         {f"prop41:a[kappa={k:g}]": {"kappa": k} for k in _PROP41_KAPPAS},
+        seed=seed, tol=SUITE_TOL,
     )
-    parts += _sampled(seed, {"s": sample_cplus(samples, rng)}, derivative, {"prop41:b": {}})
+    parts += chunked_reports(
+        derivative, {"s": sample_cplus(samples, rng)}, {"prop41:b": {}}, seed=seed, tol=SUITE_TOL
+    )
     c0 = solve_c0()
     for k in _PROP41_KAPPAS:
-        parts += _sampled(
-            seed, {"s": sample_cplus(samples, rng, max_modulus=min(1e3, c0 * _INSET / k))},
-            accuracy(k), {f"prop41:c[kappa={k:g}]": {"kappa": k}},
+        parts += chunked_reports(
+            accuracy(k), {"s": sample_cplus(samples, rng, max_modulus=min(1e3, c0 * _INSET / k))},
+            {f"prop41:c[kappa={k:g}]": {"kappa": k}}, seed=seed, tol=SUITE_TOL,
         )
     return combine_reports(f"prop41:{F.name}", parts)
 

@@ -376,6 +376,14 @@ class TestConverge:
         assert code == EXIT_USAGE
         assert "no closed-form reference" in capsys.readouterr().err
 
+    def test_refusal_names_the_symbol_with_every_digit(self, capsys):
+        code = main(["converge", "--symbol", "power:0.1234567", "--g", "poly5exp"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: no closed-form reference for symbol='power:0.1234567' with g='poly5exp'; "
+            f"{functions.EXACT_PAIRS_HELP}\n"
+        )
+
 
 # --------------------------------------------------------------------------
 # bound

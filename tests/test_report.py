@@ -69,11 +69,17 @@ class TestPointwiseReport:
 
 
 def chunked(q, b, **point):
-    """chunked_reports on the arrays themselves: one report, named demo."""
+    """chunked_reports on the arrays themselves, recorded as samples q and b:
+    one report, named demo."""
     (report,) = chunked_reports(
-        lambda q, b: [(q, b)], (q, b), {"demo": point}, seed=5, tol=1e-12
+        lambda q, b: [(q, b)], {"q": q, "b": b}, {"demo": point}, seed=5, tol=1e-12
     )
     return report
+
+
+def whole(q, b, **point):
+    """The report ``chunked`` must equal: one pointwise_report on all samples."""
+    return pointwise_report("demo", q, b, seed=5, tol=1e-12, q=q, b=b, **point)
 
 
 class TestChunkedReports:
@@ -87,12 +93,12 @@ class TestChunkedReports:
         b = q + rng.normal(0.0, 1e-3, n)  # about half the samples violate
         z = rng.random(n) + 1j * rng.random(n)
         got = chunked(q, b, z=z, kappa=0.1)
-        assert got == pointwise_report("demo", q, b, seed=5, tol=1e-12, z=z, kappa=0.1)
+        assert got == whole(q, b, z=z, kappa=0.1)
         assert 0 < got.violations < n
         assert got.worst_point["index"] < _CHUNK
         b[n - 3] = q[n - 3] - 1.0  # now the worst sample is in the last chunk
         got = chunked(q, b, z=z, kappa=0.1)
-        assert got == pointwise_report("demo", q, b, seed=5, tol=1e-12, z=z, kappa=0.1)
+        assert got == whole(q, b, z=z, kappa=0.1)
         assert got.worst_point["index"] == n - 3
         assert got.worst_point["z"] == z[n - 3]
 
@@ -102,7 +108,7 @@ class TestChunkedReports:
         q[[_CHUNK - 1, _CHUNK, _CHUNK + 3]] = 0.75
         got = chunked(q, b)
         assert got.worst_point["index"] == _CHUNK - 1
-        assert got == pointwise_report("demo", q, b, seed=5)
+        assert got == whole(q, b)
 
     def test_non_finite_sample_named_by_its_global_index(self):
         n = 2 * _CHUNK + 1
@@ -125,7 +131,38 @@ class TestChunkedReports:
             return [(first, b), (second, b)]
 
         with pytest.raises(ValueError, match=f"^a: sample {_CHUNK + 1} is not finite"):
-            chunked_reports(evaluate, (first, second, b), {"a": {}, "b": {}}, seed=0, tol=0.0)
+            chunked_reports(
+                evaluate, {"first": first, "second": second, "b": b}, {"a": {}, "b": {}},
+                seed=0, tol=0.0,
+            )
+
+    def test_records_the_named_samples_in_each_report(self):
+        """Each part's report records every named sample at its own worst
+        index, then the part's own coordinates."""
+        n = _CHUNK + 5
+        z = np.arange(n) + 1j
+        kappa = np.linspace(0.5, 1.0, n)
+        q, b = np.zeros(n), np.ones(n)
+        first, second = q.copy(), q.copy()
+        first[3], second[_CHUNK + 2] = 0.5, 0.25
+
+        def evaluate(z, kappa):
+            i = z.real.astype(int)  # the global indices of the chunk
+            return [(first[i], b[i]), (second[i], b[i])]
+
+        a, c = chunked_reports(
+            evaluate, {"z": z, "kappa": kappa}, {"a": {"m": 1}, "c": {"m": 2}}, seed=4, tol=0.0
+        )
+        assert a.worst_point == {
+            "index": 3, "z": 3 + 1j, "kappa": kappa[3], "m": 1, "quantity": 0.5, "bound": 1.0
+        }
+        i = _CHUNK + 2
+        assert c.worst_point == {
+            "index": i, "z": i + 1j, "kappa": kappa[i], "m": 2, "quantity": 0.25, "bound": 1.0
+        }
+        assert type(a.worst_point["z"]) is complex and type(c.worst_point["kappa"]) is float
+        assert a == pointwise_report("a", first, b, seed=4, tol=0.0, z=z, kappa=kappa, m=1)
+        assert c == pointwise_report("c", second, b, seed=4, tol=0.0, z=z, kappa=kappa, m=2)
 
 
 def lemma31_whole(samples, seed):

@@ -258,6 +258,16 @@ class TestFromSpec:
         assert from_spec("delay:2.0").name == "delay:2"
         assert from_spec("decay:1.0").mu == -1.0
 
+    @pytest.mark.parametrize("kind", ["power", "delay", "decay"])
+    def test_names_keep_every_digit(self, kind):
+        """A parameter is named by its short text only when that text reads
+        back as the same double, so distinct parameters get distinct names."""
+        assert from_spec(f"{kind}:0.1234567").name == f"{kind}:0.1234567"
+        assert from_spec(f"{kind}:0.1234571").name == f"{kind}:0.1234571"
+        assert from_spec(f"{kind}:0.50").name == f"{kind}:0.5"
+        assert from_spec(f"{kind}:1e-300").name == f"{kind}:1e-300"
+        assert from_spec(f"{kind}:{0.1 + 0.2!r}").name == f"{kind}:0.30000000000000004"
+
     def test_resolvent_files(self, tmp_path):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         npy = tmp_path / "mat.npy"

@@ -12,6 +12,7 @@ crossover.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -146,10 +147,15 @@ class TestEmEval:
 
 
 class TestC0:
-    """The unique root of x^2 D(x) = 1 in (0, pi)."""
+    """The unique root of x^2 D(x) = 1 in (0, pi), i.e. of tan(x/2) = x."""
 
     def test_frozen_value(self):
         assert abs(solve_c0() - C0_REF) <= 1e-12
+
+    def test_within_one_ulp_of_the_root(self):
+        with mpmath.workdps(40):
+            root = mpmath.findroot(lambda c: mpmath.tan(c / 2) - c, 2.33)
+            assert abs(mpmath.mpf(solve_c0()) - root) <= math.ulp(float(root))
 
     def test_residual(self):
         c0 = solve_c0()

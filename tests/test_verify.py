@@ -68,11 +68,14 @@ class TestSampledSuites:
         assert a.worst_margin == b.worst_margin
         assert a.worst_point == b.worst_point
 
-    def test_sample_count_validation(self):
-        with pytest.raises(ValueError):
-            check_hyperbolic(0, 1)
-        with pytest.raises(ValueError):
-            check_lemma32(0, 1)
+    @pytest.mark.parametrize("check", [
+        check_hyperbolic, check_lemma31, check_prop32, check_lemma32,
+        lambda samples, seed: check_prop41(make_delay(1.0), samples, seed),
+        lambda samples, seed: validate_growth(make_delay(1.0), samples, seed),
+    ], ids=["hyperbolic", "lemma31", "prop32", "lemma32", "prop41", "validate_growth"])
+    def test_sample_count_validation(self, check):
+        with pytest.raises(ValueError, match="^need at least one sample$"):
+            check(0, 1)
 
 
 # --------------------------------------------------------------------------
@@ -90,8 +93,11 @@ class TestOperatorEnvelopes:
         assert rep.violations == 0
 
     def test_positive_growth_rejected(self):
+        """mu is refused first, before the derivative and the sample count."""
         with pytest.raises(ValueError, match="mu <= 0"):
             check_prop41(make_power(0.5), 100, 1)
+        with pytest.raises(ValueError, match="mu <= 0"):
+            check_prop41(replace(make_power(0.5), derivative=None), 0, 1)
 
     def test_false_certificate_is_caught(self):
         """A symbol whose declared envelope underestimates it must fail."""
@@ -125,6 +131,8 @@ class TestOperatorEnvelopes:
         )
         with pytest.raises(ValueError, match="^prop41 part \\(b\\) needs the derivative of bare"):
             check_prop41(bare, 100, 1)
+        with pytest.raises(ValueError, match="^prop41 part \\(b\\) needs the derivative of bare"):
+            check_prop41(bare, 0, 1)  # before the sample count
 
 
 def peak_mib(check, *args) -> float:

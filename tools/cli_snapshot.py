@@ -196,6 +196,7 @@ ARGVS: "list[list[str]]" = [
     ["converge", "--symbol", "delay:1.0", "--g", "poly5exp", "--kappa-list", "1.5,0.1"],
     ["converge", "--symbol", "power:0.5", "--g", "poly5exp"],
     ["converge", "--symbol", "power:0.50", "--g", "poly5exp"],
+    ["converge", "--symbol", "power:0.1234567", "--g", "poly5exp"],
     ["bound", "--symbol", "decay:1.0", "--g", "poly5exp"],
     ["bound", "--symbol", "power:0.5", "--g", "poly5exp"],
     ["longtime", "--symbol", "delay:1.0", "--g", "poly5exp", "--kappa", "0.1",
