@@ -17,9 +17,10 @@ to ~1e-12 relative; tests enforce it.
 
 Inputs and references reach the grid through :func:`sample` alone: shipped
 inputs and the closed-form references are evaluated on the whole grid at
-once, a plain callable with one call per node;
-:func:`signal_to_csv` formats 1024 rows at a time with one ``%`` template
-(:func:`trcq_kit.weights.write_rows`), the bytes of one ``%`` per row.
+once, a plain callable with one call per node.  :func:`signal_to_csv`
+writes the bytes of one ``%.17g`` per value through the block writer
+:func:`trcq_kit.weights.write_csv_rows`, which computes the digits in long
+double and leaves to ``%`` only the values whose rounding it cannot decide.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .kernels import causal_convolve, real_embedding
-from .weights import WeightTable, write_rows
+from .weights import WeightTable, write_csv_rows
 
 __all__ = [
     "Grid",
@@ -170,7 +171,9 @@ def _convolve_real_fft(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     L = _smooth_length(2 * M - 1)
     wf = np.fft.rfft(w.astype(np.longdouble), n=L, axis=0)
     gf = np.fft.rfft(g.astype(np.longdouble), n=L, axis=0)
-    return np.fft.irfft(np.einsum("prc,pc->pr", wf, gf), n=L, axis=0)[:M]
+    prod = np.einsum("prc,pc->pr", wf, gf)
+    del wf, gf  # the transforms are freed before irfft allocates its own
+    return np.fft.irfft(prod, n=L, axis=0)[:M]
 
 
 def convolve_fft(W: WeightTable, g: CausalSignal) -> CausalSignal:
@@ -224,14 +227,13 @@ def error_vs_exact(computed: CausalSignal, reference: CausalSignal) -> np.ndarra
 
 
 def signal_to_csv(signal: CausalSignal, stream: IO[str]) -> None:
-    """Write rows ``n,t,re_0,im_0,...`` with 17 significant digits, 1024 at a
-    time (:func:`~trcq_kit.weights.write_rows`)."""
+    """Write rows ``n,t,re_0,im_0,...`` with 17 significant digits
+    (:func:`~trcq_kit.weights.write_csv_rows`)."""
     dim = signal.dim
     cols = ",".join(f"re_{j},im_{j}" for j in range(dim))
     stream.write(f"n,t,{cols}\n")
-    row = "%d,%.17g" + ",%.17g,%.17g" * dim + "\n"
     samples = signal.samples
-    columns = [range(len(samples)), signal.grid.nodes.tolist()]
+    columns = [signal.grid.nodes]
     for j in range(dim):
-        columns += [samples[:, j].real.tolist(), samples[:, j].imag.tolist()]
-    write_rows(stream, row, columns)
+        columns += [samples[:, j].real, samples[:, j].imag]
+    write_csv_rows(stream, columns)

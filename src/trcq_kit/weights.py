@@ -29,14 +29,22 @@ tested against.
 
 Both routes refuse a weight beyond the double range before rounding to
 complex128, naming the symbol, ``kappa`` and the first such index.
-:func:`weights_to_csv` formats 1024 rows at a time with one ``%`` template
-(:func:`write_rows`), the bytes of one ``%`` per row.
+
+*CSV.*  :func:`weights_to_csv` and :func:`trcq_kit.convolution.signal_to_csv`
+share one block writer, :func:`write_csv_rows`.  It writes the bytes of
+``"%d,%.17g,...\n" % row`` for every row, 4096 rows at a time.  Each value's
+17 digits come from one long-double product ``|x| * 10**(16-e)`` and lookup
+tables, and are laid out in a NUL-padded byte matrix that is written with
+its NULs dropped.  Non-finite values, and values whose rounding the long
+double cannot decide, fall back to ``%`` one at a time.  Exact ties are
+decided by an integer test and rounded half to even, as ``%`` rounds them.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from itertools import chain, islice
 from typing import IO, Sequence
 
 import numpy as np
@@ -50,7 +58,7 @@ __all__ = [
     "cq_weights_fft",
     "compare_weight_tables",
     "weights_to_csv",
-    "write_rows",
+    "write_csv_rows",
 ]
 
 
@@ -210,35 +218,240 @@ def compare_weight_tables(a: WeightTable, b: WeightTable) -> float:
 # --------------------------------------------------------------------------
 
 
-# rows formatted by one ``%`` call
-_CHUNK_ROWS = 1024
+# Rows per block: a block's text is laid out in one matrix before it is written.
+_BLOCK_ROWS = 4096
+# 10**p is tabulated for p = 16 - e over every decimal exponent e of a double,
+# and per-exponent tables are indexed by e + _X_OFF.
+_P_MIN, _P_MAX = -300, 350
+_X_OFF = 330
+# 5**p for the exact tie test: 5**25 > 2 * 10**17 > 2D + 1.
+_POW5 = 5 ** np.arange(25, dtype=np.int64)
+# y = |x| * 10**p < 1e17 takes two roundings to long double, a relative error
+# below (1 + eps/2)**2 - 1 < 1.001 eps; _BAND bounds it as an absolute error.
+# With an 80-bit long double it is 2**-6; with a 64-bit one it exceeds 1/2,
+# and every value but an exact tie goes to ``%``.
+_BAND = 2.0 ** math.ceil(math.log2(1e17 * 1.001 * float(np.finfo(np.longdouble).eps)))
+_Y_LO = np.longdouble(1e16) + _BAND
+_Y_HI = np.longdouble(1e17) - _BAND
+_TENS = 10 ** np.arange(1, 19)  # a row number n has searchsorted(_TENS, n) + 1 digits
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 
 
-def write_rows(stream: IO[str], row: str, columns: Sequence[Sequence]) -> None:
-    """Write ``row % values`` for each ``values`` in ``zip(*columns)``.
+def _words(chars) -> np.ndarray:
+    """Each 8 bytes along the last axis of ``chars`` as one native uint64.
 
-    ``row`` is a ``%`` template with one conversion per column.  The values of
-    ``_CHUNK_ROWS`` rows at a time go through the one template ``row *
-    _CHUNK_ROWS`` and the rest through ``row * rest``: the same conversions,
-    so the same bytes as one ``%`` per row, without a tuple and a template
-    parse per row.
+    Words are only combined bytewise (``&``, ``|``) and written in memory
+    order, so the machine's byte order does not matter.
     """
-    width = len(columns)
-    values = chain.from_iterable(zip(*columns))
-    full = width * _CHUNK_ROWS
-    template = row * _CHUNK_ROWS
-    while len(chunk := tuple(islice(values, full))) == full:
-        stream.write(template % chunk)
-    if chunk:
-        stream.write(row * (len(chunk) // width) % chunk)
+    return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint64)[..., 0]
+
+
+# the words "0" and "-0", and the separators at the last byte of a word
+_ZERO = np.frombuffer(b"0\0\0\0\0\0\0\0-0\0\0\0\0\0\0", dtype=np.uint64)
+_COMMA, _NEWLINE = np.frombuffer(b"\0\0\0\0\0\0\0,\0\0\0\0\0\0\0\n", dtype=np.uint64)
+
+
+class _Tables:
+    """The block writer's lookup tables, built with numpy arithmetic by the
+    first CSV written (:func:`_tables`), so that a process that writes none
+    does not pay for them.
+
+    A value's text takes six words: byte 0 its sign, bytes 1-5 the "0." and
+    zeros of e = -4..-1, then digit i at byte 6 + 2i and a point after it at
+    byte 7 + 2i, and bytes 40-44 the exponent.  A layout (class, k), for
+    k = 1..17 significant digits, shows the digits up to k, and all integer
+    digits of the fixed point, and the point after the last integer digit
+    when a digit follows it.
+    """
+
+    def __init__(self) -> None:
+        digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+        spread = np.full((10000, 8), ord("."), dtype=np.uint8)
+        spread[:, ::2] = digits
+        # the 4 ASCII digits of each w < 10**4 as one uint32, and at the even
+        # bytes of a uint64 with a '.' at the odd ones; w's trailing zeros
+        self.quad = np.ascontiguousarray(digits).view(np.uint32)[:, 0]
+        self.spread = _words(spread)
+        self.trailing = sum((np.arange(10000) % 10**j == 0).astype(np.int8) for j in range(1, 5))
+        # 10**p correctly rounded to long double, p = _P_MIN.._P_MAX
+        self.pow10 = np.array(["1e%d" % p for p in range(_P_MIN, _P_MAX + 1)], dtype=np.longdouble)
+
+        e = np.arange(-_X_OFF, _X_OFF)
+        fixed = (-4 <= e) & (e <= 16)
+        ae = np.abs(e)
+        exp_digits = ord("0") + np.stack([ae // 100, ae // 10 % 10, ae % 10], axis=1)
+        exponent = np.zeros((len(e), 8), dtype=np.uint8)
+        exponent[:, 0] = ord("e")
+        exponent[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+        exponent[:, 2:5] = np.where(ae[:, None] >= 100, exp_digits, np.roll(exp_digits, -1, axis=1))
+        exponent[:, 4] *= ae >= 100
+        exponent[fixed] = 0
+        # per e: the class, 0-20 for the fixed point of e = -4..16 and 21 for
+        # the exponent form, and the word "e+XX" or "e-XXX" (empty if fixed)
+        self.layout = np.where(fixed, e + 4, 21)
+        self.exponent = _words(exponent)
+
+        c = np.arange(22)[:, None]
+        k = np.arange(1, 18)
+        integer = np.where((c >= 4) & (c <= 20), c - 3, 1)
+        point = np.where((k > integer) & (c >= 4), integer - 1, -1)
+        i = np.arange(17)[:, None, None]
+        shown = np.zeros((22, 17, 40), dtype=np.uint8)
+        shown[..., 6::2] = np.moveaxis(i < np.maximum(k, integer), 0, -1) * 255
+        shown[..., 7::2] = np.moveaxis(i == point, 0, -1) * 255
+        head = np.zeros((2, 22, 17, 8), dtype=np.uint8)
+        head[1, ..., 0] = ord("-")
+        for j, ch in enumerate(b"0.000"):
+            # classes 0-3 (e = -4..-1) show "0." and then -e - 1 zeros
+            head[:, :4, :, 1 + j] = np.where(j < 5 - np.arange(4), ch, 0)[:, None]
+        # per layout class * 17 + k - 1: the bytes of each of words 0-4 that
+        # show; per layout + sign * layouts: the sign and "0.000" of e < 0
+        self.shown = [np.ascontiguousarray(m) for m in _words(shown.reshape(-1, 5, 8)).T]
+        self.head = _words(head).reshape(-1)
+        # tail[m] shows the last m bytes of a word
+        self.tail = _words(np.arange(8) >= 8 - np.arange(9)[:, None]) * np.uint64(255)
+
+
+@functools.lru_cache(maxsize=None)
+def _tables() -> _Tables:
+    return _Tables()
+
+
+def _row_numbers(n: np.ndarray, words: int, t: _Tables) -> np.ndarray:
+    """The digits of each ``n``, right-aligned in ``words`` words, NUL before them."""
+    quads = np.empty((len(n), 2 * words), dtype=np.uint32)
+    for j in range(2 * words):
+        quads[:, j] = t.quad[n // 10 ** (4 * (2 * words - 1 - j)) % 10000]
+    text = quads.view(np.uint64)
+    shown = np.searchsorted(_TENS, n, side="right") + 1 - 8 * words
+    for j in range(words):
+        text[:, j] &= t.tail[np.clip(shown + 8 * (j + 1), 0, 8)]
+    return text
+
+
+def _split(n: np.ndarray, d: int) -> "tuple[np.ndarray, np.ndarray]":
+    q = n // d
+    return q, n - q * d
+
+
+def _exact_ties(a: np.ndarray, D: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Whether ``a * 10**p == D + 1/2`` exactly.
+
+    Then ``a = (2D + 1) / (2**(p+1) * 5**p)`` is a double, so ``0 <= p <= 24``,
+    ``5**p`` divides ``2D + 1`` and the quotient has at most 53 bits.
+    """
+    ok = (p >= 0) & (p <= 24)
+    p = np.where(ok, p, 0)
+    five = _POW5[p]
+    t = 2 * D + 1
+    q = t // five
+    ok &= (q * five == t) & (q < 2**53)
+    return ok & (np.ldexp(np.where(ok, q, 0).astype(np.float64), (-1 - p).astype(np.int32)) == a)
+
+
+def _digit_fields(x: np.ndarray, M: np.ndarray, col: int, sep: np.uint64, t: _Tables) -> np.ndarray:
+    """Lay out ``"%.17g" % v`` for each ``v`` of ``x`` in words ``col..col+5``
+    of the rows of ``M``, the last byte ``sep``; return the indices of the
+    values left to ``%``.
+
+    For finite ``v != 0`` with ``e = floor(log10|v|)``, ``y = |v| * 10**(16-e)``
+    in long double lies in [1e16, 1e17) and rounds to the 17 digits ``D``.
+    A value goes to ``%`` when it is not finite or when ``y`` lies within
+    ``_BAND`` of 1e16, 1e17 or a half-integer, except exact ties, which round
+    half to even.
+    """
+    a = np.abs(x)
+    finite = np.isfinite(a)
+    nonzero = finite & (a != 0)
+    a = np.where(nonzero, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    al = a.astype(np.longdouble)
+    y = al * t.pow10[16 - _P_MIN - e]
+    # log10 can miss e by one next to a power of ten
+    edge = (y <= _Y_LO) | (y >= _Y_HI)
+    if edge.any():
+        i = np.flatnonzero(edge)
+        e[i] += (y[i] >= 1e17).astype(np.intp) - (y[i] < 1e16)
+        y[i] = al[i] * t.pow10[16 - _P_MIN - e[i]]
+        edge[i] = (y[i] <= _Y_LO) | (y[i] >= _Y_HI)
+    D = y.astype(np.int64)
+    frac = (y - D).astype(np.float64)
+    up = frac > 0.5
+    slow = edge & nonzero | ~finite
+    i = np.flatnonzero((np.abs(frac - 0.5) <= _BAND) & ~slow)
+    if len(i):
+        tie = _exact_ties(a[i], D[i], 16 - e[i])
+        up[i] = tie & (D[i] % 2 == 1)
+        slow[i[~tie]] = True
+    D += up
+    carry = D == 10**17
+    D[carry] = 10**16
+    e += carry
+    D[~nonzero] = 0  # a zero prints as "0" (its placeholder 1.0 has e = 0)
+
+    hi, lo = _split(D, 10**8)
+    head, w2 = _split(hi, 10**4)
+    d0, w1 = _split(head, 10**4)
+    w3, w4 = _split(lo, 10**4)
+    t1, t2, t3, t4 = (t.trailing[w] for w in (w1, w2, w3, w4))
+    k = 17 - (t4 + (t4 == 4) * (t3 + (t3 == 4) * (t2 + (t2 == 4) * t1)))
+    e += _X_OFF
+    layout = t.layout[e] * 17 + k - 1
+    np.bitwise_and(t.spread[d0], t.shown[0][layout], out=M[:, col])
+    M[:, col] |= t.head[layout + t.shown[0].size * np.signbit(x)]
+    for j, w in enumerate((w1, w2, w3, w4), 1):
+        np.bitwise_and(t.spread[w], t.shown[j][layout], out=M[:, col + j])
+    np.bitwise_or(t.exponent[e], sep, out=M[:, col + 5])
+    return np.flatnonzero(slow)
+
+
+def write_csv_rows(stream: IO[str], columns: Sequence[np.ndarray]) -> None:
+    """Write ``"%d,%.17g,...,%.17g\n" % (n, *values)`` for each row ``n`` of
+    the equal-length float ``columns``, byte for byte.
+
+    Rows go ``_BLOCK_ROWS`` at a time into one uint64 matrix of NUL-padded
+    fields: the row number, a word for its comma, then 6 words per value, or
+    one for a column of zeros.  The digits come from a long-double product
+    and table lookups (:func:`_digit_fields`); a non-finite value, and one
+    whose rounding the product cannot decide, is formatted by ``%``.  Each
+    block is written with its NUL bytes dropped.
+    """
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    rows = len(columns[0])
+    if rows == 0:
+        return
+    t = _tables()
+    lead = -(-len(str(rows - 1)) // 8)
+    # a signalling NaN raises "invalid" wherever it is compared
+    with np.errstate(invalid="ignore"):
+        widths = [6 if c.any() else 1 for c in columns]
+        seps = [_COMMA] * (len(columns) - 1) + [_NEWLINE]
+        M = np.zeros((min(rows, _BLOCK_ROWS), lead + 1 + sum(widths)), dtype=np.uint64)
+        M[:, lead] = _COMMA
+        for start in range(0, rows, _BLOCK_ROWS):
+            n = np.arange(start, min(start + _BLOCK_ROWS, rows))
+            block = M[: len(n)]
+            text = block.view(np.uint8)
+            block[:, :lead] = _row_numbers(n, lead, t)
+            col = lead + 1
+            for c, width, sep in zip(columns, widths, seps):
+                x = c[start : start + len(n)]
+                if width == 1:
+                    block[:, col] = _ZERO[np.signbit(x).astype(np.intp)] | sep
+                elif len(slow := _digit_fields(x, block, col, sep, t)):
+                    pad = "%-47.17g" * len(slow) % tuple(x[slow].tolist())
+                    text[slow, 8 * col : 8 * col + 47] = np.frombuffer(
+                        pad.encode().translate(_SPACE_TO_NUL), dtype=np.uint8
+                    ).reshape(-1, 47)
+                col += width
+            stream.write(text.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def weights_to_csv(table: WeightTable, stream: IO[str]) -> None:
-    """Write ``m,re,im`` rows, one commented block per matrix entry, each row
-    from one ``%`` template (:func:`write_rows`)."""
+    """Write ``m,re,im`` rows, one commented block per matrix entry
+    (:func:`write_csv_rows`)."""
     stream.write("m,re,im\n")
-    rows = range(table.count)
     for i, j in np.ndindex(table.dims):
         stream.write(f"# entry {i},{j}\n")
         entry = np.asarray(table.values)[:, i, j]
-        write_rows(stream, "%d,%.17g,%.17g\n", (rows, entry.real.tolist(), entry.imag.tolist()))
+        write_csv_rows(stream, (entry.real, entry.imag))

@@ -4,6 +4,7 @@ references), the FFT contour route, and the WeightTable container."""
 import dataclasses
 import io
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -24,7 +25,16 @@ from trcq_kit import (
     value_norm,
 )
 from trcq_kit.symbols import _MIN_BLOCK
-from trcq_kit.weights import weights_to_csv, write_rows
+from trcq_kit.weights import (
+    _BAND,
+    _COMMA,
+    _P_MAX,
+    _P_MIN,
+    _digit_fields,
+    _tables,
+    weights_to_csv,
+    write_csv_rows,
+)
 
 
 def damped_matrix(seed: int) -> np.ndarray:
@@ -389,19 +399,36 @@ def csv_values(rng, shape):
     return values
 
 
-class TestCsvRows:
-    """Rows go through one ``%`` template 1024 at a time, with the bytes of
-    one ``%`` per row."""
+def percent_rows(columns) -> str:
+    """The rows ``"%d,%.17g,...\n" % (n, *values)``, one ``%`` per row."""
+    row = "%d" + ",%.17g" * len(columns) + "\n"
+    values = zip(*(np.asarray(c).tolist() for c in columns))
+    return "".join(row % (n, *v) for n, v in enumerate(values))
 
-    ROWS = [0, 1, 1023, 1024, 1025, 2049]
+
+def assert_rows_match(columns) -> None:
+    """write_csv_rows writes what ``%`` writes; a mismatch names its first row."""
+    buf = io.StringIO()
+    write_csv_rows(buf, columns)
+    got, want = buf.getvalue(), percent_rows(columns)
+    if got != want:
+        got, want = got.splitlines(), want.splitlines()
+        n = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+        pytest.fail(f"row {n}: {got[n : n + 1]} != {want[n : n + 1]}, "
+                    f"{len(got)} rows written, {len(want)} expected")
+
+
+class TestCsvRows:
+    """The block writer formats 4096 rows at a time, with the bytes of one
+    ``%`` per row."""
+
+    ROWS = [0, 1, 4095, 4096, 4097, 8193]
 
     @pytest.mark.parametrize("rows", ROWS)
-    def test_write_rows(self, rows):
+    def test_write_csv_rows(self, rows):
         rng = np.random.default_rng(rows)
-        columns = [range(rows), *csv_values(rng, (2, rows)).tolist()]
-        buf = io.StringIO()
-        write_rows(buf, "%d,%.17g,%.17g\n", columns)
-        assert buf.getvalue() == "".join("%d,%.17g,%.17g\n" % row for row in zip(*columns))
+        columns = list(csv_values(rng, (2, rows)))
+        assert_rows_match(columns)
 
     @pytest.mark.parametrize("rows", ROWS[1:])
     def test_weights_csv(self, rows):
@@ -415,7 +442,68 @@ class TestCsvRows:
             expected += f"# entry {i},{j}\n" + "".join(
                 "%d,%.17g,%.17g\n" % (m, z.real, z.imag) for m, z in enumerate(vals[:, i, j])
             )
-        assert buf.getvalue() == expected
+        assert buf.getvalue().split("\n") == expected.split("\n")
+
+    def test_random_bit_patterns(self):
+        """10^6 doubles drawn as raw bits: every exponent, NaNs and infinities."""
+        rng = np.random.default_rng(2026)
+        bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+        columns = list(bits.view(np.float64).reshape(2, -1))
+        assert_rows_match(columns)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = 10.0 ** np.arange(-307, 309)
+        values = np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)])
+        columns = [values, -values[::-1]]
+        assert_rows_match(columns)
+
+    def test_dyadic_grid_ties_take_no_fallback(self):
+        """The nodes n * 2**-17 for n >= 2**17 have 18 significant digits; the
+        odd ones end in a 5, an exact tie at 17 digits, which the integer test
+        rounds half to even.  With an 80-bit long double only t = 1.0, on the
+        edge 1e16, goes to ``%``."""
+        n = np.arange(2**20 + 1)
+        nodes = n * 2.0**-17
+        ties = (n >= 2**17) & (n % 2 == 1)
+        assert ties.sum() == 458752
+        M = np.zeros((len(n), 6), dtype=np.uint64)
+        slow = _digit_fields(nodes, M, 0, _COMMA, _tables())
+        assert not ties[slow].any()
+        if np.finfo(np.longdouble).nmant >= 63:
+            assert nodes[slow].tolist() == [1.0]
+        assert_rows_match([nodes])
+
+    def test_special_values(self):
+        rng = np.random.default_rng(3)
+        subnormal = rng.integers(1, 2**52, size=5000, dtype=np.uint64).view(np.float64)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                   np.finfo(np.float64).tiny, np.finfo(np.float64).max, -np.finfo(np.float64).max]
+        values = np.concatenate([special, subnormal, -subnormal])
+        columns = [values, rng.permutation(values)]
+        assert_rows_match(columns)
+
+    def test_zero_columns_keep_their_signs(self):
+        """A column of zeros is written as "0" and "-0" directly."""
+        zeros = np.where(np.arange(5000) % 3 == 0, -0.0, 0.0)
+        columns = [np.arange(5000) * 0.01, zeros, np.zeros(5000)]
+        assert_rows_match(columns)
+
+    def test_rounding_premises(self):
+        """Each power of ten is correctly rounded to long double, and
+        y = |x| * 10**p is within _BAND of its exact value."""
+        pow10 = _tables().pow10
+        for p, power in zip(range(_P_MIN, _P_MAX + 1), pow10):
+            exact = Fraction(10) ** p
+            _, exponent = np.frexp(power)
+            ulp = Fraction(2) ** (int(exponent) - np.finfo(np.longdouble).nmant - 1)
+            assert abs(Fraction(*power.as_integer_ratio()) - exact) <= ulp / 2, p
+        rng = np.random.default_rng(4)
+        for x in 10.0 ** rng.uniform(-320, 308, size=2000):
+            p = 16 - math.floor(math.log10(x))
+            y = np.longdouble(x) * pow10[p - _P_MIN]
+            if 1e16 <= y < 1e17:
+                exact = Fraction(x) * Fraction(10) ** p
+                assert abs(Fraction(*y.as_integer_ratio()) - exact) <= _BAND
 
 
 class TestZooSmoke:

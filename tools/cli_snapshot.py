@@ -121,9 +121,16 @@ ARGVS: "list[list[str]]" = [
     ["weights", "--symbol", "power:2.5", "--kappa", "0.05", "--n", "64"],
     ["weights", "--symbol", "decay:2", "--kappa", "0.05", "--n", "64"],
     ["weights", "--symbol", "resolvent:damped2.txt", "--kappa", "0.05", "--n", "64"],
-    # tables of many recurrence blocks and many 1024-row CSV chunks
+    # tables of many recurrence blocks and many 4096-row CSV blocks
     ["weights", "--symbol", "power:0.5", "--kappa", "0.001", "--n", "20000"],
     ["weights", "--symbol", "power:1", "--kappa", "0.001", "--n", "20000"],
+    # CSVs of 4097 rows, one past a block, with negative values
+    ["weights", "--symbol", "power:0.5", "--kappa", "0.01", "--n", "4096"],
+    ["convolve", "--symbol", "power:0.5", "--g", "poly5exp", "--kappa", "0.125",
+     "--t-final", "512"],
+    # t^170 from 1e-170 to 1.5e221: exponents of 2 and 3 digits, both signs
+    ["convolve", "--symbol", "power:0", "--g", "mono:170", "--kappa", "0.1", "--t-final", "20",
+     "--engine", "naive"],
     # convolve
     ["convolve", "--symbol", "power:0.5", "--g", "mono:3", "--kappa", "0.1", "--t-final", "1"],
     ["convolve", "--symbol", "decay:1.0", "--g", "poly5exp", "--kappa", "0.05",
