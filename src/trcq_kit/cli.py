@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import math
 import sys
 import traceback
-from typing import Callable, NamedTuple
+from contextlib import nullcontext
+from typing import IO, Callable, NamedTuple
 
 import numpy as np
 
@@ -189,16 +189,17 @@ def _provenance(command: str, eff: "dict[str, object]") -> str:
     return f"# trcq-kit {__version__} config={digest}"
 
 
-def _write_output(out: "str | None", lines: "list[str]", echo=(), table: str = "") -> None:
-    """Write ``lines``, then the CSV ``table`` text as built, to ``out`` or stdout."""
-    text = ("\n".join(lines) + "\n", table)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(text)
-        for line in echo:
-            print(line)
-    else:
-        sys.stdout.writelines(text)
+def _write_output(
+    out: "str | None", lines: "list[str]", echo=(), table: "Callable[[IO[str]], None] | None" = None
+) -> None:
+    """Write ``lines``, then the CSV rows ``table(stream)`` writes, to ``out`` or stdout;
+    with ``out``, print the ``echo`` lines."""
+    with open(out, "w", encoding="utf-8", newline="\n") if out else nullcontext(sys.stdout) as fh:
+        fh.write("\n".join(lines) + "\n")
+        if table is not None:
+            table(fh)
+    for line in echo if out else ():
+        print(line)
 
 
 # --------------------------------------------------------------------------
@@ -284,11 +285,10 @@ def cmd_weights(eff: "dict[str, object]") -> int:
         raise ValueError(f"fft_size = {fft_size} exceeds the contour budget {MAX_FFT_SIZE}")
     F = _parse_symbol(eff["symbol"])
     table = cq_weights_fft(F, eff["kappa"], n, fft_size=fft_size)
-    buf = io.StringIO()
-    weights_to_csv(table, buf)
     acc = _fmt(table.accuracy_estimate)
     head = [_provenance("weights", eff), f"# accuracy_estimate = {acc}"]
-    _write_output(eff["out"], head, echo=(f"accuracy_estimate = {acc}",), table=buf.getvalue())
+    _write_output(eff["out"], head, echo=(f"accuracy_estimate = {acc}",),
+                  table=lambda stream: weights_to_csv(table, stream))
     return EXIT_OK
 
 
@@ -300,9 +300,8 @@ def cmd_convolve(eff: "dict[str, object]") -> int:
     g = _parse_input(eff["g"])
     table, signal = _inputs(F, g, eff["kappa"], eff["t_final"])
     result = convolve_fft(table, signal) if engine == "fft" else convolve_naive(table, signal)
-    buf = io.StringIO()
-    signal_to_csv(result, buf)
-    _write_output(eff["out"], [_provenance("convolve", eff)], table=buf.getvalue())
+    _write_output(eff["out"], [_provenance("convolve", eff)],
+                  table=lambda stream: signal_to_csv(result, stream))
     return EXIT_OK
 
 
@@ -412,13 +411,13 @@ _SUITES: "dict[str, Callable[[dict[str, object]], object]]" = {
     "lemma31": lambda o: check_lemma31(o["samples"], o["seed"]),
     "prop32": lambda o: check_prop32(o["samples"], o["seed"]),
     "lemma32": lambda o: check_lemma32(o["samples"], o["seed"]),
-    "lemma33": lambda o: check_lemma33(_parse_input(o["g"] or "poly5exp"), o["sigma"]),
+    "lemma33": lambda o: check_lemma33(_parse_input(_given(o["g"], "poly5exp")), o["sigma"]),
     "prop34a": lambda o: check_prop34a(
-        _parse_input(o["g"] or "poly6exp"), o["sigma"], o["m"], _given(o["kappa"], 0.1)
+        _parse_input(_given(o["g"], "poly6exp")), o["sigma"], o["m"], _given(o["kappa"], 0.1)
     ),
     "lemma42": lambda o: check_lemma42(o["sigma"], o["alpha"], o["c"], _given(o["kappa"], 0.5)),
     "prop41": lambda o: check_prop41(
-        _parse_symbol(o["symbol"] or "delay:1.0"), o["samples"], o["seed"]
+        _parse_symbol(_given(o["symbol"], "delay:1.0")), o["samples"], o["seed"]
     ),
 }
 

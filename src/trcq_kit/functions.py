@@ -17,22 +17,22 @@ derivatives are floats:
 * ``zero()`` -- the zero input (degenerate edge cases).
 
 The input is that data: its name, orders, transform and decay certificate
-come from it, and its values are evaluated on arrays of times only
-(:meth:`PolyExp.values`); the derivative callback is that rule at one time.
-Horner runs on the array, and ``exp`` and ``pow`` are libm's, mapped over
-the array's entries, because numpy's own differ from libm's in the last bit
-at some points.  A ``pow`` that overflows gives ``inf`` for its entry, and
-the caller's one non-finite check names the first such time.  The time
-integrals of the error analysis are exact sums on the same data
-(:meth:`PolyExp.time_l1`).
+come from it, and its values are one rule on arrays of times
+(:meth:`PolyExp.on_grid`); the derivative callback behind ``g.deriv(t, k)``
+and ``g(t)`` is that rule at one time.  Horner runs on the array, and
+``exp`` and ``pow`` are libm's, mapped over the array's entries, because
+numpy's own differ from libm's in the last bit at some points.  A ``pow``
+that overflows gives ``inf`` for its entry, and the caller's one non-finite
+check names the first such time.  The time integrals of the error analysis
+are exact sums on the same data (:meth:`PolyExp.time_l1`).
 
 ``exact_solution(F, g)`` returns the closed-form time action of a built-in
-symbol on one of these inputs, dispatched on ``F.data`` and ``g.data``, as a
-1-tuple comparable with a signal row; any other pair raises the one
-``ValueError`` that names the supported ones, so convergence and bound
-experiments refuse to run.  Each closed form is written once, as a rule on an
-array of times; a series branch runs on all its nodes at once, each node
-stopping where its own series does.
+symbol on one of these inputs, dispatched on ``F.data`` and the input's
+family and power, as a 1-tuple comparable with a signal row; any other pair
+raises the one ``ValueError`` that names the supported ones, so convergence
+and bound experiments refuse to run.  Each closed form is written once, as a
+rule on an array of times; a series branch runs on all its nodes at once,
+each node stopping where its own series does.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import SmoothCausalFunction
 from .symbols import Symbol, from_spec
 
 __all__ = ["PolyExp", "poly_exp", "monomial", "zero", "parse_g", "exact_solution"]
@@ -131,9 +130,9 @@ def _sign_changes(row: "tuple[int, ...]") -> "tuple[float, ...]":
 
 @dataclass(frozen=True)
 class PolyExp:
-    """A shipped input as data: ``g^(k)(t) = P_k(t) exp(-rate*t)`` for
-    ``k = 0..len(table)-1``, where ``table[k]`` lists the integer coefficients
-    of ``P_k`` in ascending order.
+    """A shipped causal input as data: ``g^(k)(t) = P_k(t) exp(-rate*t)`` for
+    ``t >= 0`` and ``k = 0..max_order``, where ``table[k]`` lists the integer
+    coefficients of ``P_k`` in ascending order, and ``g^(k)(t) = 0`` for ``t < 0``.
 
     The family fixes the rate and the evaluation rule:
 
@@ -142,11 +141,19 @@ class PolyExp:
       ``p!/(p-k)! t**(p-k)``, evaluated with ``pow`` (not Horner, whose
       repeated products are not ``pow``'s bits), and 0 past order p;
     * ``zero`` -- every ``P_k`` is 0.
+
+    ``derivative(t, k)`` is the per-time callback behind :meth:`deriv` and
+    ``g(t)``: by default :meth:`on_grid` on one time.  It is a field, so a copy
+    (``dataclasses.replace``) may count its calls; :meth:`on_grid` never
+    calls it.
     """
 
     family: str
     p: int
     max_order: int
+    derivative: "Callable[[float, int], float] | None" = field(
+        default=None, repr=False, compare=False
+    )
     table: "tuple[tuple[int, ...], ...]" = field(init=False, repr=False, compare=False)
     _coeffs: "list[list[float]]" = field(init=False, repr=False, compare=False)
     _fact: float = field(init=False, repr=False, compare=False)
@@ -161,32 +168,70 @@ class PolyExp:
         object.__setattr__(self, "table", tuple(map(tuple, table)))
         object.__setattr__(self, "_coeffs", [list(map(float, row)) for row in table])
         object.__setattr__(self, "_fact", float(math.factorial(self.p)))
+        if self.derivative is None:
+            object.__setattr__(
+                self, "derivative", lambda t, k: float(self.on_grid(np.array([t]), k)[0])
+            )
 
     @property
     def name(self) -> str:
         return {"poly": f"poly{self.p}exp", "mono": f"mono:{self.p}", "zero": "zero"}[self.family]
 
-    def values(self, t: np.ndarray, k: int) -> np.ndarray:
-        """``g^(k)`` at each entry ``t >= 0`` of a float array.  ``ValueError`` names
-        the first entry where ``mono``'s ``t**(p-k)`` leaves the double range; a
-        Horner value that does is left ``inf`` or ``nan`` for the caller to report."""
-        coeffs = self._coeffs[k]
+    def _check_order(self, k: int) -> None:
+        if not (0 <= k <= self.max_order):
+            raise ValueError(
+                f"{self.name} supports derivative orders 0..{self.max_order}, got {k}"
+            )
+
+    def on_grid(self, t: np.ndarray, k: int = 0) -> np.ndarray:
+        """``g^(k)`` at every entry of the float array ``t`` at once.  ``ValueError``
+        names the first entry where ``mono``'s ``t**(p-k)`` leaves the double
+        range; a Horner value that does is left ``inf`` or ``nan`` for the caller
+        to report."""
+        self._check_order(k)
+        out = np.zeros(t.shape)
+        ahead = ~(t < 0.0)
+        t, coeffs = t[ahead], self._coeffs[int(k)]
         # inf and nan entries are the caller's to report, not numpy's to warn about
         with np.errstate(over="ignore", invalid="ignore"):
             if self.family == "poly":
-                return _horner_ascending(coeffs, t) * _exp(-t)
-            if not coeffs:
-                return np.zeros(t.shape)
-            power = _pow(t, len(coeffs) - 1)
-            over = np.isinf(power)
-            if over.any():
-                at = t[int(np.argmax(over))]
-                raise ValueError(f"{self.name} overflows a double at t = {at:.17g}")
-            return coeffs[-1] * power
+                out[ahead] = _horner_ascending(coeffs, t) * _exp(-t)
+            elif coeffs:
+                power = _pow(t, len(coeffs) - 1)
+                over = np.isinf(power)
+                if over.any():
+                    at = t[int(np.argmax(over))]
+                    raise ValueError(f"{self.name} overflows a double at t = {at:.17g}")
+                out[ahead] = coeffs[-1] * power
+        return out
 
-    def derivative(self, t: float, k: int) -> float:
-        """``g^(k)(t)`` at one time, the input's derivative callback."""
-        return float(self.values(np.array([t], dtype=float), k)[0])
+    def deriv(self, t: float, k: int = 0) -> float:
+        """``g^(k)(t)`` at one time, through the ``derivative`` callback."""
+        self._check_order(k)
+        if t < 0.0:
+            return 0.0
+        return self.derivative(float(t), int(k))
+
+    def __call__(self, t: float) -> float:
+        return self.deriv(t, 0)
+
+    def require(self, order: int, purpose: str) -> None:
+        """Refuse this input for an estimate built on its derivatives up to
+        ``order``: the data must reach that order, and ``g^(k)(0) = 0`` for
+        ``k < order`` (without which ``s^k G`` is not the transform of ``g^(k)``:
+        the compatibility condition of convolution quadrature).
+        """
+        if self.max_order < order:
+            raise ValueError(
+                f"{self.name} supports orders up to {self.max_order}; {purpose} needs {order}"
+            )
+        for k in range(order):
+            value = self.deriv(0.0, k)
+            if value != 0.0:
+                raise ValueError(
+                    f"{self.name} has g^({k})(0) = {value:g}; "
+                    f"{purpose} needs g^(k)(0) = 0 for k < {order}"
+                )
 
     def laplace(self, s):
         """``G(s) = p!/(s + rate)**(p+1)``, 0 for the zero input."""
@@ -251,11 +296,8 @@ class PolyExp:
         values = [value(x) for x in [0.0, *cuts, t_end]]
         return math.fsum(abs(b - a) for a, b in zip(values, values[1:]))
 
-    def as_input(self) -> SmoothCausalFunction:
-        return SmoothCausalFunction(data=self, derivative=self.derivative)
 
-
-def poly_exp(p: int) -> SmoothCausalFunction:
+def poly_exp(p: int) -> PolyExp:
     """``g(t) = t**p * exp(-t)`` with exact derivatives of orders 0..16.
 
     Writing ``g^(k) = P_k(t) exp(-t)``, the polynomials obey
@@ -263,21 +305,21 @@ def poly_exp(p: int) -> SmoothCausalFunction:
     coefficients are rounded once to doubles.
     """
     _check_power(p)
-    return PolyExp("poly", p, 16).as_input()
+    return PolyExp("poly", p, 16)
 
 
-def monomial(p: int) -> SmoothCausalFunction:
+def monomial(p: int) -> PolyExp:
     """``g(t) = t**p`` with derivatives of orders 0..64: falling factorials,
     zero past order p."""
     _check_power(p)
-    return PolyExp("mono", p, 64).as_input()
+    return PolyExp("mono", p, 64)
 
 
-def zero() -> SmoothCausalFunction:
-    return PolyExp("zero", 0, 64).as_input()
+def zero() -> PolyExp:
+    return PolyExp("zero", 0, 64)
 
 
-def parse_g(spec: str) -> SmoothCausalFunction:
+def parse_g(spec: str) -> PolyExp:
     """Input registry: ``poly5exp`` (any ``poly<p>exp``), ``mono:<p>``, ``zero``."""
     spec = spec.strip()
     m = re.fullmatch(r"poly(\d+)exp", spec)
@@ -388,9 +430,9 @@ EXACT_PAIRS_HELP = (
 )
 
 
-def _exact_action(F: Symbol, g: SmoothCausalFunction) -> "Callable | None":
+def _exact_action(F: Symbol, g: PolyExp) -> "Callable | None":
     """The closed form on an array of times; a power that overflows gives ``inf``."""
-    family, p = g.data.family, g.data.p
+    family, p = g.family, g.p
 
     if family == "zero":
         return np.zeros_like
@@ -427,7 +469,7 @@ def _exact_action(F: Symbol, g: SmoothCausalFunction) -> "Callable | None":
     return None
 
 
-def exact_solution(F: "Symbol | str", g: "SmoothCausalFunction | str") -> Callable:
+def exact_solution(F: "Symbol | str", g: "PolyExp | str") -> Callable:
     """Closed-form value of ``F`` applied to ``g`` (either may be a spec) at
     time t, as a 1-tuple (it is compared with a signal row).
 

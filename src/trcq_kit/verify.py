@@ -32,13 +32,8 @@ import math
 
 import numpy as np
 
-from .bounds import (
-    SmoothCausalFunction,
-    const_Cm1,
-    theta1,
-    theta2,
-    theta3,
-)
+from .bounds import const_Cm1, theta1, theta2, theta3
+from .functions import PolyExp
 from .quadrature import adaptive_simpson  # noqa: F401
 from .quadrature import integrate_semi_infinite, named_integral
 from .report import VerificationReport, chunked_reports, combine_reports, pointwise_report
@@ -343,7 +338,7 @@ def check_lemma42(sigma: float, alpha: float, c: float, kappa: float) -> Verific
     return combine_reports("lemma42", parts)
 
 
-def check_lemma33(g: SmoothCausalFunction, sigma: float) -> VerificationReport:
+def check_lemma33(g: PolyExp, sigma: float) -> VerificationReport:
     """Transform-line mass bound: int |G(sigma+i omega)| domega <= (pi/sigma) int |g''|.
 
     The left side integrates the input's closed-form transform; the tail
@@ -358,7 +353,7 @@ def check_lemma33(g: SmoothCausalFunction, sigma: float) -> VerificationReport:
     g.require(2, "lemma33")
 
     with named_integral("lemma33 time integral int_0^inf |g''|"):
-        rhs = math.pi / sigma * g.data.time_l1(2, 0, math.inf)
+        rhs = math.pi / sigma * g.time_l1(2, 0, math.inf)
 
     transform = g.laplace
     c_decay, p_decay = g.laplace_decay
@@ -377,9 +372,7 @@ def check_lemma33(g: SmoothCausalFunction, sigma: float) -> VerificationReport:
     )
 
 
-def check_prop34a(
-    g: SmoothCausalFunction, sigma: float, m: int, kappa: float
-) -> VerificationReport:
+def check_prop34a(g: PolyExp, sigma: float, m: int, kappa: float) -> VerificationReport:
     """Frequency mass of the power defect against the explicit constant:
 
         int |(s_k^m - s^m) G(s)| domega on Re s = sigma
@@ -398,7 +391,7 @@ def check_prop34a(
     g.require(2 * m + 4, f"prop34a at m = {m}")
 
     with named_integral(f"prop34a time integral int_0^inf |P_{m} g^({m + 4})|"):
-        time_mass = g.data.time_l1(m + 4, m, math.inf)
+        time_mass = g.time_l1(m + 4, m, math.inf)
     rhs = kappa * kappa * const_Cm1(m) / (sigma * min(sigma**m, 1.0)) * time_mass
 
     transform = g.laplace

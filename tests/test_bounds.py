@@ -116,39 +116,8 @@ def _reference_cmu1(mu_prime: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# smooth causal inputs and the P_m operator
+# the P_m operator on an input's data
 # --------------------------------------------------------------------------
-
-
-class TestSmoothCausalFunction:
-    def test_causal_extension(self):
-        g = poly_exp(3)
-        np.testing.assert_array_equal(g.deriv(-1.0, 2), np.zeros(1))
-        assert float(g(-0.1)) == 0.0
-
-    def test_order_validation(self):
-        g = PolyExp("poly", 3, 8).as_input()
-        with pytest.raises(ValueError):
-            g.deriv(1.0, 9)
-        with pytest.raises(ValueError):
-            g.deriv(1.0, -1)
-
-    def test_require_admits_derivatives_vanishing_at_the_origin(self):
-        poly_exp(6).require(6, "the bound")
-        zero().require(64, "the bound")
-
-    def test_require_names_a_missing_order(self):
-        g = PolyExp("poly", 6, 5).as_input()
-        with pytest.raises(ValueError) as err:
-            g.require(6, "the bound")
-        assert str(err.value) == "poly6exp supports orders up to 5; the bound needs 6"
-
-    def test_require_names_a_nonzero_derivative_at_the_origin(self):
-        with pytest.raises(ValueError) as err:
-            monomial(2).require(6, "the bound")
-        assert str(err.value) == (
-            "mono:2 has g^(2)(0) = 2; the bound needs g^(k)(0) = 0 for k < 6"
-        )
 
 
 class TestLeibnizRow:
@@ -156,12 +125,12 @@ class TestLeibnizRow:
 
     @staticmethod
     def at(g, k, m, t):
-        return _horner(g.data.leibniz_row(k, m), t) * math.exp(-t)
+        return _horner(g.leibniz_row(k, m), t) * math.exp(-t)
 
     def test_shift_semantics(self):
         """With m = 0 the k-shift is the plain derivative g^(k)."""
         g = poly_exp(5)
-        assert g.data.leibniz_row(5, 0) == g.data.table[5]
+        assert g.leibniz_row(5, 0) == g.table[5]
         assert self.at(g, 5, 0, 0.7) == g.deriv(0.7, 5)
 
     def test_leibniz_identity_order_one(self):
@@ -176,14 +145,14 @@ class TestLeibnizRow:
 
     def test_order_zero_is_identity(self):
         g = poly_exp(4)
-        assert g.data.leibniz_row(0, 0) == (0, 0, 0, 0, 1)
+        assert g.leibniz_row(0, 0) == (0, 0, 0, 0, 1)
 
     def test_top_powers_cancel(self):
         """P_m cancels the top m powers of a poly row (worked by hand: P_5 + P_6
         of t^6 e^-t); a mono row is the sum of its falling-factorial terms."""
-        assert poly_exp(6).data.leibniz_row(5, 1) == (720, -3600, 3600, -1200, 150, -6)
-        assert monomial(7).data.leibniz_row(5, 1) == (0, 5040, 2520)
-        assert zero().data.leibniz_row(3, 2) == ()
+        assert poly_exp(6).leibniz_row(5, 1) == (720, -3600, 3600, -1200, 150, -6)
+        assert monomial(7).leibniz_row(5, 1) == (0, 5040, 2520)
+        assert zero().leibniz_row(3, 2) == ()
 
 
 
@@ -395,7 +364,7 @@ class TestBoundRhs:
             bound_rhs(make_delay(1.0), poly_exp(5), 0.1, 0.0)
 
     def test_insufficient_smoothness_rejected(self):
-        g = PolyExp("poly", 5, 4).as_input()
+        g = PolyExp("poly", 5, 4)
         with pytest.raises(ValueError, match="orders up to 4"):
             bound_rhs(make_delay(1.0), g, 0.1, 1.0)
 

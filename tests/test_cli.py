@@ -460,9 +460,9 @@ class TestBound:
         integrals = []
         time_l1 = PolyExp.time_l1
 
-        def counted(data, k, m, t_end):
+        def counted(g, k, m, t_end):
             integrals.append(t_end)
-            return time_l1(data, k, m, t_end)
+            return time_l1(g, k, m, t_end)
 
         monkeypatch.setattr(cli, "_parse_input", counting_input)
         monkeypatch.setattr(PolyExp, "time_l1", counted)

@@ -19,7 +19,15 @@ import pytest
 
 from trcq_kit import functions
 from trcq_kit.convolution import Grid, sample
-from trcq_kit.functions import EXACT_PAIRS_HELP, exact_solution, monomial, parse_g, poly_exp, zero
+from trcq_kit.functions import (
+    EXACT_PAIRS_HELP,
+    PolyExp,
+    exact_solution,
+    monomial,
+    parse_g,
+    poly_exp,
+    zero,
+)
 from trcq_kit.quadrature import adaptive_simpson
 from trcq_kit.symbols import (
     CFModel,
@@ -86,6 +94,39 @@ class TestPolyExp:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             poly_exp(-1)
+
+
+class TestCausalInput:
+    """The input's causal extension, order check and admissibility rule."""
+
+    def test_causal_extension(self):
+        g = poly_exp(3)
+        np.testing.assert_array_equal(g.deriv(-1.0, 2), np.zeros(1))
+        assert float(g(-0.1)) == 0.0
+
+    def test_order_validation(self):
+        g = PolyExp("poly", 3, 8)
+        with pytest.raises(ValueError):
+            g.deriv(1.0, 9)
+        with pytest.raises(ValueError):
+            g.deriv(1.0, -1)
+
+    def test_require_admits_derivatives_vanishing_at_the_origin(self):
+        poly_exp(6).require(6, "the bound")
+        zero().require(64, "the bound")
+
+    def test_require_names_a_missing_order(self):
+        g = PolyExp("poly", 6, 5)
+        with pytest.raises(ValueError) as err:
+            g.require(6, "the bound")
+        assert str(err.value) == "poly6exp supports orders up to 5; the bound needs 6"
+
+    def test_require_names_a_nonzero_derivative_at_the_origin(self):
+        with pytest.raises(ValueError) as err:
+            monomial(2).require(6, "the bound")
+        assert str(err.value) == (
+            "mono:2 has g^(2)(0) = 2; the bound needs g^(k)(0) = 0 for k < 6"
+        )
 
 
 class TestMonomial:
@@ -390,12 +431,12 @@ class TestGridValues:
         for p in GRID_POWERS:
             g = monomial(p)
             for k in range(min(p, 64) + 1):
-                row = g.data.table[k]
+                row = g.table[k]
                 assert row == (0,) * (p - k) + (math.factorial(p) // math.factorial(p - k),)
                 coeff = math.factorial(p) / math.factorial(p - k)
                 for t in (0.0, 0.3, 1.7, 9.0):
                     assert _bits(g.deriv(t, k)) == _bits(coeff * t ** (p - k))
-            assert all(row == () for row in g.data.table[p + 1:])
+            assert all(row == () for row in g.table[p + 1:])
 
     @pytest.mark.parametrize("symbol", ["power:0", "power:1", "power:-1", "power:0.5",
                                         "power:7.5", "power:2", "decay:1", "decay:0.5",
@@ -476,11 +517,11 @@ class TestGridValues:
 # --------------------------------------------------------------------------
 
 
-def _reference_time_l1(data, k: int, m: int, t_end: float):
+def _reference_time_l1(g, k: int, m: int, t_end: float):
     """``int_0^t_end |P_m g^(k)|`` in 50 digits: mpmath's roots of the Leibniz
     row, and each piece of one sign summed from incomplete gamma functions
     (``poly``) or powers (``mono``)."""
-    row = data.leibniz_row(k, m)
+    row = g.leibniz_row(k, m)
     with mpmath.workdps(50):
         core = list(row)
         while core and core[0] == 0:
@@ -493,17 +534,17 @@ def _reference_time_l1(data, k: int, m: int, t_end: float):
         points = [mpmath.mpf(0)] + [r for r in roots if r < end] + [end]
 
         def piece(a, b):
-            if data.family == "poly":
+            if g.family == "poly":
                 return sum(c * mpmath.gammainc(j + 1, a, b) for j, c in enumerate(row) if c)
             return sum(c * (b ** (j + 1) - a ** (j + 1)) / (j + 1) for j, c in enumerate(row) if c)
 
         return sum(abs(piece(a, b)) for a, b in zip(points, points[1:]))
 
 
-def _assert_matches_reference(data, k, m, t_end):
-    ref = _reference_time_l1(data, k, m, t_end)
+def _assert_matches_reference(g, k, m, t_end):
+    ref = _reference_time_l1(g, k, m, t_end)
     assert ref > 0
-    assert abs(data.time_l1(k, m, t_end) - ref) <= 1e-13 * ref, (data.name, k, m, t_end)
+    assert abs(g.time_l1(k, m, t_end) - ref) <= 1e-13 * ref, (g.name, k, m, t_end)
 
 
 class TestTimeIntegrals:
@@ -512,18 +553,18 @@ class TestTimeIntegrals:
     ])
     def test_to_infinity_against_mpmath(self, p, m):
         """prop34a's int |P_m g^(m+4)| and lemma33's int |g''|."""
-        data = poly_exp(p).data
-        _assert_matches_reference(data, m + 4, m, math.inf)
-        _assert_matches_reference(data, 2, 0, math.inf)
+        g = poly_exp(p)
+        _assert_matches_reference(g, m + 4, m, math.inf)
+        _assert_matches_reference(g, 2, 0, math.inf)
 
     @pytest.mark.parametrize("t", [1.0, 2.0, 4.0, 8.0, 16.0])
     @pytest.mark.parametrize("spec", ["poly6exp", "mono:7", "mono:20", "mono:170"])
     def test_to_finite_time_against_mpmath(self, spec, t):
         """The bound's I1 and I2 for mu = 0, 0.5 and 1: (k, m) = (5, 0), (4, 0),
         (5, 1) and (6, 0)."""
-        data = parse_g(spec).data
+        g = parse_g(spec)
         for k, m in ((5, 0), (4, 0), (5, 1), (6, 0)):
-            _assert_matches_reference(data, k, m, t)
+            _assert_matches_reference(g, k, m, t)
 
     @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1])
     @pytest.mark.parametrize("p, k, m", [(12, 5, 0), (12, 4, 0), (15, 6, 1), (9, 5, 0)])
@@ -531,12 +572,12 @@ class TestTimeIntegrals:
         """Integrals down to 1e-24 keep their relative accuracy: here -S exp(-t)
         is sum_l C(m, l) g^(k+l-1), small near 0, so no piece is a difference
         of large values (adaptive Simpson's absolute floor cost 3e-4 here)."""
-        _assert_matches_reference(poly_exp(p).data, k, m, t)
+        _assert_matches_reference(poly_exp(p), k, m, t)
 
     def test_cuts_are_sign_changes(self):
         """P_4 g^(8) of poly15exp has eight positive roots; each cut is within
         one ulp of mpmath's root, and the row's sign changes across it."""
-        row = poly_exp(15).data.leibniz_row(8, 4)
+        row = poly_exp(15).leibniz_row(8, 4)
         cuts = functions._sign_changes(row)
         with mpmath.workdps(50):
             found = mpmath.polyroots(row[3:][::-1], maxsteps=200, extraprec=500)
@@ -548,28 +589,28 @@ class TestTimeIntegrals:
                 assert below * mpmath.polyval(row[::-1], x) <= 0
 
     def test_zero_rows(self):
-        assert zero().data.time_l1(2, 0, math.inf) == 0.0
-        assert monomial(3).data.time_l1(4, 0, math.inf) == 0.0  # g^(4) of t^3
+        assert zero().time_l1(2, 0, math.inf) == 0.0
+        assert monomial(3).time_l1(4, 0, math.inf) == 0.0  # g^(4) of t^3
 
     def test_growing_integrand_to_infinity_refused(self):
         with pytest.raises(RuntimeError, match="^time integrand does not decay"):
-            monomial(7).data.time_l1(2, 0, math.inf)
+            monomial(7).time_l1(2, 0, math.inf)
 
     def test_overflow_names_the_time(self):
         """int_0^100 t^170 = 100^171/171 is past the double range."""
         with pytest.raises(ValueError, match=r"^mono:170 overflows a double at t = 100$"):
-            monomial(170).data.time_l1(0, 0, 100.0)
+            monomial(170).time_l1(0, 0, 100.0)
 
     def test_large_polynomial_with_small_product_stays_finite(self):
         """S(t) of poly170exp passes the double range near its largest roots, but
         S(t) e^-t does not: int |P_1 g^(5)| = 1.19e302 and int |g''| of
         poly145exp = 5.39e249."""
-        _assert_matches_reference(poly_exp(170).data, 5, 1, math.inf)
-        _assert_matches_reference(poly_exp(145).data, 2, 0, math.inf)
+        _assert_matches_reference(poly_exp(170), 5, 1, math.inf)
+        _assert_matches_reference(poly_exp(145), 2, 0, math.inf)
 
     def test_order_past_the_table_refused(self):
         with pytest.raises(ValueError, match=r"^poly170exp supports orders up to 16; "
                                              r"P_6 g\^\(16\) needs 22$"):
-            poly_exp(170).data.time_l1(16, 6, math.inf)
+            poly_exp(170).time_l1(16, 6, math.inf)
         with pytest.raises(ValueError, match="orders up to 16"):
-            poly_exp(5).data.leibniz_row(17, 0)
+            poly_exp(5).leibniz_row(17, 0)

@@ -261,7 +261,7 @@ class TestTransformMass:
         with pytest.raises(ValueError):
             check_lemma33(poly_exp(5), 0.0)
         with pytest.raises(ValueError):
-            check_lemma33(PolyExp("poly", 5, 1).as_input(), 1.0)
+            check_lemma33(PolyExp("poly", 5, 1), 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +284,7 @@ class TestPowerDefect:
         with pytest.raises(ValueError, match="at least 1"):
             check_prop34a(poly_exp(5), 1.0, 0, 0.1)
         with pytest.raises(ValueError, match="orders up to 5"):
-            check_prop34a(PolyExp("poly", 5, 5).as_input(), 1.0, 1, 0.1)
+            check_prop34a(PolyExp("poly", 5, 5), 1.0, 1, 0.1)
         with pytest.raises(ValueError, match="exponent > m\\+1"):
             check_prop34a(poly_exp(1), 1.0, 1, 0.1)
         with pytest.raises(ValueError, match="^sigma = inf is not finite"):

@@ -46,6 +46,9 @@ OUT_OF_RANGE = {
     "mu1e6": ["constants", "--mu", "1e6"],
     "mu100": ["constants", "--mu", "100"],
     "lemma33-mono0": ["verify", "--suite", "lemma33", "--g", "mono:0"],
+    # an empty spec is refused, not replaced by the suite's fallback
+    "lemma33-g-empty": ["verify", "--suite", "lemma33", "--g="],
+    "prop41-symbol-empty": ["verify", "--suite", "prop41", "--symbol="],
     # run lengths t_final/kappa that are not finite
     "convolve-t-inf": ["convolve", "--symbol", "power:1", "--g", "poly5exp", "--kappa", "0.1",
                        "--t-final", "inf"],
