@@ -75,7 +75,7 @@ class TheoremParams:
 
     mu: float
     m: int              # ceil(mu)
-    alpha: int          # _alpha(mu - m): 5 when mu is an integer, else 4
+    alpha: int          # _alpha(mu'): 5 when mu is an integer, else 4
     beta: int           # smoothness order required of g
     epsilon: float      # polynomial-in-time exponent of C(1/t)
     constants: dict
@@ -84,6 +84,13 @@ class TheoremParams:
         for key, val in self.constants.items():
             if not np.isfinite(val) or val < 0.0:
                 raise ValueError(f"constant {key} must be finite and non-negative")
+
+
+def _split_mu(mu: float) -> "tuple[int, float]":
+    """``m = ceil(mu)`` and ``mu' = mu - m`` clamped into (-1, 0]: for
+    0 < mu <= 2^-54, ``mu - 1`` rounds to -1."""
+    m = math.ceil(mu)
+    return m, max(mu - m, math.nextafter(-1.0, 0.0))
 
 
 def _alpha(mu_prime: float) -> int:
@@ -103,8 +110,8 @@ def derive_params(mu: float) -> TheoremParams:
         raise ValueError("mu must be a non-negative real")
     if mu > MAX_MU:
         raise ValueError(f"the constant chain is computable for mu <= {MAX_MU} only, got {mu:g}")
-    m = math.ceil(mu)
-    alpha = _alpha(mu - m)
+    m, mu_prime = _split_mu(mu)
+    alpha = _alpha(mu_prime)
     beta = max(2 * m + 4, m + alpha)
     epsilon = max(2 * m - mu + 1.0, math.floor(mu) - mu + 3.0)
     return TheoremParams(
@@ -209,7 +216,7 @@ def const_Cm1(m: int) -> float:
         # For large m, 8^m / c^(2m+2) near c = 1e-2 overflows to inf on the scan
         # grid; inf is never the minimum, so numpy's warning is silenced.
         with np.errstate(over="ignore"):
-            return np.maximum(E_m_eval(c, m) + 1.0 / (c * c), 8.0**m / c ** (2 * m + 2))
+            return np.maximum(E_m_eval(c, [m])[0] + 1.0 / (c * c), 8.0**m / c ** (2 * m + 2))
 
     val = _minimize_scan_golden(obj, _ENDPOINT_INSET, math.pi - _ENDPOINT_INSET)
     return math.pi * 2.0 ** (m / 2.0) * float(val)
@@ -237,8 +244,7 @@ def const_chain(mu: float) -> dict:
     mu = float(mu)
     if mu < 0.0:
         raise ValueError("mu must be non-negative")
-    m = math.ceil(mu)
-    mu_prime = mu - m
+    m, mu_prime = _split_mu(mu)
     over_2pi = math.e / (2.0 * math.pi)
     cm1 = const_Cm1(m)
     cmu1 = const_Cmu1(mu_prime)

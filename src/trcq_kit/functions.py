@@ -243,7 +243,7 @@ class PolyExp:
     def laplace_decay(self) -> "tuple[float, float]":
         """``(C, q)`` with ``|G(s)| <= C/|s|**q`` on the half-plane."""
         if self.family == "zero":
-            return (0.0, 2.0)
+            return (0.0, math.inf)
         return (self._fact, float(self.p + 1))
 
     def leibniz_row(self, k: int, m: int) -> "tuple[int, ...]":

@@ -121,11 +121,12 @@ def named_integral(name: str) -> Iterator[None]:
     """Prefix a ``ValueError`` or ``RuntimeError`` raised inside with ``name``.
 
     The type is kept, so a non-finite integrand still reads as bad input and
-    an unresolved panel as an uncertified result.
+    an unresolved panel as an uncertified result; an ``ArithmeticError`` (a
+    float ``**`` overflow, a division by zero) becomes a ``ValueError``.
     """
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ValueError(f"{name}: {exc}") from exc
     except RuntimeError as exc:
         raise RuntimeError(f"{name}: {exc}") from exc

@@ -22,7 +22,7 @@ substitution:
 * ``solve_c0`` finds c0, the unique root of sigma**2 * D(sigma) = 1 in (0, pi);
   by the closed form of D below, that is the root of tan(c/2) = c,
 * ``delta_power_diff`` evaluates delta(exp(-z))**m - z**m without cancellation,
-  for one order m or for several from one evaluation of the defect,
+  for a sequence of orders m from one evaluation of the defect,
 * ``sample_cplus`` draws the standard right-half-plane sample cloud used by
   every randomized check in the package.
 
@@ -30,6 +30,10 @@ The b_l alternate in sign, so D is the closed form -q(i sigma) =
 (2 tan(sigma/2) - sigma)/sigma**3; q, delta(exp(-z))**m - z**m and D share
 one 16-term series below |z| = 0.5 and closed forms above it.  D has radius
 of convergence pi and is evaluated on all of [0, pi).
+
+Shape rule: each evaluator returns its argument's shape, 0-d included, and a
+value's bits do not depend on that shape.  ``delta_power_diff`` and
+``E_m_eval`` take a sequence of orders m and stack its values on a first axis.
 """
 
 from __future__ import annotations
@@ -90,16 +94,6 @@ def q_taylor_coeffs(L: int) -> np.ndarray:
 _POLE_TOL = 1e-300
 
 
-def _unwrap(a: np.ndarray):
-    return a[()] if a.ndim == 0 else a
-
-
-def _as1d(x, dtype):
-    """View x as a >= 1-d array plus a flag to restore scalar shape later."""
-    arr = np.asarray(x, dtype=dtype)
-    return np.atleast_1d(arr), arr.ndim == 0
-
-
 def delta_char(zeta):
     """delta(zeta) = 2*(1 - zeta)/(1 + zeta), the TR characteristic function.
 
@@ -110,7 +104,7 @@ def delta_char(zeta):
     denom = 1.0 + z
     if np.any(np.abs(denom) < _POLE_TOL):
         raise ZeroDivisionError("delta(zeta) has a pole at zeta = -1")
-    return _unwrap(2.0 * (1.0 - z) / denom)
+    return 2.0 * (1.0 - z) / denom
 
 
 def s_kappa(s, kappa):
@@ -126,7 +120,7 @@ def s_kappa(s, kappa):
     s = np.asarray(s)
     if np.any(np.real(s) <= 0.0):
         raise ValueError("s_kappa requires Re s > 0")
-    return _unwrap((2.0 / kap) * np.tanh(0.5 * kap * s))
+    return (2.0 / kap) * np.tanh(0.5 * kap * s)
 
 
 # ----------------------------------------------------------------------------
@@ -149,10 +143,6 @@ def _q_series(z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _q_direct(z: np.ndarray) -> np.ndarray:
-    return (delta_char(np.exp(-z)) - z) / z**3
-
-
 def q_ratio(z):
     """q(z) = (delta(exp(-z)) - z)/z**3 for Re z > 0, |z| < pi.
 
@@ -160,7 +150,7 @@ def q_ratio(z):
     |z| = 0.5 a truncated Taylor series is used; above, the direct formula.
     z = 0 returns the leading coefficient -1/12 by continuity.
     """
-    z, was_scalar = _as1d(z, complex)
+    z = np.asarray(z, dtype=complex)
     az = np.abs(z)
     if np.any((np.real(z) <= 0.0) & (az > 0.0)):
         raise ValueError("q_ratio requires Re z > 0")
@@ -169,13 +159,14 @@ def q_ratio(z):
     out = np.empty_like(z)
     small = az <= _Q_CROSSOVER
     out[small] = _q_series(z[small])
-    out[~small] = _q_direct(z[~small])
-    return out[0] if was_scalar else out
+    big = z[~small]
+    out[~small] = (delta_char(np.exp(-big)) - big) / big**3
+    return out
 
 
 def _orders(m) -> "list[int]":
-    """The orders asked for by ``m``: one order, or a sequence of them."""
-    orders = [m] if np.ndim(m) == 0 else list(m)
+    """The sequence of orders ``m`` as a list, each at least 1."""
+    orders = list(m)
     if not orders or min(orders) < 1:
         raise ValueError("m must be >= 1")
     return orders
@@ -189,16 +180,14 @@ def delta_power_diff(z, m):
     small.  Unlike the majorant bound, the value itself is defined on all of
     the right half-plane, so no |z| < pi restriction applies here.
 
-    ``m`` may also be a sequence of orders; the values are then stacked along
-    a new first axis.  The difference and the powers a**j, b**k are computed
-    once for all orders, and each order sums its terms in the same order as a
-    call for that order alone, so the bits agree.  Every value is computed
-    elementwise, so a slice of ``z`` gives the same bits as the whole array;
-    the sampled suites call it on chunks of 2^14 samples, which bounds the
-    memory of the powers.
+    ``m`` is a sequence of orders; the values are stacked along a new first
+    axis.  The difference and the powers a**j, b**k are computed once for all
+    orders, and each order sums its terms in the same order as a call for that
+    order alone, so the bits agree.  The sampled suites call it on chunks of
+    2^14 samples, which bounds the memory of the powers.
     """
     orders = _orders(m)
-    z, was_scalar = _as1d(z, complex)
+    z = np.asarray(z, dtype=complex)
     if np.any(np.real(z) <= 0.0):
         raise ValueError("delta_power_diff requires Re z > 0")
     small = np.abs(z) <= _Q_CROSSOVER
@@ -207,20 +196,20 @@ def delta_power_diff(z, m):
     diff[small] = zs**3 * _q_series(zs)
     del zs
     diff[~small] = delta_char(np.exp(-z[~small])) - z[~small]
-    delta = z + diff
+    # an array even for 0-d z: numpy's complex scalar z**2 rounds differently
+    delta = np.add(z, diff, out=np.empty_like(z))
     # a**0 is 1 and a**1 is a, exactly, so only the powers from 2 up are stored
     top = max(orders)
     delta_pow = [1.0 + 0j, delta] + [delta**j for j in range(2, top)]
     z_pow = [1.0 + 0j, z] + [z**k for k in range(2, top)]
     out = np.empty((len(orders),) + z.shape, dtype=complex)
     acc = np.empty_like(z)
-    for row, order in zip(out, orders):
+    for i, order in enumerate(orders):  # out[i, ...] is a view even for 0-d z
         acc.fill(0.0)
         for j in range(order):  # each row holds its terms before its value
-            acc += np.multiply(delta_pow[j], z_pow[order - 1 - j], out=row)
-        np.multiply(diff, acc, out=row)
-    out = out[:, 0] if was_scalar else out
-    return out[0] if np.ndim(m) == 0 else out
+            acc += np.multiply(delta_pow[j], z_pow[order - 1 - j], out=out[i, ...])
+        np.multiply(diff, acc, out=out[i, ...])
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -237,7 +226,7 @@ def D_eval(sigma):
     within 1e-14 relative of the exact series.  D grows without bound as
     sigma approaches the radius of convergence pi.
     """
-    sig, was_scalar = _as1d(sigma, float)
+    sig = np.asarray(sigma, dtype=float)
     if not np.all((sig >= 0.0) & (sig < _PI)):
         raise ValueError("D is defined for 0 <= sigma < pi")
     out = np.empty_like(sig)
@@ -245,30 +234,30 @@ def D_eval(sigma):
     out[small] = -_q_series(1j * sig[small]).real
     big = sig[~small]
     out[~small] = (2.0 * np.tan(0.5 * big) - big) / big**3
-    return out[0] if was_scalar else out
+    return out
 
 
 def E_m_eval(sigma, m):
     """E_m(sigma) = max{D**j : j=1..m} * ((1+sigma**2)**m - 1)/sigma**2.
 
     At sigma = 0 the second factor is taken by its limit m.  Requires m >= 1
-    and 0 <= sigma < pi.  ``m`` may also be a sequence of orders; the values
-    are then stacked along a new first axis, from one evaluation of D.
+    and 0 <= sigma < pi.  ``m`` is a sequence of orders; the values are
+    stacked along a new first axis, from one evaluation of D.
     """
     orders = _orders(m)
-    sig, was_scalar = _as1d(sigma, float)
-    d = np.atleast_1d(D_eval(sig))
+    sig = np.asarray(sigma, dtype=float)
+    d = D_eval(sig)
     x = sig * sig
     nz = x > 0.0
     log1p_x = np.log1p(x)
     out = np.empty((len(orders),) + sig.shape)
-    for row, order in zip(out, orders):
+    for i, order in enumerate(orders):
+        row = out[i, ...]
         # ((1 + x)**m - 1)/x, continuously extended to m at x = 0
         row.fill(order)
         np.divide(np.expm1(order * log1p_x), x, out=row, where=nz)
         row *= np.maximum(d, d**order)
-    out = out[:, 0] if was_scalar else out
-    return out[0] if np.ndim(m) == 0 else out
+    return out
 
 
 @lru_cache(maxsize=None)

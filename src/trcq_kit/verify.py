@@ -24,11 +24,14 @@ Conventions shared by the sampled suites:
 * frequency integrals are truncated at a cutoff and the *certified* tail
   bound is added to the computed side, keeping every check one-sided; time
   integrals are exact sums (:meth:`trcq_kit.functions.PolyExp.time_l1`).
+  Each frequency check (lemma42 (a) and (b), lemma33, prop34a) is one call of
+  ``_frequency_report``, which builds its one-sample report.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -279,11 +282,21 @@ def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
 # --------------------------------------------------------------------------
 
 
-def _integral_report(suite: str, lhs: float, rhs: float, **point) -> VerificationReport:
-    """One-sample report of the integral estimate ``lhs <= rhs`` at ``point``."""
+def _frequency_report(
+    suite: str, name: str, f: Callable[[float], float], tail: Callable[[float], float],
+    rhs: Callable[[], float], *, first_width: float, start: float = 0.0, factor: float = 1.0,
+    **point,
+) -> VerificationReport:
+    """One-sample report of ``factor * int_start^inf f <= rhs()`` at ``point``, the
+    integral run out to its certified ``tail``.  ``rhs()`` and the integral run
+    under ``name``, so an arithmetic error in either is that integral's ``ValueError``."""
+    with named_integral(name):
+        bound = rhs()
+        head, tail_val, cutoff = integrate_semi_infinite(f, tail, start, first_width=first_width)
+    lhs = factor * (head + tail_val)
     return pointwise_report(
-        suite, np.array([lhs]), np.array([rhs]), seed=0, tol=QUADRATURE_TOL,
-        lhs=lhs, rhs=rhs, **point,
+        suite, np.array([lhs]), np.array([bound]), seed=0, tol=QUADRATURE_TOL,
+        lhs=lhs, rhs=bound, **point, cutoff=cutoff, tail=tail_val,
     )
 
 
@@ -318,24 +331,19 @@ def check_lemma42(sigma: float, alpha: float, c: float, kappa: float) -> Verific
 
     radius = c / kappa
     omega0 = math.sqrt(max(radius * radius - sigma * sigma, 0.0))
-    with named_integral("lemma42 (a) integral over |s| >= c/kappa of |s|^-alpha"):
-        head_a, tail_a, cut_a = integrate_semi_infinite(
-            f, tail, start=omega0, first_width=max(radius, 1.0)
-        )
-    with named_integral("lemma42 (b) integral over R of |s|^-alpha"):
-        head_b, tail_b, cut_b = integrate_semi_infinite(f, tail, first_width=max(sigma, 1.0))
-
-    lhs_a = 2.0 * (head_a + tail_a)
-    rhs_a = 2.0 * alpha / (alpha - 1.0) * (kappa / c) ** (alpha - 1.0)
-    lhs_b = 2.0 * (head_b + tail_b)
-    rhs_b = 2.0 / sigma**alpha + 2.0 / (alpha - 1.0)
-
     point = {"sigma": sigma, "alpha": alpha, "c": c, "kappa": kappa}
-    parts = [
-        _integral_report("lemma42:a", lhs_a, rhs_a, **point, cutoff=cut_a, tail=tail_a),
-        _integral_report("lemma42:b", lhs_b, rhs_b, **point, cutoff=cut_b, tail=tail_b),
-    ]
-    return combine_reports("lemma42", parts)
+    return combine_reports("lemma42", [
+        _frequency_report(
+            "lemma42:a", "lemma42 (a) integral over |s| >= c/kappa of |s|^-alpha", f, tail,
+            lambda: 2.0 * alpha / (alpha - 1.0) * (kappa / c) ** (alpha - 1.0),
+            first_width=max(radius, 1.0), start=omega0, factor=2.0, **point,
+        ),
+        _frequency_report(
+            "lemma42:b", "lemma42 (b) integral over R of |s|^-alpha", f, tail,
+            lambda: 2.0 / sigma**alpha + 2.0 / (alpha - 1.0),
+            first_width=max(sigma, 1.0), factor=2.0, **point,
+        ),
+    ])
 
 
 def check_lemma33(g: PolyExp, sigma: float) -> VerificationReport:
@@ -353,7 +361,7 @@ def check_lemma33(g: PolyExp, sigma: float) -> VerificationReport:
     g.require(2, "lemma33")
 
     with named_integral("lemma33 time integral int_0^inf |g''|"):
-        rhs = math.pi / sigma * g.time_l1(2, 0, math.inf)
+        mass = g.time_l1(2, 0, math.inf)
 
     transform = g.laplace
     c_decay, p_decay = g.laplace_decay
@@ -364,11 +372,10 @@ def check_lemma33(g: PolyExp, sigma: float) -> VerificationReport:
     def tail(R: float) -> float:
         return 2.0 * c_decay * R ** (1.0 - p_decay) / (p_decay - 1.0)
 
-    with named_integral("lemma33 frequency integral int |G(sigma + i omega)| domega"):
-        head, tail_val, cutoff = integrate_semi_infinite(f, tail, first_width=max(sigma, 1.0))
-    return _integral_report(
-        f"lemma33:{g.name}", head + tail_val, rhs,
-        g=g.name, sigma=sigma, cutoff=cutoff, tail=tail_val,
+    return _frequency_report(
+        f"lemma33:{g.name}", "lemma33 frequency integral int |G(sigma + i omega)| domega",
+        f, tail, lambda: math.pi / sigma * mass,
+        first_width=max(sigma, 1.0), g=g.name, sigma=sigma,
     )
 
 
@@ -392,7 +399,6 @@ def check_prop34a(g: PolyExp, sigma: float, m: int, kappa: float) -> Verificatio
 
     with named_integral(f"prop34a time integral int_0^inf |P_{m} g^({m + 4})|"):
         time_mass = g.time_l1(m + 4, m, math.inf)
-    rhs = kappa * kappa * const_Cm1(m) / (sigma * min(sigma**m, 1.0)) * time_mass
 
     transform = g.laplace
     c_g, p = g.laplace_decay
@@ -400,27 +406,23 @@ def check_prop34a(g: PolyExp, sigma: float, m: int, kappa: float) -> Verificatio
     def f_both(omega: float) -> float:
         # |(s_k^m - s^m) G(s)| at s = sigma +- i omega, one defect call for the pair
         pair = (complex(sigma, omega), complex(sigma, -omega))
-        defects = delta_power_diff(np.array([kappa * s for s in pair]), m)
+        defects = delta_power_diff(np.array([kappa * s for s in pair]), [m])[0]
         up, down = [
             abs(complex(defect) / kappa**m) * abs(transform(s)) for defect, s in zip(defects, pair)
         ]
         return up + down
 
-    s_inf = 8.0 / (kappa * kappa * min(sigma, 1.0))
-
     def tail(R: float) -> float:
         # |s_k^m - s^m| <= s_inf^m + omega^m and |G| <= c_g omega^-p
+        s_inf = 8.0 / (kappa * kappa * min(sigma, 1.0))
         return 2.0 * c_g * (
             s_inf**m * R ** (1.0 - p) / (p - 1.0)
             + R ** (m + 1.0 - p) / (p - 1.0 - m)
         )
 
-    with named_integral(f"prop34a frequency integral int |(s_k^{m} - s^{m}) G(s)| domega"):
-        head, tail_val, cutoff = integrate_semi_infinite(
-            f_both, tail, first_width=max(sigma, 1.0 / kappa)
-        )
-
-    return _integral_report(
-        f"prop34a:{g.name}[m={m}]", head + tail_val, rhs,
-        g=g.name, sigma=sigma, m=m, kappa=kappa, cutoff=cutoff, tail=tail_val,
+    return _frequency_report(
+        f"prop34a:{g.name}[m={m}]",
+        f"prop34a frequency integral int |(s_k^{m} - s^{m}) G(s)| domega", f_both, tail,
+        lambda: kappa * kappa * const_Cm1(m) / (sigma * min(sigma**m, 1.0)) * time_mass,
+        first_width=max(sigma, 1.0 / kappa), g=g.name, sigma=sigma, m=m, kappa=kappa,
     )

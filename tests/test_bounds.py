@@ -193,6 +193,15 @@ class TestDeriveParams:
         assert (p.m, p.alpha) == (3, 4)
         assert p.constants["Cmu1"] > 1e14
 
+    @pytest.mark.parametrize("mu", [1e-17, 5e-324])
+    def test_mu_below_2_to_minus_54(self, mu):
+        """For 0 < mu <= 2^-54, mu - ceil(mu) rounds to -1; mu' is the nearest
+        double above -1, the same as at mu = 1e-16."""
+        p, ref = derive_params(mu), derive_params(1e-16)
+        assert (p.m, p.alpha) == (1, 4)
+        for key in ("Cm1", "Cmu1", "Cmu2", "Cm"):
+            assert p.constants[key] == ref.constants[key], key
+
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
             derive_params(-0.5)

@@ -135,15 +135,15 @@ class TestEmEval:
         for m in (1, 2, 3, 5):
             d = d_closed(x)
             ref = np.maximum(d, d**m) * ((1.0 + x * x) ** m - 1.0) / (x * x)
-            np.testing.assert_allclose(E_m_eval(x, m), ref, rtol=1e-11)
+            np.testing.assert_allclose(E_m_eval(x, [m])[0], ref, rtol=1e-11)
 
     def test_reduces_to_d_scaling_for_m1(self):
         x = np.array([0.5, 1.0, 2.0])
-        np.testing.assert_allclose(E_m_eval(x, 1), D_eval(x), rtol=1e-13)
+        np.testing.assert_allclose(E_m_eval(x, [1])[0], D_eval(x), rtol=1e-13)
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
-            E_m_eval(1.0, 0)
+            E_m_eval(1.0, [0])
 
 
 class TestC0:
@@ -207,7 +207,7 @@ class TestSKappa:
         s = 1.0 + 2.0j
         for kappa in (0.1, 0.01):
             defect = abs(complex(s_kappa(s, kappa)) - s)
-            cap = E_m_eval(abs(kappa * s), 1) * kappa**2 * abs(s) ** 3
+            cap = E_m_eval(abs(kappa * s), [1])[0] * kappa**2 * abs(s) ** 3
             assert defect <= cap
 
     def test_domain(self):
@@ -226,19 +226,19 @@ class TestDeltaPowerDiff:
         for m in (1, 2, 4):
             direct = delta_char(np.exp(-z)) ** m - z**m
             np.testing.assert_allclose(
-                delta_power_diff(z, m), direct, rtol=1e-10, atol=1e-13
+                delta_power_diff(z, [m])[0], direct, rtol=1e-10, atol=1e-13
             )
 
     def test_no_cancellation_for_tiny_z(self):
         # delta(e^-z) - z = -z^3/12 (1 + O(z^2)); direct subtraction would
         # lose all digits at |z| = 1e-4
         z = np.array([1e-4 + 0j])
-        val = delta_power_diff(z, 1)[0]
+        val = delta_power_diff(z, [1])[0, 0]
         np.testing.assert_allclose(val, -z[0] ** 3 / 12.0, rtol=1e-7)
 
     def test_m_must_be_positive(self):
         with pytest.raises(ValueError):
-            delta_power_diff(np.array([0.1 + 0j]), 0)
+            delta_power_diff(np.array([0.1 + 0j]), [0])
 
 
 class TestSharedOrders:
@@ -263,18 +263,20 @@ class TestSharedOrders:
         shared = delta_power_diff(z, self.ORDERS)
         assert shared.shape == (len(self.ORDERS),) + z.shape
         for row, m in zip(shared, self.ORDERS):
-            assert np.all(row == delta_power_diff(z, m))
+            assert np.all(row == delta_power_diff(z, [m])[0])
         # a point's value does not depend on where it sits in the array
         for k in range(0, z.size, 397):
-            assert [delta_power_diff(complex(z[k]), m) for m in self.ORDERS] == list(shared[:, k])
+            assert [delta_power_diff(complex(z[k]), [m])[0] for m in self.ORDERS] == list(
+                shared[:, k]
+            )
 
     def test_E_m_eval(self):
         sigma = np.append(np.abs(self.points()), 0.0)
         shared = E_m_eval(sigma, self.ORDERS)
         assert shared.shape == (len(self.ORDERS),) + sigma.shape
         for row, m in zip(shared, self.ORDERS):
-            assert np.all(row == E_m_eval(sigma, m))
-        assert [E_m_eval(0.7, m) for m in self.ORDERS] == list(E_m_eval(0.7, self.ORDERS))
+            assert np.all(row == E_m_eval(sigma, [m])[0])
+        assert [E_m_eval(0.7, [m])[0] for m in self.ORDERS] == list(E_m_eval(0.7, self.ORDERS))
 
     def test_rejects_bad_orders(self):
         for orders in ([], [1, 0]):
@@ -282,6 +284,43 @@ class TestSharedOrders:
                 delta_power_diff(0.1 + 0j, orders)
             with pytest.raises(ValueError):
                 E_m_eval(0.1, orders)
+
+
+class TestShapeRule:
+    """Each evaluator returns its argument's shape, 0-d included, with the
+    orders stacked on a first axis.  A 0-d value, a one-element array and the
+    same value inside a 10^4-element array give the same bits: const_Cm1
+    polishes one point at a time, and the sampled suites evaluate 2^14-sample
+    chunks."""
+
+    ORDERS = [1, 2, 3, 4, 5]
+
+    @staticmethod
+    def evaluators():
+        z = TestSharedOrders.points()
+        orders = TestShapeRule.ORDERS
+        return {
+            "delta_char": (delta_char, np.exp(-z)),
+            "s_kappa": (lambda s: s_kappa(s, 0.3), z),
+            "q_ratio": (q_ratio, z),
+            "D_eval": (D_eval, np.abs(z)),
+            "E_m_eval": (lambda x: E_m_eval(x, orders), np.abs(z)),
+            "delta_power_diff": (lambda x: delta_power_diff(x, orders), z),
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["delta_char", "s_kappa", "q_ratio", "D_eval", "E_m_eval", "delta_power_diff"]
+    )
+    def test_same_bits_in_every_shape(self, name):
+        f, x = self.evaluators()[name]
+        whole = f(x)
+        lead = (len(self.ORDERS),) if name in ("E_m_eval", "delta_power_diff") else ()
+        assert whole.shape == lead + x.shape
+        for k in range(0, x.size, 97):
+            point, one = f(x[k].item()), f(x[k : k + 1])
+            assert np.shape(point) == lead
+            assert one.shape == lead + (1,)
+            assert np.asarray(point).tobytes() == one[..., 0].tobytes() == whole[..., k].tobytes()
 
 
 class TestSampleCplus:

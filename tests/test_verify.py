@@ -8,12 +8,13 @@ guards against the suites being vacuous.
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from trcq_kit.functions import PolyExp, poly_exp
+from trcq_kit.functions import PolyExp, poly_exp, zero
 from trcq_kit.symbols import (
     CFModel, Symbol, make_decay, make_delay, make_power, make_resolvent, validate_growth,
 )
@@ -274,6 +275,18 @@ class TestPowerDefect:
         rep = check_prop34a(poly_exp(6), 1.0, 1, 0.1)
         assert rep.violations == 0
         assert rep.worst_margin > 0.0
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_zero_input_holds_with_equality(self, m):
+        """G = 0 decays faster than every power, so it meets each order's
+        decay hypothesis; both sides are 0 and the certified tail is 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_prop34a(zero(), 1.0, m, 0.1)
+        assert rep.violations == 0
+        assert rep.worst_margin == 0.0
+        assert (rep.worst_point["lhs"], rep.worst_point["rhs"]) == (0.0, 0.0)
+        assert rep.worst_point["tail"] == 0.0
 
     def test_input_outside_the_hypothesis_refused(self):
         """At m = 1 the estimate needs g^(k)(0) = 0 for k < 6; poly5exp has g^(5)(0) = 120."""

@@ -99,6 +99,13 @@ NON_FINITE = {
     "weights-power79": ["weights", "--symbol", "power:79", "--kappa", "0.001", "--n", "300"],
     "weights-power79-contour": ["weights", "--symbol", "power:79", "--kappa", "0.001",
                                 "--n", "300", "--fft-size", "4096"],
+    # finite suite parameters whose frequency-check arithmetic overflows or divides by 0
+    "lemma42-c-1e-300": ["verify", "--suite", "lemma42", "--c", "1e-300", "--alpha", "3"],
+    "lemma42-sigma-1e-200": ["verify", "--suite", "lemma42", "--sigma", "1e-200",
+                             "--alpha", "3"],
+    "lemma42-sigma-1e300": ["verify", "--suite", "lemma42", "--sigma", "1e300"],
+    "prop34a-sigma-1e-200": ["verify", "--suite", "prop34a", "--sigma", "1e-200"],
+    "prop34a-kappa-1e-300": ["verify", "--suite", "prop34a", "--kappa", "1e-300"],
 }
 
 # decay rates whose a^(p+1) underflows to 0; the references stay finite
@@ -187,11 +194,15 @@ ARGVS: "list[list[str]]" = [
     ["verify", "--suite", "lemma33", "--g", "zero"],
     ["verify", "--suite", "lemma33", "--g", "poly145exp"],
     ["verify", "--suite", "prop34a", "--g", "poly170exp"],
+    ["verify", "--suite", "prop34a", "--g", "zero"],
     # constants
     *[["constants", "--mu", mu] for mu in ("0", "1", "1.5", "2.5", "3.7", "79")],
     # just below an integer: alpha 4, and e1 divides by -mu' ~ 1e-12 or 4e-16
     ["constants", "--mu", "0.999999999999"],
     ["constants", "--mu", "2.9999999999999996"],
+    # 0 < mu <= 2^-54, where mu - ceil(mu) rounds to -1
+    ["constants", "--mu", "1e-17"],
+    ["bound", "--symbol", "power:1e-17", "--g", "mono:7"],
     # usage errors, degenerate data and refusals (tests/test_cli.py)
     ["weights", "--kappa", "0.1", "--n", "4"],
     ["weights", "--symbol", "banana:1", "--kappa", "0.1", "--n", "4"],
