@@ -296,7 +296,7 @@ def bound_rhs(
         i2 = g.time_l1(m + 4, m, t)
 
     x = 1.0 / t
-    c_of_x = F.cf(min(x, 1.0) / 4.0) * params.constants["Cmu"] / min(x**params.epsilon, 1.0)
+    c_of_x = F.cf(min(x, 1.0) / 4.0) * params.constants["Cmu"] / min(x, 1.0) ** params.epsilon
     rhs = kap * kap * c_of_x * (i1 + i2)
     return float(rhs) if kap.ndim == 0 else rhs
 

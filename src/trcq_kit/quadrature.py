@@ -101,16 +101,19 @@ def integrate_semi_infinite(
     ``(head, tail, R)`` where ``head`` integrates ``[start, R]`` and ``tail =
     tail_bound(R)``.  The first cutoff is ``start + first_width``; after that
     the cutoff doubles until the tail is negligible against the head (or
-    ``_MAX_DOUBLINGS`` doublings are exhausted, which raises).
+    ``_MAX_DOUBLINGS`` doublings are exhausted, which raises).  A cutoff that
+    is not finite is refused with ``ValueError``: the tail at an infinite
+    cutoff certifies nothing.
     """
-    omega = start + first_width
-    total = adaptive_simpson(f, start, omega, rel_tol, abs_floor)
+    lo, omega, total = start, start + first_width, 0.0
     for _ in range(_MAX_DOUBLINGS):
+        if not math.isfinite(omega):
+            raise ValueError(f"cutoff {omega} is not finite")
+        total += adaptive_simpson(f, lo, omega, rel_tol, abs_floor)
         t = tail_bound(omega)
         if t <= max(abs_floor, rel_tol * (abs(total) + t)):
             return total, t, omega
-        total += adaptive_simpson(f, omega, 2.0 * omega, rel_tol, abs_floor)
-        omega *= 2.0
+        lo, omega = omega, 2.0 * omega
     raise RuntimeError(
         f"frequency integral did not localize: tail {tail_bound(omega):.3e} at cutoff {omega:.3e}"
     )

@@ -26,6 +26,10 @@ Conventions shared by the sampled suites:
   integrals are exact sums (:meth:`trcq_kit.functions.PolyExp.time_l1`).
   Each frequency check (lemma42 (a) and (b), lemma33, prop34a) is one call of
   ``_frequency_report``, which builds its one-sample report.
+
+lemma31 is prop32's four half-plane estimates at kappa = 1: both suites hand
+a sample cloud and a map (w = delta(exp(-z)), or s_kappa) to one routine,
+``_transported``, which runs parts (a)-(d).
 """
 
 from __future__ import annotations
@@ -88,14 +92,6 @@ def _seeded(samples: int, seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _scaled_cloud(rng: np.random.Generator, samples: int, radius=None) -> "dict[str, np.ndarray]":
-    """Steps kappa uniform on (0, 1], then points s with |s| <= 1e3 and, given
-    ``radius``, |kappa s| < radius (inset)."""
-    kappa = 1.0 - rng.random(samples)
-    cap = 1e3 if radius is None else np.minimum(1e3, radius * _INSET / kappa)
-    return {"s": sample_cplus(samples, rng, max_modulus=cap), "kappa": kappa}
-
-
 def check_hyperbolic(samples: int, seed: int) -> VerificationReport:
     """Bounds relating tanh/coth to min(1, x) on x in [1e-6, 1e3].
 
@@ -116,28 +112,52 @@ def check_hyperbolic(samples: int, seed: int) -> VerificationReport:
     return combine_reports("hyperbolic", parts)
 
 
-def _power_defects(z: np.ndarray, kappa, s: np.ndarray) -> "list[tuple[np.ndarray, np.ndarray]]":
-    """Part (c) of lemma31 (kappa = 1, s = z) and of prop32, one pair per m:
+def _transported(
+    suite: str, seed: int, cloud: Callable[[float], dict], mapped: Callable
+) -> VerificationReport:
+    """Parts (a)-(d) of :func:`check_prop32` for w = ``mapped(s, kappa)``.
 
-        |delta(exp(-z))^m - z^m| / kappa^m <= E_m(|z|) kappa^2 |s|^(m+2),  z = kappa s.
-
-    The defect and E_m are evaluated once for all orders in _DEFECT_ORDERS.
+    Each part draws its samples from ``cloud(radius)``, the points with
+    |kappa s| < radius (inset), in the order (a)-(b), (c), (d).  A cloud's
+    arrays reach the parts in its order: ``s``, then ``kappa`` if it draws
+    steps, which are 1.0 otherwise.
     """
-    defects = np.abs(delta_power_diff(z, _DEFECT_ORDERS))
-    envelopes = E_m_eval(np.abs(z), _DEFECT_ORDERS)
-    mod = np.abs(s)
-    return [
-        (defect / kappa**m, e_m * kappa * kappa * mod ** (m + 2))
-        for m, defect, e_m in zip(_DEFECT_ORDERS, defects, envelopes)
-    ]
 
+    def half_plane(s, kappa=1.0):
+        w = mapped(s, kappa)
+        mn = np.minimum(s.real, 1.0)
+        return [(0.5 * mn, w.real), (np.abs(w), 8.0 / (kappa * kappa * mn))]
 
-def _defect_parts(suite: str) -> "dict[str, dict]":
-    return {f"{suite}:c[m={m}]": {"m": m} for m in _DEFECT_ORDERS}
+    def defects(s, kappa=1.0):
+        # the defects and E_m of all orders in one call each, at z = kappa s
+        z = kappa * s
+        diffs = np.abs(delta_power_diff(z, _DEFECT_ORDERS))
+        envelopes = E_m_eval(np.abs(z), _DEFECT_ORDERS)
+        mod = np.abs(s)
+        return [
+            (diff / kappa**m, e_m * kappa * kappa * mod ** (m + 2))
+            for m, diff, e_m in zip(_DEFECT_ORDERS, diffs, envelopes)
+        ]
+
+    def consistency(s, kappa=1.0):
+        mod = np.abs(kappa * s)
+        return [(1.0 - mod * mod * D_eval(mod), (mapped(s, kappa) / s).real)]
+
+    parts = chunked_reports(
+        half_plane, cloud(math.inf), {f"{suite}:a": {}, f"{suite}:b": {}}, seed=seed, tol=SUITE_TOL,
+    )
+    parts += chunked_reports(
+        defects, cloud(np.pi), {f"{suite}:c[m={m}]": {"m": m} for m in _DEFECT_ORDERS},
+        seed=seed, tol=SUITE_TOL,
+    )
+    parts += chunked_reports(
+        consistency, cloud(solve_c0()), {f"{suite}:d": {}}, seed=seed, tol=SUITE_TOL,
+    )
+    return combine_reports(suite, parts)
 
 
 def check_lemma31(samples: int, seed: int) -> VerificationReport:
-    """Half-plane estimates for w = delta(exp(-z)).
+    """Half-plane estimates for w = delta(exp(-z)): those of prop32 at kappa = 1.
 
     (a) Re w >= min(Re z, 1)/2 and (b) |w| <= 8/min(Re z, 1) on all of C+;
     (c) |w^m - z^m| <= E_m(|z|) |z|^(m+2) for |z| < pi, m = 1..5;
@@ -145,29 +165,10 @@ def check_lemma31(samples: int, seed: int) -> VerificationReport:
     """
     rng = _seeded(samples, seed)
 
-    def half_plane(z):
-        w = delta_char(np.exp(-z))
-        mn = np.minimum(z.real, 1.0)
-        return [(0.5 * mn, w.real), (np.abs(w), 8.0 / mn)]
+    def cloud(radius):
+        return {"z": sample_cplus(samples, rng, max_modulus=min(1e3, radius * _INSET))}
 
-    def consistency(z):
-        mod = np.abs(z)
-        return [(1.0 - mod * mod * D_eval(mod), (delta_char(np.exp(-z)) / z).real)]
-
-    parts = chunked_reports(
-        half_plane, {"z": sample_cplus(samples, rng)}, {"lemma31:a": {}, "lemma31:b": {}},
-        seed=seed, tol=SUITE_TOL,
-    )
-    parts += chunked_reports(
-        lambda z: _power_defects(z, 1.0, z),
-        {"z": sample_cplus(samples, rng, max_modulus=np.pi * _INSET)}, _defect_parts("lemma31"),
-        seed=seed, tol=SUITE_TOL,
-    )
-    parts += chunked_reports(
-        consistency, {"z": sample_cplus(samples, rng, max_modulus=solve_c0() * _INSET)},
-        {"lemma31:d": {}}, seed=seed, tol=SUITE_TOL,
-    )
-    return combine_reports("lemma31", parts)
+    return _transported("lemma31", seed, cloud, lambda z, kappa: delta_char(np.exp(-z)))
 
 
 def check_prop32(samples: int, seed: int) -> VerificationReport:
@@ -177,34 +178,17 @@ def check_prop32(samples: int, seed: int) -> VerificationReport:
     (c) |s_k^m - s^m| <= E_m(|kappa s|) kappa^2 |s|^(m+2) for |kappa s| < pi,
         m = 1..5;
     (d) Re(s_k/s) >= 1 - |kappa s|^2 D(|kappa s|) for |kappa s| < c0.
+
+    Steps kappa are uniform on (0, 1] and points s have |s| <= 1e3.
     """
     rng = _seeded(samples, seed)
 
-    def half_plane(s, kappa):
-        sk = s_kappa(s, kappa)
-        mn = np.minimum(s.real, 1.0)
-        return [(0.5 * mn, sk.real), (np.abs(sk), 8.0 / (kappa * kappa * mn))]
+    def cloud(radius):
+        kappa = 1.0 - rng.random(samples)
+        cap = np.minimum(1e3, radius * _INSET / kappa)
+        return {"s": sample_cplus(samples, rng, max_modulus=cap), "kappa": kappa}
 
-    def defects(s, kappa):
-        return _power_defects(kappa * s, kappa, s)
-
-    def consistency(s, kappa):
-        mod = np.abs(kappa * s)
-        return [(1.0 - mod * mod * D_eval(mod), (s_kappa(s, kappa) / s).real)]
-
-    parts = chunked_reports(
-        half_plane, _scaled_cloud(rng, samples), {"prop32:a": {}, "prop32:b": {}},
-        seed=seed, tol=SUITE_TOL,
-    )
-    parts += chunked_reports(
-        defects, _scaled_cloud(rng, samples, np.pi), _defect_parts("prop32"),
-        seed=seed, tol=SUITE_TOL,
-    )
-    parts += chunked_reports(
-        consistency, _scaled_cloud(rng, samples, solve_c0()), {"prop32:d": {}},
-        seed=seed, tol=SUITE_TOL,
-    )
-    return combine_reports("prop32", parts)
+    return _transported("prop32", seed, cloud, s_kappa)
 
 
 def check_lemma32(samples: int, seed: int) -> VerificationReport:

@@ -385,9 +385,19 @@ class TestBoundRhs:
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_time_not_finite_refused(self, t):
         """Both would reach C(1/t) and the integrals: nan as a NaN bound, inf as
-        a division by min(0**epsilon, 1) = 0."""
+        a division by min(0, 1)**epsilon = 0."""
         with pytest.raises(ValueError, match=f"^t must be finite and positive, got {t:g}$"):
             bound_rhs(make_delay(1.0), poly_exp(5), 0.1, t)
+
+    @pytest.mark.parametrize("F, g, t", [
+        (make_power(0.0), poly_exp(5), 1e-300),
+        (make_power(0.5), monomial(7), 1e-200),
+        (make_delay(1.0), poly_exp(6), 1e-300),
+    ], ids=["power0", "power0.5", "delay"])
+    def test_small_time_is_finite(self, F, g, t):
+        """(1/t)**epsilon passes the double range at these times; C(1/t) clamps
+        1/t to 1 first, so the bound is finite (0 where the integrals underflow)."""
+        assert 0.0 <= bound_rhs(F, g, 0.1, t) < math.inf
 
 
 # --------------------------------------------------------------------------

@@ -404,6 +404,15 @@ class TestBound:
         for r in rows:
             assert 0.0 <= float(r[4]) <= 1.0
 
+    @pytest.mark.parametrize("case", list(SNAPSHOT.SMALL_TIME))
+    def test_small_time_holds(self, case, tmp_path):
+        """At t = 1e-300 or 1e-200, (1/t)**epsilon would pass the double range;
+        the bound's C(1/t) stays finite, so the row is written and holds."""
+        out = tmp_path / "bound.csv"
+        assert main([*SNAPSHOT.SMALL_TIME[case], "--out", str(out)]) == EXIT_OK
+        rows = [r.split(",") for r in data_rows(read_lines(out))]
+        assert rows and all(float(r[4]) <= 1.0 for r in rows)
+
     @pytest.mark.parametrize("g", ["mono:20", "mono:170"])
     def test_later_values_do_not_fail_early_rows(self, g, tmp_path):
         """On a fast-growing input, the FFT roundoff of a run to the last time
@@ -723,6 +732,9 @@ class TestParser:
         # a non-canonical spec is named as its symbol's name
         "reference-decay1.0-poly170exp": "error: the closed-form reference for symbol 'decay:1' "
                                          "on input 'poly170exp' overflows a double at t = 64",
+        **{f"lemma42-{case}": "error: lemma42 (a) integral over |s| >= c/kappa of |s|^-alpha: "
+                              "cutoff inf is not finite"
+           for case in ("kappa-1e-300", "c-1e300", "kappa-1e-200")},
     }
 
     @pytest.mark.parametrize("command", ["converge", "longtime", "bound"])

@@ -43,7 +43,10 @@ def test_benchmark_tracer_installs():
     ``symbols.s_kappa``, ``trmap.q_ratio``, ``cli.<name>``, ...); one that disappears
     fails here, in a fresh interpreter, rather than only in a benchmark run.  Two
     traced calls then run its wrappers, the parsed input's counted derivative
-    callback (a ``dataclasses.replace`` of the input) among them."""
+    callback (a ``dataclasses.replace`` of the input) among them.  lemma31 and
+    prop32 then run, and each must reach the wrapped ``verify.D_eval``,
+    ``verify.E_m_eval`` and (prop32) ``verify.s_kappa``: a shared routine that
+    bound them at import would leave the benchmark's per-layer times at 0."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     script = """
@@ -57,12 +60,20 @@ codes = [
           "--kappa-list", "0.1"]),
     main(["verify", "--suite", "lemma33"]),
 ]
-print(json.dumps({"codes": codes, "derivative_calls": rec.counts["functions.derivative_calls"]}))
+spans = {}
+for suite in ("lemma31", "prop32"):
+    first = len(rec.spans)
+    codes.append(main(["verify", "--suite", suite, "--samples", "2000"]))
+    spans[suite] = sorted({span[0] for span in rec.spans[first:]})
+print(json.dumps({"codes": codes, "derivative_calls": rec.counts["functions.derivative_calls"],
+                  "spans": spans}))
 """
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     assert result["derivative_calls"] > 0
+    assert {"trmap.D_eval", "trmap.E_m_eval"} <= set(result["spans"]["lemma31"])
+    assert {"trmap.s_kappa", "trmap.D_eval", "trmap.E_m_eval"} <= set(result["spans"]["prop32"])

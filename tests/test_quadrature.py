@@ -120,3 +120,14 @@ class TestIntegrateSemiInfinite:
         """A tail bound that never becomes negligible exhausts the doublings."""
         with pytest.raises(RuntimeError, match="did not localize"):
             integrate_semi_infinite(lambda t: 0.0, lambda R: 1.0)
+
+    @pytest.mark.parametrize("start, first_width", [
+        (math.inf, 1.0), (0.0, math.inf), (1e308, 1.0), (math.nan, 1.0),
+    ], ids=["start-inf", "width-inf", "doubled", "start-nan"])
+    def test_cutoff_not_finite_refused(self, start, first_width):
+        """The tail at an infinite cutoff is 0 and certifies nothing, whether the
+        first cutoff or a doubled one leaves the double range."""
+        with pytest.raises(ValueError, match="^cutoff (inf|nan) is not finite$"):
+            integrate_semi_infinite(
+                lambda t: 0.0, lambda R: 1.0, start=start, first_width=first_width
+            )

@@ -14,8 +14,8 @@ from trcq_kit import (
     sample_cplus,
 )
 from trcq_kit.report import _CHUNK, CSV_HEADER
-from trcq_kit.trmap import D_eval, E_m_eval, delta_power_diff, solve_c0
-from trcq_kit.verify import SUITE_TOL, check_lemma31
+from trcq_kit.trmap import D_eval, E_m_eval, delta_power_diff, s_kappa, solve_c0
+from trcq_kit.verify import SUITE_TOL, check_lemma31, check_prop32
 
 
 class TestPointwiseReport:
@@ -192,12 +192,50 @@ def lemma31_whole(samples, seed):
     return combine_reports("lemma31", parts)
 
 
+def prop32_whole(samples, seed):
+    """check_prop32's formulas, each part evaluated on all its samples at once:
+    steps kappa uniform on (0, 1], then points s with |s| <= 1e3 and, in parts
+    (c) and (d), |kappa s| inside pi and c0 (inset)."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    kappa = 1.0 - rng.random(samples)
+    s = sample_cplus(samples, rng)
+    sk = s_kappa(s, kappa)
+    mn = np.minimum(s.real, 1.0)
+    point = {"s": s, "kappa": kappa}
+    parts.append(pointwise_report("prop32:a", 0.5 * mn, sk.real, seed=seed, tol=SUITE_TOL, **point))
+    parts.append(pointwise_report(
+        "prop32:b", np.abs(sk), 8.0 / (kappa * kappa * mn), seed=seed, tol=SUITE_TOL, **point,
+    ))
+    kappa = 1.0 - rng.random(samples)
+    s = sample_cplus(samples, rng, max_modulus=np.minimum(1e3, np.pi * (1.0 - 1e-3) / kappa))
+    orders = range(1, 6)
+    defects = np.abs(delta_power_diff(kappa * s, orders))
+    envelopes = E_m_eval(np.abs(kappa * s), orders)
+    for m, defect, e_m in zip(orders, defects, envelopes):
+        parts.append(pointwise_report(
+            f"prop32:c[m={m}]", defect / kappa**m, e_m * kappa * kappa * np.abs(s) ** (m + 2),
+            seed=seed, tol=SUITE_TOL, s=s, kappa=kappa, m=m,
+        ))
+    kappa = 1.0 - rng.random(samples)
+    s = sample_cplus(samples, rng, max_modulus=np.minimum(1e3, solve_c0() * (1.0 - 1e-3) / kappa))
+    mod = np.abs(kappa * s)
+    parts.append(pointwise_report(
+        "prop32:d", 1.0 - mod * mod * D_eval(mod), (s_kappa(s, kappa) / s).real,
+        seed=seed, tol=SUITE_TOL, s=s, kappa=kappa,
+    ))
+    return combine_reports("prop32", parts)
+
+
+@pytest.mark.parametrize("suite, whole", [(check_lemma31, lemma31_whole),
+                                          (check_prop32, prop32_whole)],
+                         ids=["lemma31", "prop32"])
 @pytest.mark.parametrize("samples", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
-def test_sampled_suite_at_the_chunk_edges(samples):
+def test_sampled_suite_at_the_chunk_edges(samples, suite, whole):
     """A suite's chunked report equals the whole-array evaluation of its
     formulas, worst point and margin to the bit, on either side of a chunk."""
     for seed in (1, 2):
-        assert check_lemma31(samples, seed) == lemma31_whole(samples, seed)
+        assert suite(samples, seed) == whole(samples, seed)
 
 
 class TestCsvRow:

@@ -14,9 +14,9 @@ Every run starts in its own empty directory holding only ``FILES``, so the
 relative paths in ``ARGVS`` (two resolvent matrices and a config file) resolve
 the same way on every checkout.  The suite names come from this checkout's
 ``trcq_kit.cli._SUITES``; ``OUT_OF_RANGE`` and ``NON_FINITE`` are the argvs
-that ``tests/test_cli.py`` expects to exit 2, and ``TINY_RATE`` those it
-expects to exit 0, so the list is the same whichever checkout ``--root``
-names.
+that ``tests/test_cli.py`` expects to exit 2, and ``TINY_RATE`` and
+``SMALL_TIME`` those it expects to exit 0, so the list is the same whichever
+checkout ``--root`` names.
 """
 
 from __future__ import annotations
@@ -106,6 +106,11 @@ NON_FINITE = {
     "lemma42-sigma-1e300": ["verify", "--suite", "lemma42", "--sigma", "1e300"],
     "prop34a-sigma-1e-200": ["verify", "--suite", "prop34a", "--sigma", "1e-200"],
     "prop34a-kappa-1e-300": ["verify", "--suite", "prop34a", "--kappa", "1e-300"],
+    # lemma42 (a) from omega0 = sqrt((c/kappa)^2 - sigma^2), which overflows to inf
+    "lemma42-kappa-1e-300": ["verify", "--suite", "lemma42", "--kappa", "1e-300"],
+    "lemma42-c-1e300": ["verify", "--suite", "lemma42", "--c", "1e300"],
+    "lemma42-kappa-1e-200": ["verify", "--suite", "lemma42", "--kappa", "1e-200",
+                             "--alpha", "3"],
 }
 
 # decay rates whose a^(p+1) underflows to 0; the references stay finite
@@ -114,6 +119,13 @@ TINY_RATE = {
                             "--t-final", "2", "--kappa-list", "1,0.5"],
     "decay-1e-300-mono1": ["converge", "--symbol", "decay:1e-300", "--g", "mono:1",
                            "--t-final", "2", "--kappa-list", "1,0.5"],
+}
+
+# times so small that (1/t)^epsilon would pass the double range; C(1/t) is finite
+SMALL_TIME = {
+    "power0-poly5exp": ["bound", "--symbol", "power:0", "--g", "poly5exp", "--t-list", "1e-300"],
+    "power0.5-mono7": ["bound", "--symbol", "power:0.5", "--g", "mono:7", "--t-list", "1e-200"],
+    "delay-poly6exp": ["bound", "--symbol", "delay:1.0", "--g", "poly6exp", "--t-list", "1e-300"],
 }
 
 ARGVS: "list[list[str]]" = [
@@ -231,6 +243,7 @@ ARGVS: "list[list[str]]" = [
     *OUT_OF_RANGE.values(),
     *NON_FINITE.values(),
     *TINY_RATE.values(),
+    *SMALL_TIME.values(),
 ]
 
 _RUN = "import sys; from trcq_kit.cli import main; sys.exit(main(sys.argv[1:]))"
