@@ -826,3 +826,13 @@ def test_cli_snapshot_covers_every_command_and_suite():
     suites = {argv[argv.index("--suite") + 1] for argv in SNAPSHOT.ARGVS if "--suite" in argv}
     assert set(cli._COMMANDS) <= commands
     assert set(cli._SUITES) <= suites
+
+
+def test_cli_matches_the_golden_table():
+    """Every ``ARGVS`` entry, run in this interpreter with and without ``--out``,
+    reproduces its record in tests/cli_golden.json: exit code, last stderr line,
+    stdout, file and echo.  A change that moves output bytes rewrites the table
+    with ``python3 tools/cli_snapshot.py tests/cli_golden.json``."""
+    golden = json.loads((Path(__file__).with_name("cli_golden.json")).read_text("utf-8"))
+    moved = SNAPSHOT.differences(golden, SNAPSHOT.snapshot(SNAPSHOT.in_process))
+    assert not moved, "\n".join(moved)

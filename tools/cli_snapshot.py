@@ -7,8 +7,17 @@ fresh interpreter (``PYTHONPATH=CHECKOUT/src``), once writing its CSV to
 stdout and once with ``--out``.  Per vector the JSON records, for both runs,
 the exit code and the last stderr line; for the stdout run the sha256 of
 stdout, and for the ``--out`` run the sha256 of the file and the lines echoed
-to stdout.  A refactor that must keep the CLI byte-identical compares the
-snapshot of the parent checkout with that of the change, e.g. with ``diff``.
+to stdout.
+
+``tests/cli_golden.json`` is this snapshot of the committed tree, and
+``tests/test_cli.py`` reruns every vector in its own interpreter
+(:func:`in_process`) against it, naming each field that differs
+(:func:`differences`).  A change that moves output bytes rewrites the table:
+
+    python3 tools/cli_snapshot.py tests/cli_golden.json
+
+and its diff is the list of moved records.  The subprocess mode stays for
+faults that only a fresh interpreter shows.
 
 Every run starts in its own empty directory holding only ``FILES``, so the
 relative paths in ``ARGVS`` (two resolvent matrices and a config file) resolve
@@ -22,9 +31,12 @@ checkout ``--root`` names.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -207,6 +219,11 @@ ARGVS: "list[list[str]]" = [
     ["verify", "--suite", "lemma33", "--g", "poly145exp"],
     ["verify", "--suite", "prop34a", "--g", "poly170exp"],
     ["verify", "--suite", "prop34a", "--g", "zero"],
+    # frequency checks at the edges: a spike of width sigma at omega = 0, a tail
+    # R^(1-alpha)/(alpha-1) that decays slowly, and an integrand that underflows
+    ["verify", "--suite", "lemma42", "--sigma", "1e-17"],
+    ["verify", "--suite", "lemma42", "--alpha", "1.05"],
+    ["verify", "--suite", "lemma42", "--kappa", "1e-150", "--alpha", "3"],
     # constants
     *[["constants", "--mu", mu] for mu in ("0", "1", "1.5", "2.5", "3.7", "79")],
     # just below an integer: alpha 4, and e1 divides by -mu' ~ 1e-12 or 4e-16
@@ -221,12 +238,14 @@ ARGVS: "list[list[str]]" = [
     ["weights", "--symbol", "power:1", "--kappa", "0.1", "--n", "8", "--fft-size", "6"],
     ["weights", "--symbol", "power:1", "--kappa", "fast", "--n", "4"],
     ["weights", "--config", "missing.cfg", "--kappa", "0.1", "--n", "4"],
+    ["weights", "--symbol", "power:1", "--kappa", "0.1", "--n", "4.5"],
     ["convolve", "--symbol", "power:0", "--g", "poly5exp", "--kappa", "0.1",
      "--t-final", "1.0", "--engine", "banana"],
     ["convolve", "--symbol", "power:0", "--g", "poly5exp", "--kappa", "0.001",
      "--t-final", "5000"],
     ["converge", "--symbol", "delay:1.0", "--g", "poly5exp", "--kappa-list", "0.05,0.1"],
     ["converge", "--symbol", "delay:1.0", "--g", "poly5exp", "--kappa-list", "1.5,0.1"],
+    ["converge", "--symbol", "delay:1.0", "--g", "poly5exp", "--kappa-list", ","],
     ["converge", "--symbol", "power:0.5", "--g", "poly5exp"],
     ["converge", "--symbol", "power:0.50", "--g", "poly5exp"],
     ["converge", "--symbol", "power:0.1234567", "--g", "poly5exp"],
@@ -248,6 +267,9 @@ ARGVS: "list[list[str]]" = [
 
 _RUN = "import sys; from trcq_kit.cli import main; sys.exit(main(sys.argv[1:]))"
 
+# argparse wraps its usage text to the terminal width, which a pipe does not have
+_COLUMNS = "80"
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -258,19 +280,50 @@ def _last_line(text: bytes) -> str:
     return lines[-1] if lines else ""
 
 
-def _run(root: str, argv: "list[str]", out: bool) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0")
+def in_subprocess(root: str):
+    """A runner: ``argv`` through ``main`` in a fresh interpreter on ``root/src``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0",
+               COLUMNS=_COLUMNS)
+
+    def run(cwd: str, argv: "list[str]") -> "tuple[int, bytes, bytes]":
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN, *argv], cwd=cwd, env=env, capture_output=True
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    return run
+
+
+def in_process(cwd: str, argv: "list[str]") -> "tuple[int, bytes, bytes]":
+    """A runner: ``argv`` through this interpreter's ``main``, in ``cwd``."""
+    from trcq_kit.cli import main
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    here, columns = os.getcwd(), os.environ.get("COLUMNS")
+    os.chdir(cwd)
+    os.environ["COLUMNS"] = _COLUMNS
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        os.chdir(here)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return code, stdout.getvalue().encode("utf-8"), stderr.getvalue().encode("utf-8")
+
+
+def _record(run, argv: "list[str]", out: bool) -> dict:
     with tempfile.TemporaryDirectory(prefix="cli_snapshot_") as cwd:
         for name, text in FILES.items():
             with open(os.path.join(cwd, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         extra = ["--out", "snapshot.csv"] if out else []
-        proc = subprocess.run(
-            [sys.executable, "-c", _RUN, *argv, *extra], cwd=cwd, env=env, capture_output=True
-        )
-        record = {"exit": proc.returncode, "stderr_last": _last_line(proc.stderr)}
+        code, stdout, stderr = run(cwd, [*argv, *extra])
+        record = {"exit": code, "stderr_last": _last_line(stderr)}
         if not out:
-            record["stdout_sha256"] = _sha256(proc.stdout)
+            record["stdout_sha256"] = _sha256(stdout)
             return record
         path = os.path.join(cwd, "snapshot.csv")
         if os.path.exists(path):
@@ -278,16 +331,30 @@ def _run(root: str, argv: "list[str]", out: bool) -> dict:
                 record["out_sha256"] = _sha256(fh.read())
         else:
             record["out_sha256"] = None
-        record["echo"] = proc.stdout.decode("utf-8", "replace").splitlines()
+        record["echo"] = stdout.decode("utf-8", "replace").splitlines()
         return record
 
 
-def snapshot(root: str) -> "list[dict]":
-    """One record per entry of ``ARGVS``, in order."""
+def snapshot(run) -> "list[dict]":
+    """One record per entry of ``ARGVS``, in order, each argv run by ``run``."""
     return [
-        {"argv": argv, "stdout": _run(root, argv, False), "out": _run(root, argv, True)}
+        {"argv": argv, "stdout": _record(run, argv, False), "out": _record(run, argv, True)}
         for argv in ARGVS
     ]
+
+
+def differences(want: "list[dict]", got: "list[dict]") -> "list[str]":
+    """One line per field of a record in ``got`` that differs from ``want``."""
+    if [r["argv"] for r in want] != [r["argv"] for r in got]:
+        return ["the argv lists differ; rewrite the table"]
+    lines = []
+    for old, new in zip(want, got):
+        for mode in ("stdout", "out"):
+            for field in sorted(set(old[mode]) | set(new[mode])):
+                if old[mode].get(field) != new[mode].get(field):
+                    lines.append(f"{shlex.join(new['argv'])} [{mode}] {field}: "
+                                 f"{old[mode].get(field)!r} -> {new[mode].get(field)!r}")
+    return lines
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -299,7 +366,7 @@ def main(argv: "list[str] | None" = None) -> int:
         help="checkout whose src/ is run (default: this one)",
     )
     args = parser.parse_args(argv)
-    records = snapshot(os.path.abspath(args.root))
+    records = snapshot(in_subprocess(os.path.abspath(args.root)))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1, sort_keys=True)
         fh.write("\n")
