@@ -130,6 +130,19 @@ class TestWeights:
         assert main(["weights", "--symbol", "power:1", "--kappa", "0.1", *size]) == EXIT_USAGE
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["convolve", "--symbol", "power:1e17", "--g", "poly5exp", "--kappa", "0.1",
+          "--t-final", "1"], "power:1e+17"),
+        (["weights", "--symbol", "power:4000", "--kappa", "0.1", "--n", "4"], "power:4000"),
+    ], ids=["convolve-1e17", "weights-4000"])
+    def test_power_scale_past_long_double_refused(self, argv, name, capsys):
+        """(2/kappa)**mu past the long-double range is inf, refused at w_0 with one
+        error line and no overflow warning (which this suite makes an error)."""
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: weights of {name} at kappa = 0.1 leave the double range, first at w_0"
+        ]
+
 
 # --------------------------------------------------------------------------
 # determinism and config handling
