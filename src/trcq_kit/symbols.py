@@ -260,9 +260,7 @@ def _power_weights(mu: float) -> Callable[[float, int, bool], np.ndarray]:
         def step(n, prev, cur):
             return (-two_mu * cur + (n - one) * prev) / (n + one)
 
-        # past the long-double range the scale or the recurrence reaches inf (and
-        # a blocked run inf * 0), which weights.cq_weights_fft refuses by index
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # _to_double refuses inf and NaN
             # + 0: power:0's zeros print as 0, not -0
             a = _linear_recurrence(step, real(1.0), -two_mu + 0, N + 1, real)
             scale = (real(2.0) / real(kappa)) ** real(mu)

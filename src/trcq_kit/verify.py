@@ -2,8 +2,8 @@
 
 Each ``check_*`` function stress-tests one family of estimates — either by
 seeded random sampling of the right half-plane (pointwise inequalities) or
-by adaptive quadrature with certified tails (frequency-integral estimates) —
-and returns a :class:`~trcq_kit.report.VerificationReport`.  All of these
+by closed forms and adaptive quadrature with certified tails (frequency-integral
+estimates) — and returns a :class:`~trcq_kit.report.VerificationReport`.  All of these
 are proved facts: a nonzero violation count always means an implementation
 bug, never "bad luck with the samples".
 
@@ -21,11 +21,11 @@ Conventions shared by the sampled suites:
   share one evaluation per chunk, and a part's samples are dropped once its
   reports are built.  Evaluation is elementwise, so the reports equal those
   of one evaluation on all samples, bit for bit;
-* frequency integrals are truncated at a cutoff and the *certified* tail
-  bound is added to the computed side, keeping every check one-sided; time
-  integrals are exact sums (:meth:`trcq_kit.functions.PolyExp.time_l1`).
-  Each frequency check (lemma42 (a) and (b), lemma33, prop34a) is one call of
-  ``_frequency_report``, which builds its one-sample report.
+* lemma42 (b) and lemma33 integrate over the whole line in closed form
+  (``_line_integral``); lemma42 (a) and prop34a by quadrature on arrays, out to
+  a cutoff whose *certified* tail is added to the computed side, keeping every
+  check one-sided; time integrals are exact sums (:meth:`~trcq_kit.functions.PolyExp.time_l1`).
+  Each frequency check is one call of ``_frequency_report``.
 
 lemma31 is prop32's four half-plane estimates at kappa = 1: both suites hand
 a sample cloud and a map (w = delta(exp(-z)), or s_kappa) to one routine,
@@ -262,26 +262,42 @@ def check_prop41(F: Symbol, samples: int, seed: int) -> VerificationReport:
 
 
 # --------------------------------------------------------------------------
-# quadrature-based suites
+# frequency-integral suites
 # --------------------------------------------------------------------------
 
 
 def _frequency_report(
-    suite: str, name: str, f: Callable[[float], float], tail: Callable[[float], float],
-    rhs: Callable[[], float], *, first_width: float, start: float = 0.0, factor: float = 1.0,
-    **point,
+    suite: str, name: str, lhs: Callable[[], tuple], rhs: Callable[[], float], **point
 ) -> VerificationReport:
-    """One-sample report of ``factor * int_start^inf f <= rhs()`` at ``point``, the
-    integral run out to its certified ``tail``.  ``rhs()`` and the integral run
-    under ``name``, so an arithmetic error in either is that integral's ``ValueError``."""
+    """One-sample report of ``lhs <= rhs()`` at ``point``; ``lhs()`` returns the left side,
+    its tolerance and its facts.  An arithmetic error in either is ``name``'s ``ValueError``."""
     with named_integral(name):
         bound = rhs()
-        head, tail_val, cutoff = integrate_semi_infinite(f, tail, start, first_width=first_width)
-    lhs = factor * (head + tail_val)
+        value, tol, facts = lhs()
     return pointwise_report(
-        suite, np.array([lhs]), np.array([bound]), seed=0, tol=QUADRATURE_TOL,
-        lhs=lhs, rhs=bound, **point, cutoff=cutoff, tail=tail_val,
+        suite, np.array([value]), np.array([bound]), seed=0, tol=tol,
+        lhs=value, rhs=bound, **point, **facts,
     )
+
+
+def _certified(f: Callable, tail: Callable[[float], float], start: float, width: float) -> tuple:
+    """``2 int_start^inf f`` of an even integrand with its certified ``tail``, as ``lhs()``."""
+    head, tail_val, cutoff = integrate_semi_infinite(f, tail, start, first_width=width)
+    return 2.0 * (head + tail_val), QUADRATURE_TOL, {"cutoff": cutoff, "tail": tail_val}
+
+
+def _line_integral(a: float, nu: float, factor: float = 1.0) -> float:
+    """``factor`` times ``int over R of (a^2 + omega^2)^-nu domega = a^(1 - 2 nu)
+    sqrt(pi) Gamma(nu - 1/2)/Gamma(nu)``, a > 0 and nu > 1/2 (DLMF 5.12.3): the
+    power in long double, whose range holds lemma33's (sigma + 1)^-170, the
+    gammas by ``math.lgamma`` only where ``math.gamma`` overflows (nu > 171);
+    inf past the double range."""
+    try:
+        ratio = math.gamma(nu - 0.5) / math.gamma(nu)
+    except OverflowError:
+        ratio = math.exp(math.lgamma(nu - 0.5) - math.lgamma(nu))
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.longdouble(a) ** (1.0 - 2.0 * nu) * (factor * math.sqrt(math.pi) * ratio))
 
 
 def _require_finite(**params: float) -> None:
@@ -297,9 +313,8 @@ def check_lemma42(sigma: float, alpha: float, c: float, kappa: float) -> Verific
             <= (2 alpha/(alpha-1)) (kappa/c)^(alpha-1);
     (b) int over R of |s|^-alpha domega <= 2/sigma^alpha + 2/(alpha-1).
 
-    Both integrals are even in omega and evaluated on [0, inf) with the
-    analytic tail int_R^inf omega^-alpha = R^(1-alpha)/(alpha-1) added to
-    the computed side.
+    (a) is evaluated on [omega0, inf) with the analytic tail int_R^inf
+    omega^-alpha = R^(1-alpha)/(alpha-1) added; (b) is :func:`_line_integral`.
     """
     _require_finite(sigma=sigma, alpha=alpha, c=c)
     if sigma <= 0.0 or c <= 0.0 or not (0.0 < kappa <= 1.0):
@@ -307,7 +322,7 @@ def check_lemma42(sigma: float, alpha: float, c: float, kappa: float) -> Verific
     if alpha <= 1.0:
         raise ValueError("the bounds require alpha > 1")
 
-    def f(omega: float) -> float:
+    def f(omega: np.ndarray) -> np.ndarray:
         return (sigma * sigma + omega * omega) ** (-0.5 * alpha)
 
     def tail(R: float) -> float:
@@ -318,14 +333,14 @@ def check_lemma42(sigma: float, alpha: float, c: float, kappa: float) -> Verific
     point = {"sigma": sigma, "alpha": alpha, "c": c, "kappa": kappa}
     return combine_reports("lemma42", [
         _frequency_report(
-            "lemma42:a", "lemma42 (a) integral over |s| >= c/kappa of |s|^-alpha", f, tail,
-            lambda: 2.0 * alpha / (alpha - 1.0) * (kappa / c) ** (alpha - 1.0),
-            first_width=max(radius, 1.0), start=omega0, factor=2.0, **point,
+            "lemma42:a", "lemma42 (a) integral over |s| >= c/kappa of |s|^-alpha",
+            lambda: _certified(f, tail, omega0, max(radius, 1.0)),
+            lambda: 2.0 * alpha / (alpha - 1.0) * (kappa / c) ** (alpha - 1.0), **point,
         ),
         _frequency_report(
-            "lemma42:b", "lemma42 (b) integral over R of |s|^-alpha", f, tail,
-            lambda: 2.0 / sigma**alpha + 2.0 / (alpha - 1.0),
-            first_width=max(sigma, 1.0), factor=2.0, **point,
+            "lemma42:b", "lemma42 (b) integral over R of |s|^-alpha",
+            lambda: (_line_integral(sigma, 0.5 * alpha), SUITE_TOL, {}),
+            lambda: 2.0 / sigma**alpha + 2.0 / (alpha - 1.0), **point,
         ),
     ])
 
@@ -333,9 +348,7 @@ def check_lemma42(sigma: float, alpha: float, c: float, kappa: float) -> Verific
 def check_lemma33(g: PolyExp, sigma: float) -> VerificationReport:
     """Transform-line mass bound: int |G(sigma+i omega)| domega <= (pi/sigma) int |g''|.
 
-    The left side integrates the input's closed-form transform; the tail
-    beyond the cutoff is bounded through its declared decay |G| <= C/|s|**p,
-    p > 1, and added to the left side.
+    With G(s) = p!/(s + rate)^(p+1), the left side is :func:`_line_integral`.
     """
     _require_finite(sigma=sigma)
     if sigma <= 0.0:
@@ -347,19 +360,15 @@ def check_lemma33(g: PolyExp, sigma: float) -> VerificationReport:
     with named_integral("lemma33 time integral int_0^inf |g''|"):
         mass = g.time_l1(2, 0, math.inf)
 
-    transform = g.laplace
-    c_decay, p_decay = g.laplace_decay
-
-    def f(omega: float) -> float:
-        return abs(transform(complex(sigma, omega))) + abs(transform(complex(sigma, -omega)))
-
-    def tail(R: float) -> float:
-        return 2.0 * c_decay * R ** (1.0 - p_decay) / (p_decay - 1.0)
+    def lhs():
+        if g.family == "zero":
+            return 0.0, SUITE_TOL, {}
+        a = sigma + (1.0 if g.family == "poly" else 0.0)
+        return _line_integral(a, 0.5 * (g.p + 1), math.factorial(g.p)), SUITE_TOL, {}
 
     return _frequency_report(
         f"lemma33:{g.name}", "lemma33 frequency integral int |G(sigma + i omega)| domega",
-        f, tail, lambda: math.pi / sigma * mass,
-        first_width=max(sigma, 1.0), g=g.name, sigma=sigma,
+        lhs, lambda: math.pi / sigma * mass, g=g.name, sigma=sigma,
     )
 
 
@@ -370,7 +379,7 @@ def check_prop34a(g: PolyExp, sigma: float, m: int, kappa: float) -> Verificatio
             <= kappa^2 Cm1(m) / (sigma min(sigma^m, 1)) int |P_m g^(m+4)|.
 
     The input's closed-form transform keeps the check on the inequality
-    rather than compounding transform error.
+    rather than compounding transform error.  The integrand is even in omega.
     """
     _require_finite(sigma=sigma)
     if m < 1:
@@ -384,29 +393,21 @@ def check_prop34a(g: PolyExp, sigma: float, m: int, kappa: float) -> Verificatio
     with named_integral(f"prop34a time integral int_0^inf |P_{m} g^({m + 4})|"):
         time_mass = g.time_l1(m + 4, m, math.inf)
 
-    transform = g.laplace
     c_g, p = g.laplace_decay
 
-    def f_both(omega: float) -> float:
-        # |(s_k^m - s^m) G(s)| at s = sigma +- i omega, one defect call for the pair
-        pair = (complex(sigma, omega), complex(sigma, -omega))
-        defects = delta_power_diff(np.array([kappa * s for s in pair]), [m])[0]
-        up, down = [
-            abs(complex(defect) / kappa**m) * abs(transform(s)) for defect, s in zip(defects, pair)
-        ]
-        return up + down
+    def f(omega: np.ndarray) -> np.ndarray:
+        s = sigma + 1j * omega  # exact for finite omega
+        return np.abs(delta_power_diff(kappa * s, [m])[0] / kappa**m) * np.abs(g.laplace(s))
 
     def tail(R: float) -> float:
-        # |s_k^m - s^m| <= s_inf^m + omega^m and |G| <= c_g omega^-p
+        # one side's: |s_k^m - s^m| <= s_inf^m + omega^m and |G| <= c_g omega^-p
         s_inf = 8.0 / (kappa * kappa * min(sigma, 1.0))
-        return 2.0 * c_g * (
-            s_inf**m * R ** (1.0 - p) / (p - 1.0)
-            + R ** (m + 1.0 - p) / (p - 1.0 - m)
-        )
+        return c_g * (s_inf**m * R ** (1.0 - p) / (p - 1.0) + R ** (m + 1.0 - p) / (p - 1.0 - m))
 
     return _frequency_report(
         f"prop34a:{g.name}[m={m}]",
-        f"prop34a frequency integral int |(s_k^{m} - s^{m}) G(s)| domega", f_both, tail,
+        f"prop34a frequency integral int |(s_k^{m} - s^{m}) G(s)| domega",
+        lambda: _certified(f, tail, 0.0, max(sigma, 1.0 / kappa)),
         lambda: kappa * kappa * const_Cm1(m) / (sigma * min(sigma**m, 1.0)) * time_mass,
-        first_width=max(sigma, 1.0 / kappa), g=g.name, sigma=sigma, m=m, kappa=kappa,
+        g=g.name, sigma=sigma, m=m, kappa=kappa,
     )

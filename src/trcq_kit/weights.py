@@ -194,8 +194,7 @@ def _exact_table(F: Symbol, kappa: float, N: int) -> WeightTable:
 def _to_double(F: Symbol, kappa: float, precise: np.ndarray) -> np.ndarray:
     """``precise`` rounded to complex128, refused if it leaves the double range or is NaN."""
     top = np.finfo(np.float64).max
-    inside = (np.abs(precise.real) <= top) & (np.abs(precise.imag) <= top)
-    out = ~inside.all(axis=(1, 2))
+    out = ~((np.abs(precise.real) <= top) & (np.abs(precise.imag) <= top)).all(axis=(1, 2))
     if out.any():
         raise ValueError(
             f"weights of {F.name} at kappa = {kappa:g} leave the double range, "

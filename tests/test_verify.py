@@ -10,13 +10,16 @@ import math
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
 from trcq_kit.functions import PolyExp, poly_exp, zero
+from trcq_kit import verify
 from trcq_kit.symbols import (
     CFModel, Symbol, make_decay, make_delay, make_power, make_resolvent, validate_growth,
 )
+from trcq_kit.trmap import delta_power_diff
 from trcq_kit.verify import (
     QUADRATURE_TOL,
     SUITE_TOL,
@@ -28,6 +31,7 @@ from trcq_kit.verify import (
     check_prop32,
     check_prop34a,
     check_prop41,
+    _line_integral,
 )
 
 SAMPLES = 20000
@@ -238,6 +242,69 @@ class TestFrequencyMoments:
             check_lemma42(1.0, 2.0, 1.0, 0.0)
 
 
+    def test_spike_at_tiny_sigma_runs(self):
+        """At sigma = 1e-17, (b)'s integrand is a spike of width sigma at omega = 0
+        that no quadrature panel resolved; its closed form is pi/sigma^(alpha-1)."""
+        rep = check_lemma42(1e-17, 2.0, 1.0, 0.5)
+        assert rep.violations == 0
+        assert rep.worst_point["part"] == "lemma42:a"
+
+
+# --------------------------------------------------------------------------
+# the whole-line closed form of lemma42 (b) and lemma33
+# --------------------------------------------------------------------------
+
+
+LINE_SIGMAS = (1e-17, 1e-3, 0.3, 1.0, 7.0, 1e3)
+
+
+def line_reference(a, nu, factor=1):
+    """``factor a^(1-2nu) B(1/2, nu - 1/2)`` in 50 digits (DLMF 5.12.1, 5.12.3)."""
+    with mpmath.workdps(50):
+        nu = mpmath.mpf(nu)
+        return factor * mpmath.mpf(a) ** (1 - 2 * nu) * mpmath.beta(mpmath.mpf(0.5), nu - 0.5)
+
+
+class TestLineIntegral:
+    @pytest.mark.parametrize("a", [0.3, 1.0, 7.0])
+    @pytest.mark.parametrize("nu", [1.0, 1.5, 3.0, 11.6])
+    def test_is_the_integral(self, a, nu):
+        """The closed form against mpmath's quadrature of (a^2 + omega^2)^-nu over R."""
+        with mpmath.workdps(30):
+            integral = mpmath.quad(
+                lambda w: (mpmath.mpf(a) ** 2 + w * w) ** -mpmath.mpf(nu),
+                [-mpmath.inf, 0, mpmath.inf],
+            )
+        assert abs(_line_integral(a, nu) - integral) <= 1e-13 * integral
+
+    @pytest.mark.parametrize("sigma", LINE_SIGMAS)
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 2.0, 3.0, 23.2, 100.0])
+    def test_lemma42_b_against_mpmath(self, sigma, alpha):
+        """(b)'s left side at a = sigma, nu = alpha/2; a value past the double
+        range is inf (sigma = 1e-17 at alpha = 23.2 and 100)."""
+        ref = line_reference(sigma, 0.5 * alpha)
+        if ref > np.finfo(float).max:
+            assert _line_integral(sigma, 0.5 * alpha) == math.inf
+            return
+        assert abs(_line_integral(sigma, 0.5 * alpha) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("sigma", LINE_SIGMAS)
+    @pytest.mark.parametrize("p", [2, 5, 12, 30, 100, 145, 170])
+    def test_lemma33_against_mpmath(self, sigma, p):
+        """lemma33's left side p! int ((sigma + 1)^2 + omega^2)^(-(p+1)/2) for
+        poly<p>exp, checked at SUITE_TOL with no cutoff or tail.  At sigma = 1e-17
+        poly170exp's bound (pi/sigma) int |g''| passes the double range."""
+        if (sigma, p) == (1e-17, 170):
+            with pytest.raises(ValueError, match="bound inf"):
+                check_lemma33(poly_exp(p), sigma)
+            return
+        rep = check_lemma33(poly_exp(p), sigma)
+        assert rep.violations == 0
+        assert "cutoff" not in rep.worst_point and "tail" not in rep.worst_point
+        ref = line_reference(sigma + 1.0, 0.5 * (p + 1), math.factorial(p))
+        assert abs(rep.worst_point["lhs"] - ref) <= 1e-13 * ref
+
+
 # --------------------------------------------------------------------------
 # transform-mass suite
 # --------------------------------------------------------------------------
@@ -285,6 +352,40 @@ class TestPowerDefect:
         assert rep.worst_margin == 0.0
         assert (rep.worst_point["lhs"], rep.worst_point["rhs"]) == (0.0, 0.0)
         assert rep.worst_point["tail"] == 0.0
+
+    @pytest.mark.parametrize("p, m, sigma, kappa", [
+        (6, 1, 1.0, 0.1), (9, 2, 0.3, 0.05), (12, 3, 7.0, 0.1), (15, 5, 1.0, 0.025),
+    ])
+    def test_one_side_is_half_the_conjugate_pair(self, p, m, sigma, kappa, monkeypatch):
+        """The integrand at sigma - i omega is the conjugate's, bit for bit, so
+        the integrand of omega >= 0 alone, doubled, is the pair's sum; the
+        former per-point pair sum in Python complex arithmetic agrees to rounding."""
+        integrands = []
+        integrate = verify.integrate_semi_infinite
+
+        def capture(f, *args, **kwargs):
+            integrands.append(f)
+            return integrate(f, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "integrate_semi_infinite", capture)
+        g = poly_exp(p)
+        check_prop34a(g, sigma, m, kappa)
+        omega = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 4001)])
+
+        def one_side(imag):
+            s = np.empty(omega.shape, dtype=complex)
+            s.real, s.imag = sigma, imag
+            return np.abs(delta_power_diff(kappa * s, [m])[0] / kappa**m) * np.abs(g.laplace(s))
+
+        def scalar_pair(w):
+            pair = (complex(sigma, w), complex(sigma, -w))
+            defects = delta_power_diff(np.array([kappa * s for s in pair]), [m])[0]
+            return sum(abs(complex(d) / kappa**m) * abs(g.laplace(s)) for d, s in zip(defects, pair))
+
+        assert len(integrands) == 1
+        doubled = 2.0 * integrands[0](omega)
+        assert np.array_equal(doubled, one_side(omega) + one_side(-omega))
+        np.testing.assert_allclose(doubled[::4], [scalar_pair(w) for w in omega[::4]], rtol=1e-14)
 
     def test_input_outside_the_hypothesis_refused(self):
         """At m = 1 the estimate needs g^(k)(0) = 0 for k < 6; poly5exp has g^(5)(0) = 120."""
