@@ -40,6 +40,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -299,18 +300,14 @@ def in_process(cwd: str, argv: "list[str]") -> "tuple[int, bytes, bytes]":
     from trcq_kit.cli import main
 
     stdout, stderr = io.StringIO(), io.StringIO()
-    here, columns = os.getcwd(), os.environ.get("COLUMNS")
+    here = os.getcwd()
     os.chdir(cwd)
-    os.environ["COLUMNS"] = _COLUMNS
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with mock.patch.dict(os.environ, COLUMNS=_COLUMNS), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
             code = main(argv)
     finally:
         os.chdir(here)
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
     return code, stdout.getvalue().encode("utf-8"), stderr.getvalue().encode("utf-8")
 
 
